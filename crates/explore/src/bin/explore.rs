@@ -109,12 +109,9 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 };
             }
             "--grant" => {
-                o.grant = match value("--grant")? {
-                    "barging" => GrantPolicy::Barging,
-                    "fair-queue" => GrantPolicy::FairQueue,
-                    "ordered" => GrantPolicy::Ordered,
-                    other => return Err(format!("unknown grant policy {other:?}")),
-                };
+                let name = value("--grant")?;
+                o.grant = GrantPolicy::parse(name)
+                    .ok_or_else(|| format!("unknown grant policy {name:?}"))?;
             }
             "--figure2" => o.figure2 = true,
             "--identical" => {

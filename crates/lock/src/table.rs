@@ -52,6 +52,17 @@ impl GrantPolicy {
         }
     }
 
+    /// Parses a policy name as the CLI bins spell it — the inverse of
+    /// [`GrantPolicy::name`], shared by every bin that takes one.
+    pub fn parse(name: &str) -> Option<GrantPolicy> {
+        match name {
+            "barging" => Some(GrantPolicy::Barging),
+            "fair-queue" => Some(GrantPolicy::FairQueue),
+            "ordered" => Some(GrantPolicy::Ordered),
+            _ => None,
+        }
+    }
+
     /// Whether grants respect queue order: a request is refused while an
     /// incompatible request is queued ahead of it, and promotion stops at
     /// the first blocked waiter. True for every policy except the
@@ -650,6 +661,15 @@ mod tests {
         tbl.release(t(1), e(0)).unwrap();
         assert_eq!(tbl.grant_count(), 2);
         assert_eq!(tbl.wait_count(), 1);
+    }
+
+    #[test]
+    fn grant_policy_parse_round_trips_every_name() {
+        for policy in [GrantPolicy::Barging, GrantPolicy::FairQueue, GrantPolicy::Ordered] {
+            assert_eq!(GrantPolicy::parse(policy.name()), Some(policy));
+        }
+        assert_eq!(GrantPolicy::parse("fair"), None);
+        assert_eq!(GrantPolicy::parse(""), None);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! delivered via best-effort `try_lock`) silently **dropped** a wake
 //! whenever the target's slot was busy — e.g. while the target was itself
 //! mid-resolution — costing a full 2 ms poll each time. Under Zipf-skewed
-//! contention those serial handoff chains were the 8-thread collapse in
-//! BENCH_parallel.json. The replacement is lock-free:
+//! contention those serial handoff chains were the 8-thread collapse
+//! recorded in EXPERIMENTS.md T6. The replacement is lock-free:
 //!
 //! * [`TxnSlot::wake`] stores a release [`AtomicBool`] hint and unparks
 //!   the claiming thread. It touches no mutex, so it can be called from

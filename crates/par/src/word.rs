@@ -2,8 +2,8 @@
 //!
 //! The sharded `Mutex<Shard>` path serialises every lock request on the
 //! shard mutex even when nobody contends for the entity — profiled as the
-//! dominant cost of the multi-threaded engine (BENCH_parallel.json showed
-//! MCS *losing* throughput from 1 → 2 threads). This module gives every
+//! dominant cost of the multi-threaded engine (EXPERIMENTS.md T6: MCS
+//! *lost* throughput from 1 → 2 threads). This module gives every
 //! entity one atomic **lock word** plus an atomic value cell, packed into a
 //! slab built once per run, so the uncontended grant/release cycle is a
 //! couple of CAS operations and never touches a mutex.

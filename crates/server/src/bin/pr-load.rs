@@ -1,24 +1,19 @@
 //! The pr-load binary: closed-loop multi-client load against a pr-server,
-//! with the post-run serializability oracle, the committed bench grid,
-//! the CI perf gate, the malformed-frame probe, and the nightly soak.
+//! with the post-run serializability oracle, the crash-injection battery,
+//! the malformed-frame probe, and the nightly soak.
 //!
 //! ```text
 //! cargo run -p pr-server --release --bin pr-load -- --clients 12288 --zipf 120
-//! cargo run -p pr-server --release --bin pr-load -- --bench
-//! cargo run -p pr-server --release --bin pr-load -- --gate-server BENCH_server.json
+//! cargo run -p pr-server --release --bin pr-load -- --crash-soak 64
 //! ```
 //!
-//! Exit codes: 0 success (run clean and oracle green, gate passed, probe
-//! contract held), 1 failure, 2 usage error.
+//! Exit codes: 0 success (run clean and oracle green, probe contract
+//! held), 1 failure, 2 usage error.
 
 use pr_core::{GrantPolicy, LogHistogram, StrategyKind, SystemConfig, VictimPolicyKind};
-use pr_model::Value;
-use pr_par::{run_parallel, ParConfig};
 use pr_server::load::oracle_check;
 use pr_server::{Client, LoadConfig, LoadResult, Server, ServerConfig};
-use pr_sim::generator::{GeneratorConfig, ProgramGenerator};
 use pr_sim::oracle::OracleReport;
-use pr_storage::GlobalStore;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -26,9 +21,6 @@ use std::time::{Duration, Instant};
 const USAGE: &str = "\
 usage: pr-load [MODE] [OPTIONS]
 modes (default: drive one load cell and oracle-check it)
-  --bench              run the committed bench grid, write BENCH_server.json
-  --gate-server PATH   perf gate: calibrated live re-measure vs the committed grid
-  --gate-durability PATH  durability gate: flush-policy rows + live per-batch re-measure
   --crash-soak N       seeded in-process crash-injection battery (N cases)
   --probe-malformed ADDR  malformed-frame protocol probe (exit 0 = contract held)
   --soak               extended randomized soak, multi-process, both policies
@@ -52,16 +44,12 @@ options
   --threads N          self-hosted engine threads per batch (default 8)
   --batch-max N        self-hosted group-commit flush threshold (default 256)
   --batch-deadline-us N  self-hosted group-commit deadline (default 2000)
-  --out PATH           bench output path (default BENCH_server.json)
   --no-oracle          skip the post-run serializability check
   --wal DIR            self-hosted server writes a redo log to DIR
   --wal-flush POLICY   fsync policy for --wal: per-batch | every-N | off";
 
 enum Mode {
     Run,
-    Bench,
-    Gate(std::path::PathBuf),
-    GateDurability(std::path::PathBuf),
     CrashSoak(usize),
     Probe(String),
     Soak,
@@ -79,7 +67,6 @@ struct Options {
     batch_max: usize,
     batch_deadline_us: u64,
     procs: usize,
-    out: std::path::PathBuf,
     oracle: bool,
     durability: pr_server::DurabilityConfig,
 }
@@ -95,7 +82,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         batch_max: 256,
         batch_deadline_us: 2_000,
         procs: 1,
-        out: std::path::PathBuf::from("BENCH_server.json"),
         oracle: true,
         durability: pr_server::DurabilityConfig::default(),
     };
@@ -105,11 +91,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             it.next().map(String::as_str).ok_or_else(|| format!("{name} needs a value"))
         };
         match arg.as_str() {
-            "--bench" => o.mode = Mode::Bench,
-            "--gate-server" => o.mode = Mode::Gate(value("--gate-server")?.into()),
-            "--gate-durability" => {
-                o.mode = Mode::GateDurability(value("--gate-durability")?.into())
-            }
             "--crash-soak" => {
                 o.mode = Mode::CrashSoak(
                     value("--crash-soak")?.parse().map_err(|_| "--crash-soak needs a count")?,
@@ -157,12 +138,9 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 o.procs = value("--procs")?.parse().map_err(|_| "--procs needs a count")?
             }
             "--policy" => {
-                o.policy = match value("--policy")? {
-                    "barging" => GrantPolicy::Barging,
-                    "fair-queue" => GrantPolicy::FairQueue,
-                    "ordered" => GrantPolicy::Ordered,
-                    other => return Err(format!("unknown grant policy {other:?}")),
-                }
+                let name = value("--policy")?;
+                o.policy = GrantPolicy::parse(name)
+                    .ok_or_else(|| format!("unknown grant policy {name:?}"))?;
             }
             "--strategy" => {
                 let name = value("--strategy")?;
@@ -181,15 +159,22 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|_| "--batch-deadline-us needs microseconds")?
             }
-            "--out" => o.out = value("--out")?.into(),
             "--no-oracle" => o.oracle = false,
             "--wal" => o.durability.dir = Some(value("--wal")?.into()),
             "--wal-flush" => o.durability.flush = value("--wal-flush")?.parse()?,
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    if o.procs == 0 {
-        return Err("--procs needs at least 1".into());
+    // A zero-sized run submits nothing and would pass vacuously.
+    for (name, n) in [
+        ("--clients", o.load.clients),
+        ("--txns", o.load.txns_per_client),
+        ("--threads", o.threads),
+        ("--procs", o.procs),
+    ] {
+        if n == 0 {
+            return Err(format!("{name} needs at least 1"));
+        }
     }
     Ok(o)
 }
@@ -329,7 +314,7 @@ fn parse_child_output(text: &str) -> Result<LoadResult, String> {
     Ok(result)
 }
 
-/// What one fully checked cell produced, bench-row shaped.
+/// What one fully checked cell produced.
 struct CellOutcome {
     result: LoadResult,
     report: Option<OracleReport>,
@@ -425,468 +410,6 @@ fn run_default(o: &Options) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Bench grid
-// ---------------------------------------------------------------------------
-
-/// `(clients, zipf_centi, policy, txns_per_client, clients_per_conn,
-/// wal)` — the committed grid. The 12288-client cell is the ISSUE's 10k+
-/// bar; it multiplexes wider so connection count stays modest. The last
-/// three cells hold the workload fixed and sweep the durability axis:
-/// `per-batch` fsyncs once per group commit, `every-8` amortises further,
-/// and `per-txn` (batch_max 1, fsync each) is the degenerate ungrouped
-/// baseline group commit exists to beat.
-const BENCH_CELLS: &[(usize, u16, &str, usize, usize, &str)] = &[
-    (512, 0, "fair-queue", 4, 256, "off"),
-    (512, 120, "fair-queue", 4, 256, "off"),
-    (4096, 0, "fair-queue", 4, 256, "off"),
-    (4096, 120, "fair-queue", 4, 256, "off"),
-    (12288, 120, "fair-queue", 2, 1024, "off"),
-    (512, 120, "ordered", 4, 256, "off"),
-    (512, 120, "fair-queue", 4, 256, "per-batch"),
-    (512, 120, "fair-queue", 4, 256, "every-8"),
-    (512, 120, "fair-queue", 4, 256, "per-txn"),
-];
-
-/// Scratch WAL directory for one bench cell (unique per process + cell,
-/// removed around each run so stale segments never replay into a bench).
-fn bench_wal_dir(wal: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("pr-load-bench-wal-{}-{wal}", std::process::id()))
-}
-
-struct BenchRow {
-    clients: usize,
-    zipf_centi: u16,
-    policy: String,
-    wal: String,
-    txns: u64,
-    commits: u64,
-    elapsed_us: u128,
-    throughput: f64,
-    p50_us: u64,
-    p95_us: u64,
-    p99_us: u64,
-    batches: u64,
-    oracle_accesses: usize,
-    conflict_edges: usize,
-}
-
-/// A fixed in-process engine workload whose throughput calibrates this
-/// machine against the one that committed the grid: the gate compares
-/// server numbers only after normalising by the calibration ratio, so a
-/// slower CI box does not read as a regression.
-fn calibrate() -> Result<f64, String> {
-    // Single-threaded on purpose: an oversubscribed multi-thread run
-    // carries scheduler noise larger than the machine-speed signal the
-    // calibration exists to capture.
-    let config = ParConfig {
-        threads: 1,
-        shards: 0,
-        system: SystemConfig::new(StrategyKind::Mcs, VictimPolicyKind::PartialOrder),
-        fast_path: true,
-    };
-    let gen_config =
-        GeneratorConfig { num_entities: 64, skew_centi: 120, ..GeneratorConfig::default() };
-    let mut best = 0.0f64;
-    for attempt in 0..5u64 {
-        let programs = ProgramGenerator::new(gen_config, 7 + attempt).generate_workload(256);
-        let store = GlobalStore::with_entities(64, Value::new(100));
-        let start = Instant::now();
-        let outcome =
-            run_parallel(&programs, store, &config).map_err(|e| format!("calibration: {e}"))?;
-        let secs = start.elapsed().as_secs_f64();
-        if secs > 0.0 {
-            best = best.max(outcome.commits() as f64 / secs);
-        }
-    }
-    if best <= 0.0 {
-        return Err("calibration produced zero throughput".into());
-    }
-    Ok(best)
-}
-
-fn cell_options(o: &Options, cell: &(usize, u16, &str, usize, usize, &str)) -> Options {
-    let &(clients, zipf, policy, txns, per_conn, wal) = cell;
-    // The durability axis: "off" disables the journal; "per-txn" is
-    // per-batch flushing with group commit disabled (every transaction
-    // its own batch and fsync) — the baseline the amortised cells beat.
-    let (durability, batch_max) = match wal {
-        "off" => (pr_server::DurabilityConfig::default(), o.batch_max),
-        _ => {
-            let flush = match wal {
-                "per-txn" => "per-batch",
-                other => other,
-            };
-            let durability = pr_server::DurabilityConfig {
-                dir: Some(bench_wal_dir(wal)),
-                flush: flush.parse().expect("bench wal cells carry valid policies"),
-                ..pr_server::DurabilityConfig::default()
-            };
-            (durability, if wal == "per-txn" { 1 } else { o.batch_max })
-        }
-    };
-    Options {
-        mode: Mode::Run,
-        connect: None,
-        load: LoadConfig {
-            clients,
-            zipf_centi: zipf,
-            txns_per_client: txns,
-            clients_per_conn: per_conn,
-            ..o.load.clone()
-        },
-        policy: match policy {
-            "ordered" => GrantPolicy::Ordered,
-            "barging" => GrantPolicy::Barging,
-            _ => GrantPolicy::FairQueue,
-        },
-        strategy: o.strategy,
-        threads: o.threads,
-        batch_max,
-        batch_deadline_us: o.batch_deadline_us,
-        procs: 1,
-        out: o.out.clone(),
-        oracle: true,
-        durability,
-    }
-}
-
-fn bench_row(o: &Options, cell: &CellOutcome, wal: &str) -> BenchRow {
-    let r = &cell.result;
-    let report = cell.report.as_ref();
-    BenchRow {
-        clients: o.load.clients,
-        zipf_centi: o.load.zipf_centi,
-        policy: o.policy.name().to_string(),
-        wal: wal.to_string(),
-        txns: (o.load.clients * o.load.txns_per_client) as u64,
-        commits: r.commits,
-        elapsed_us: r.elapsed.as_micros(),
-        throughput: r.throughput(),
-        p50_us: r.latency.p50(),
-        p95_us: r.latency.p95(),
-        p99_us: r.latency.p99(),
-        batches: cell.batches,
-        oracle_accesses: report.map_or(0, |rep| rep.accesses),
-        conflict_edges: report.map_or(0, |rep| rep.conflict_edges),
-    }
-}
-
-/// Serialises the grid as `BENCH_server.json` (hand-rolled JSON, same
-/// discipline as `BENCH_parallel.json`: static keys, numeric values, one
-/// row per line so the gate can scrape lines).
-fn server_json(calib: f64, rows: &[BenchRow]) -> String {
-    let mut out = String::from(
-        "{\n  \"schema\": \"bench-server-v1\",\n  \"units\": {\
-         \"throughput\": \"committed transactions per second, wall clock\", \
-         \"latency\": \"end-to-end submit-to-reply, microseconds\", \
-         \"calib_throughput\": \"fixed in-process engine workload, tx/s\"},\n",
-    );
-    let _ = writeln!(out, "  \"calib_throughput\": {calib:.1},");
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"clients\":{},\"zipf_centi\":{},\"policy\":\"{}\",\"wal\":\"{}\",\
-             \"txns\":{},\"commits\":{},\"elapsed_us\":{},\
-             \"throughput\":{:.1},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\
-             \"batches\":{},\"oracle_accesses\":{},\"conflict_edges\":{}}}{}",
-            r.clients,
-            r.zipf_centi,
-            r.policy,
-            r.wal,
-            r.txns,
-            r.commits,
-            r.elapsed_us,
-            r.throughput,
-            r.p50_us,
-            r.p95_us,
-            r.p99_us,
-            r.batches,
-            r.oracle_accesses,
-            r.conflict_edges,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn run_bench(o: &Options) -> ExitCode {
-    let calib = match calibrate() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("pr-load: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("pr-load: calibration {calib:.0} tx/s (fixed in-process workload)");
-    let mut rows = Vec::new();
-    for cell in BENCH_CELLS {
-        let wal = cell.5;
-        if wal != "off" {
-            let _ = std::fs::remove_dir_all(bench_wal_dir(wal));
-        }
-        let cell_o = cell_options(o, cell);
-        let outcome = run_cell(&cell_o);
-        if wal != "off" {
-            let _ = std::fs::remove_dir_all(bench_wal_dir(wal));
-        }
-        match outcome {
-            Ok(out) => {
-                print_cell(&cell_o, &out);
-                let expected = (cell_o.load.clients * cell_o.load.txns_per_client) as u64;
-                if out.result.commits != expected {
-                    eprintln!(
-                        "pr-load: bench cell lost transactions: expected {expected}, \
-                         committed {} ({} aborted)",
-                        out.result.commits, out.result.aborted
-                    );
-                    return ExitCode::FAILURE;
-                }
-                rows.push(bench_row(&cell_o, &out, wal));
-            }
-            Err(e) => {
-                eprintln!("pr-load: bench cell failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Err(e) = std::fs::write(&o.out, server_json(calib, &rows)) {
-        eprintln!("pr-load: cannot write {}: {e}", o.out.display());
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {} ({} rows, all oracle-checked)", o.out.display(), rows.len());
-    ExitCode::SUCCESS
-}
-
-// ---------------------------------------------------------------------------
-// Perf gate
-// ---------------------------------------------------------------------------
-
-/// Extracts `"key":value` from one serialized row — same scraping the
-/// scaling gate uses; valid because this binary wrote the file.
-fn row_field(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().trim_matches('"').parse().ok()
-}
-
-fn row_str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// The server perf gate: re-measure the committed 4096-client / zipf 1.2
-/// / fair-queue cell live and fail on >20% calibrated regression in
-/// throughput or p99. Calibration (a fixed in-process engine workload on
-/// both sides) normalises out machine speed, so the bar tracks the
-/// server stack itself — framing, batching, group commit — not the CI
-/// box of the day.
-fn run_gate(o: &Options, path: &std::path::Path) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("pr-load: cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    // Line-by-line: the units stanza also mentions the key (with a
-    // string value that fails to parse), so scan for the numeric line.
-    let Some(committed_calib) =
-        text.lines().find_map(|l| row_field(l, "calib_throughput")).filter(|c| *c > 0.0)
-    else {
-        eprintln!("pr-load: no calib_throughput in {}", path.display());
-        return ExitCode::FAILURE;
-    };
-    let gate_cell = &BENCH_CELLS[3]; // 4096 clients, zipf 1.2, fair-queue, wal off
-    let committed = text.lines().find(|l| {
-        row_field(l, "clients") == Some(gate_cell.0 as f64)
-            && row_field(l, "zipf_centi") == Some(f64::from(gate_cell.1))
-            && row_str_field(l, "policy").as_deref() == Some(gate_cell.2)
-            && row_str_field(l, "wal").as_deref() == Some(gate_cell.5)
-    });
-    let Some(committed) = committed else {
-        eprintln!("pr-load: gate cell not found in {}", path.display());
-        return ExitCode::FAILURE;
-    };
-    let (Some(committed_thr), Some(committed_p99)) =
-        (row_field(committed, "throughput"), row_field(committed, "p99_us"))
-    else {
-        eprintln!("pr-load: malformed gate row in {}", path.display());
-        return ExitCode::FAILURE;
-    };
-
-    let live_calib = match calibrate() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("pr-load: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // scale < 1 means this machine is slower than the one that committed
-    // the grid: expect proportionally less throughput and more latency.
-    // Clamped to at most 1.0 — a faster (or noisily fast-reading) box
-    // must never *raise* the bars above the committed numbers — and to
-    // at least 0.25 so a bogus near-zero calibration can't wave a real
-    // regression through.
-    let scale = (live_calib / committed_calib).clamp(0.25, 1.0);
-    let need_thr = 0.8 * committed_thr * scale;
-    let allow_p99 = 1.2 * committed_p99 / scale;
-
-    // Two attempts, pass on either: single-run server cells on a shared
-    // box carry scheduler noise the calibration cannot see.
-    let mut last = String::new();
-    for attempt in 1..=2 {
-        let cell_o = cell_options(o, gate_cell);
-        let cell = match run_cell(&cell_o) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("pr-load: gate cell failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let thr = cell.result.throughput();
-        let p99 = cell.result.latency.p99() as f64;
-        if thr >= need_thr && p99 <= allow_p99 {
-            println!(
-                "server gate passed (attempt {attempt}): {thr:.0} tx/s >= {need_thr:.0} \
-                 and p99 {p99:.0}us <= {allow_p99:.0}us \
-                 (committed {committed_thr:.0} tx/s / {committed_p99:.0}us, \
-                 calibration scale {scale:.2})"
-            );
-            return ExitCode::SUCCESS;
-        }
-        last = format!(
-            "{thr:.0} tx/s (need >= {need_thr:.0}), p99 {p99:.0}us (allow <= {allow_p99:.0}us)"
-        );
-        eprintln!("pr-load: gate attempt {attempt} outside bars: {last}");
-    }
-    eprintln!(
-        "pr-load: SERVER GATE: live cell regressed vs committed grid \
-         (committed {committed_thr:.0} tx/s / p99 {committed_p99:.0}us, \
-         calibration scale {scale:.2}, live {last})"
-    );
-    ExitCode::FAILURE
-}
-
-// ---------------------------------------------------------------------------
-// Durability gate
-// ---------------------------------------------------------------------------
-
-/// The durability arm of the perf gate. Two checks against the committed
-/// grid's flush-policy cells (512 clients / zipf 1.2 / fair-queue):
-///
-/// 1. **Amortisation holds in the committed numbers**: the `per-batch`
-///    cell (one fsync per group commit) must out-run the `per-txn` cell
-///    (group commit disabled, one fsync per transaction). If it doesn't,
-///    group commit stopped paying for itself and the grid must not be
-///    committed.
-/// 2. **The journalled path hasn't regressed**: re-measure the
-///    `per-batch` cell live with the same calibrated bars the server
-///    gate uses (≥80% throughput, ≤120% p99 after machine-speed
-///    normalisation, best of two attempts).
-fn run_gate_durability(o: &Options, path: &std::path::Path) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("pr-load: cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let find_row = |wal: &str| {
-        text.lines().find(|l| {
-            row_field(l, "clients") == Some(512.0)
-                && row_field(l, "zipf_centi") == Some(120.0)
-                && row_str_field(l, "policy").as_deref() == Some("fair-queue")
-                && row_str_field(l, "wal").as_deref() == Some(wal)
-        })
-    };
-    let (Some(per_batch), Some(per_txn)) = (find_row("per-batch"), find_row("per-txn")) else {
-        eprintln!(
-            "pr-load: durability rows (wal per-batch / per-txn) not found in {}",
-            path.display()
-        );
-        return ExitCode::FAILURE;
-    };
-    let (Some(pb_thr), Some(pb_p99), Some(pt_thr)) = (
-        row_field(per_batch, "throughput"),
-        row_field(per_batch, "p99_us"),
-        row_field(per_txn, "throughput"),
-    ) else {
-        eprintln!("pr-load: malformed durability rows in {}", path.display());
-        return ExitCode::FAILURE;
-    };
-    if pb_thr <= pt_thr {
-        eprintln!(
-            "pr-load: DURABILITY GATE: group commit is not amortising fsyncs — \
-             committed per-batch {pb_thr:.0} tx/s <= per-txn {pt_thr:.0} tx/s"
-        );
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "durability grid sane: per-batch {pb_thr:.0} tx/s > per-txn {pt_thr:.0} tx/s \
-         ({:.1}x fsync amortisation)",
-        pb_thr / pt_thr
-    );
-
-    let Some(committed_calib) =
-        text.lines().find_map(|l| row_field(l, "calib_throughput")).filter(|c| *c > 0.0)
-    else {
-        eprintln!("pr-load: no calib_throughput in {}", path.display());
-        return ExitCode::FAILURE;
-    };
-    let live_calib = match calibrate() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("pr-load: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let scale = (live_calib / committed_calib).clamp(0.25, 1.0);
-    let need_thr = 0.8 * pb_thr * scale;
-    let allow_p99 = 1.2 * pb_p99 / scale;
-    let gate_cell = &BENCH_CELLS[6]; // 512 clients, zipf 1.2, fair-queue, per-batch
-    let mut last = String::new();
-    for attempt in 1..=2 {
-        let _ = std::fs::remove_dir_all(bench_wal_dir(gate_cell.5));
-        let cell_o = cell_options(o, gate_cell);
-        let cell = run_cell(&cell_o);
-        let _ = std::fs::remove_dir_all(bench_wal_dir(gate_cell.5));
-        let cell = match cell {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("pr-load: durability gate cell failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let thr = cell.result.throughput();
-        let p99 = cell.result.latency.p99() as f64;
-        if thr >= need_thr && p99 <= allow_p99 {
-            println!(
-                "durability gate passed (attempt {attempt}): per-batch {thr:.0} tx/s >= \
-                 {need_thr:.0} and p99 {p99:.0}us <= {allow_p99:.0}us \
-                 (committed {pb_thr:.0} tx/s / {pb_p99:.0}us, calibration scale {scale:.2})"
-            );
-            return ExitCode::SUCCESS;
-        }
-        last = format!(
-            "{thr:.0} tx/s (need >= {need_thr:.0}), p99 {p99:.0}us (allow <= {allow_p99:.0}us)"
-        );
-        eprintln!("pr-load: durability gate attempt {attempt} outside bars: {last}");
-    }
-    eprintln!(
-        "pr-load: DURABILITY GATE: journalled per-batch cell regressed vs committed grid \
-         (committed {pb_thr:.0} tx/s / p99 {pb_p99:.0}us, calibration scale {scale:.2}, \
-         live {last})"
-    );
-    ExitCode::FAILURE
 }
 
 // ---------------------------------------------------------------------------
@@ -1064,7 +587,6 @@ fn run_soak(o: &Options) -> ExitCode {
             batch_max: o.batch_max,
             batch_deadline_us: o.batch_deadline_us,
             procs: o.procs.max(2),
-            out: o.out.clone(),
             oracle: true,
             durability: o.durability.clone(),
         };
@@ -1180,13 +702,37 @@ fn main() -> ExitCode {
     };
     match &o.mode {
         Mode::Run => run_default(&o),
-        Mode::Bench => run_bench(&o),
-        Mode::Gate(path) => run_gate(&o, &path.clone()),
-        Mode::GateDurability(path) => run_gate_durability(&o, &path.clone()),
         Mode::CrashSoak(cases) => run_crash_soak(&o, *cases),
         Mode::Probe(addr) => run_probe(addr),
         Mode::Soak => run_soak(&o),
         Mode::Shutdown(addr) => run_shutdown(addr),
         Mode::Child => run_child(&o),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sizes(args: &[&str]) -> Result<(usize, usize, usize), String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_options(&args).map(|o| (o.load.clients, o.load.txns_per_client, o.threads))
+    }
+
+    #[test]
+    fn parse_options_accepts_sized_runs_and_rejects_empty_ones() {
+        assert_eq!(sizes(&[]), Ok((512, 4, 8)));
+        assert_eq!(sizes(&["--clients", "64", "--txns", "2", "--threads", "4"]), Ok((64, 2, 4)));
+        let rejected: [(&[&str], &str); 6] = [
+            (&["--clients", "0"], "--clients needs at least 1"),
+            (&["--txns", "0"], "--txns needs at least 1"),
+            (&["--threads", "0"], "--threads needs at least 1"),
+            (&["--procs", "0"], "--procs needs at least 1"),
+            (&["--policy", "fair"], "unknown grant policy \"fair\""),
+            (&["--bench"], "unknown argument \"--bench\""),
+        ];
+        for (args, why) in rejected {
+            assert_eq!(sizes(args), Err(why.to_string()), "{args:?}");
+        }
     }
 }

@@ -79,12 +79,9 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 }
             }
             "--policy" => {
-                system.grant_policy = match value("--policy")? {
-                    "barging" => GrantPolicy::Barging,
-                    "fair-queue" => GrantPolicy::FairQueue,
-                    "ordered" => GrantPolicy::Ordered,
-                    other => return Err(format!("unknown grant policy {other:?}")),
-                }
+                let name = value("--policy")?;
+                system.grant_policy = GrantPolicy::parse(name)
+                    .ok_or_else(|| format!("unknown grant policy {name:?}"))?;
             }
             "--batch-max" => {
                 config.batch_max =
@@ -105,6 +102,9 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--wal-flush" => config.durability.flush = value("--wal-flush")?.parse()?,
             other => return Err(format!("unknown argument {other:?}")),
         }
+    }
+    if config.threads == 0 {
+        return Err("--threads needs at least 1".into());
     }
     config.system = system;
     Ok(Options { config })
@@ -171,6 +171,33 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("pr-server: engine failure: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parsed(args: &[&str]) -> Result<(usize, GrantPolicy), String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_options(&args).map(|o| (o.config.threads, o.config.system.grant_policy))
+    }
+
+    #[test]
+    fn parse_options_accepts_sized_servers_and_rejects_empty_ones() {
+        assert_eq!(parsed(&[]), Ok((8, GrantPolicy::FairQueue)));
+        assert_eq!(
+            parsed(&["--threads", "2", "--policy", "ordered"]),
+            Ok((2, GrantPolicy::Ordered))
+        );
+        let rejected: [(&[&str], &str); 3] = [
+            (&["--threads", "0"], "--threads needs at least 1"),
+            (&["--policy", "fair"], "unknown grant policy \"fair\""),
+            (&["--bogus"], "unknown argument \"--bogus\""),
+        ];
+        for (args, why) in rejected {
+            assert_eq!(parsed(args), Err(why.to_string()), "{args:?}");
         }
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! Each function performs a parameter sweep and returns structured rows;
 //! the `experiments` binary renders them as the tables recorded in
-//! `EXPERIMENTS.md`, and the Criterion benches re-use the same functions
-//! so the measured numbers and the timed code paths coincide.
+//! `EXPERIMENTS.md`.
 
 use crate::generator::{Clustering, GeneratorConfig, ProgramGenerator};
 use crate::runner::{run_workload, store_with, SchedulerKind};

@@ -18,13 +18,11 @@
 //!   sets the paper derives;
 //! * [`experiments`] — parameter sweeps behind every quantitative claim
 //!   (lost progress, storage overhead, victim-policy behaviour, cut-set
-//!   solver quality, concurrency scaling), shared by the Criterion benches
-//!   and the `experiments` binary that regenerates `EXPERIMENTS.md`'s
-//!   tables;
+//!   solver quality, concurrency scaling), run by the `experiments`
+//!   binary that regenerates `EXPERIMENTS.md`'s tables;
 //! * [`report`] — plain-text table and CSV rendering;
 //! * [`stress`] — open/closed-loop high-contention drivers with
-//!   Zipf-skewed access, transaction-latency histograms, and the
-//!   throughput sweep behind `BENCH_throughput.json`.
+//!   Zipf-skewed access and transaction-latency histograms.
 
 pub mod chaos;
 pub mod experiments;
@@ -45,9 +43,4 @@ pub use report::Table;
 pub use runner::{
     is_serializable, run_serial, run_workload, RandomScheduler, RunReport, SchedulerKind,
 };
-pub use stress::{
-    gate_against_baseline, gate_repair_against_baseline, long_vs_oltp, ordered_fight,
-    parse_throughput_json, read_write_skew, run_stress, throughput_json, throughput_sweep,
-    throughput_sweep_for, Arrival, BaselineRow, GateResult, RepairGateResult, StressConfig,
-    StressReport, ThroughputRow,
-};
+pub use stress::{long_vs_oltp, read_write_skew, run_stress, Arrival, StressConfig, StressReport};

@@ -11,11 +11,6 @@
 //! starvation pathology: under a steady stream of shared requesters an
 //! exclusive waiter's grant latency is unbounded under
 //! [`GrantPolicy::Barging`] and bounded under [`GrantPolicy::FairQueue`].
-//!
-//! [`throughput_sweep`] runs the grid behind `BENCH_throughput.json`
-//! (contention × grant policy × rollback strategy), and
-//! [`throughput_json`] serialises it by hand — the workspace deliberately
-//! carries no serde_json.
 
 use crate::generator::{GeneratorConfig, ProgramGenerator};
 use crate::runner::store_with;
@@ -28,7 +23,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// How new transactions arrive.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -177,17 +171,6 @@ pub struct StressReport {
     pub metrics: Metrics,
 }
 
-impl StressReport {
-    /// Commits per 1000 engine steps — the harness's throughput measure.
-    pub fn throughput_kilo(&self) -> f64 {
-        if self.steps == 0 {
-            0.0
-        } else {
-            self.commits as f64 * 1000.0 / self.steps as f64
-        }
-    }
-}
-
 /// Drives one stress run to completion (or the step limit).
 pub fn run_stress(cfg: &StressConfig) -> Result<StressReport, EngineError> {
     let gen_cfg = GeneratorConfig {
@@ -299,493 +282,6 @@ pub fn run_stress(cfg: &StressConfig) -> Result<StressReport, EngineError> {
     })
 }
 
-/// One cell of the throughput grid: a (contention, concurrency, grant
-/// policy, strategy) combination aggregated over seeds.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ThroughputRow {
-    /// Zipf exponent ×100.
-    pub zipf_centi: u16,
-    /// Closed-loop concurrency.
-    pub concurrency: usize,
-    /// Grant policy name.
-    pub policy: String,
-    /// Rollback strategy name.
-    pub strategy: String,
-    /// Total commits across seeds.
-    pub commits: u64,
-    /// Total engine steps across seeds.
-    pub steps: u64,
-    /// Commits per 1000 steps.
-    pub throughput_kilo: f64,
-    /// Median transaction latency (steps).
-    pub latency_p50: u64,
-    /// 95th-percentile transaction latency (steps).
-    pub latency_p95: u64,
-    /// 99th-percentile transaction latency (steps).
-    pub latency_p99: u64,
-    /// Worst transaction latency (steps).
-    pub latency_max: u64,
-    /// 99th-percentile lock grant latency (steps).
-    pub grant_p99: u64,
-    /// Deadlocks across seeds.
-    pub deadlocks: u64,
-    /// Deepest wait queue observed.
-    pub max_queue_depth: usize,
-    /// States discarded by rollbacks across seeds — the §3.1 cost. Under
-    /// Repair this is what the next two columns partition, making the
-    /// Repair-vs-MCS/SDG comparison readable straight off the gate row.
-    pub states_lost: u64,
-    /// Suffix ops recomputed during repair replay (0 off-Repair).
-    pub ops_replayed: u64,
-    /// Suffix ops reused from the replay tape (0 off-Repair).
-    pub ops_reused: u64,
-}
-
-/// Runs the contention grid: every Zipf level × concurrency × grant
-/// policy × rollback strategy, `seeds` runs each, closed loop.
-pub fn throughput_sweep(
-    zipf_centis: &[u16],
-    concurrencies: &[usize],
-    txns_per_run: usize,
-    seeds: u64,
-) -> Vec<ThroughputRow> {
-    throughput_sweep_for(zipf_centis, concurrencies, txns_per_run, seeds, &StrategyKind::ALL)
-}
-
-/// [`throughput_sweep`] restricted to the given strategies — the
-/// `throughput --strategy` CLI path and the repair gate's live
-/// re-measure.
-pub fn throughput_sweep_for(
-    zipf_centis: &[u16],
-    concurrencies: &[usize],
-    txns_per_run: usize,
-    seeds: u64,
-    strategies: &[StrategyKind],
-) -> Vec<ThroughputRow> {
-    let mut rows = Vec::new();
-    for &zipf in zipf_centis {
-        for &concurrency in concurrencies {
-            for policy in GrantPolicy::ALL {
-                for &strategy in strategies {
-                    let mut latency = LogHistogram::default();
-                    let mut grant = LogHistogram::default();
-                    let (mut commits, mut steps, mut deadlocks) = (0u64, 0u64, 0u64);
-                    let (mut states_lost, mut ops_replayed, mut ops_reused) = (0u64, 0u64, 0u64);
-                    let mut max_queue_depth = 0usize;
-                    for seed in 0..seeds {
-                        let mut system =
-                            SystemConfig::new(strategy, VictimPolicyKind::PartialOrder)
-                                .with_grant_policy(policy);
-                        system.max_steps = 2_000_000;
-                        let cfg = StressConfig {
-                            total_txns: txns_per_run,
-                            concurrency,
-                            zipf_centi: zipf,
-                            seed: seed * 7 + 1,
-                            system,
-                            ..StressConfig::default()
-                        };
-                        let report = run_stress(&cfg).expect("stress run must not get stuck");
-                        assert!(report.completed, "partial-order policy always drains");
-                        latency.merge(&report.txn_latency);
-                        grant.merge(&report.metrics.grant_latency);
-                        commits += report.commits;
-                        steps += report.steps;
-                        deadlocks += report.metrics.deadlocks;
-                        states_lost += report.metrics.states_lost;
-                        ops_replayed += report.metrics.ops_replayed;
-                        ops_reused += report.metrics.ops_reused;
-                        max_queue_depth = max_queue_depth.max(report.metrics.max_queue_depth());
-                    }
-                    rows.push(ThroughputRow {
-                        zipf_centi: zipf,
-                        concurrency,
-                        policy: policy.name().to_string(),
-                        strategy: strategy.name(),
-                        commits,
-                        steps,
-                        throughput_kilo: if steps == 0 {
-                            0.0
-                        } else {
-                            commits as f64 * 1000.0 / steps as f64
-                        },
-                        latency_p50: latency.p50(),
-                        latency_p95: latency.p95(),
-                        latency_p99: latency.p99(),
-                        latency_max: latency.max(),
-                        grant_p99: grant.p99(),
-                        deadlocks,
-                        max_queue_depth,
-                        states_lost,
-                        ops_replayed,
-                        ops_reused,
-                    });
-                }
-            }
-        }
-    }
-    rows
-}
-
-/// The three-way grant-policy fight behind `BENCH_ordered.json`: barging
-/// vs fair-queue vs ordered on the perf-gate hot cell (Zipf
-/// [`GATE_ZIPF_CENTI`], [`GATE_CONCURRENCY`]-way closed loop), every
-/// rollback strategy, over a *certifiable* workload (`ordered_locks`).
-///
-/// All three policies run the identical ascending-order workload, so none
-/// of them ever deadlocks — the fight isolates what the certificate
-/// actually buys: `Ordered` skips the per-wait deadlock search the other
-/// two still pay for.
-pub fn ordered_fight(txns_per_run: usize, seeds: u64) -> Vec<ThroughputRow> {
-    let mut rows = Vec::new();
-    for policy in [GrantPolicy::Barging, GrantPolicy::FairQueue, GrantPolicy::Ordered] {
-        for strategy in StrategyKind::ALL {
-            let mut latency = LogHistogram::default();
-            let mut grant = LogHistogram::default();
-            let (mut commits, mut steps, mut deadlocks) = (0u64, 0u64, 0u64);
-            let (mut states_lost, mut ops_replayed, mut ops_reused) = (0u64, 0u64, 0u64);
-            let mut max_queue_depth = 0usize;
-            for seed in 0..seeds {
-                let mut system = SystemConfig::new(strategy, VictimPolicyKind::PartialOrder)
-                    .with_grant_policy(policy);
-                system.max_steps = 2_000_000;
-                let cfg = StressConfig {
-                    total_txns: txns_per_run,
-                    concurrency: GATE_CONCURRENCY,
-                    zipf_centi: GATE_ZIPF_CENTI,
-                    ordered_locks: true,
-                    seed: seed * 7 + 1,
-                    system,
-                    ..StressConfig::default()
-                };
-                let report = run_stress(&cfg).expect("ordered fight must not get stuck");
-                assert!(report.completed, "{policy:?}/{strategy:?} did not drain");
-                assert_eq!(
-                    report.metrics.deadlocks, 0,
-                    "{policy:?}/{strategy:?}: an ordered workload cannot deadlock"
-                );
-                latency.merge(&report.txn_latency);
-                grant.merge(&report.metrics.grant_latency);
-                commits += report.commits;
-                steps += report.steps;
-                deadlocks += report.metrics.deadlocks;
-                states_lost += report.metrics.states_lost;
-                ops_replayed += report.metrics.ops_replayed;
-                ops_reused += report.metrics.ops_reused;
-                max_queue_depth = max_queue_depth.max(report.metrics.max_queue_depth());
-            }
-            rows.push(ThroughputRow {
-                zipf_centi: GATE_ZIPF_CENTI,
-                concurrency: GATE_CONCURRENCY,
-                policy: policy.name().to_string(),
-                strategy: strategy.name(),
-                commits,
-                steps,
-                throughput_kilo: if steps == 0 {
-                    0.0
-                } else {
-                    commits as f64 * 1000.0 / steps as f64
-                },
-                latency_p50: latency.p50(),
-                latency_p95: latency.p95(),
-                latency_p99: latency.p99(),
-                latency_max: latency.max(),
-                grant_p99: grant.p99(),
-                deadlocks,
-                max_queue_depth,
-                states_lost,
-                ops_replayed,
-                ops_reused,
-            });
-        }
-    }
-    rows
-}
-
-/// Serialises the grid as `BENCH_throughput.json` (hand-rolled JSON; all
-/// keys are static and all values numeric or fixed identifiers, so
-/// nothing needs escaping).
-///
-/// Schema: `{"schema": "bench-throughput-v1", "units": {...},
-/// "rows": [{zipf_centi, concurrency, policy, strategy, commits, steps,
-/// throughput_kilo, latency_p50, latency_p95, latency_p99, latency_max,
-/// grant_p99, deadlocks, max_queue_depth, states_lost, ops_replayed,
-/// ops_reused}, ...]}`.
-pub fn throughput_json(rows: &[ThroughputRow]) -> String {
-    let mut out = String::from(
-        "{\n  \"schema\": \"bench-throughput-v1\",\n  \"units\": {\
-         \"throughput_kilo\": \"commits per 1000 engine steps\", \
-         \"latency\": \"engine steps, admission to commit\", \
-         \"grant\": \"engine steps, block to grant\"},\n  \"rows\": [\n",
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"zipf_centi\":{},\"concurrency\":{},\"policy\":\"{}\",\
-             \"strategy\":\"{}\",\"commits\":{},\"steps\":{},\
-             \"throughput_kilo\":{:.3},\"latency_p50\":{},\"latency_p95\":{},\
-             \"latency_p99\":{},\"latency_max\":{},\"grant_p99\":{},\
-             \"deadlocks\":{},\"max_queue_depth\":{},\"states_lost\":{},\
-             \"ops_replayed\":{},\"ops_reused\":{}}}{}",
-            r.zipf_centi,
-            r.concurrency,
-            r.policy,
-            r.strategy,
-            r.commits,
-            r.steps,
-            r.throughput_kilo,
-            r.latency_p50,
-            r.latency_p95,
-            r.latency_p99,
-            r.latency_max,
-            r.grant_p99,
-            r.deadlocks,
-            r.max_queue_depth,
-            r.states_lost,
-            r.ops_replayed,
-            r.ops_reused,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// One baseline measurement decoded from `BENCH_throughput.json` — just
-/// the cell identity and the number the perf gate compares.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BaselineRow {
-    pub zipf_centi: u16,
-    pub concurrency: usize,
-    pub policy: String,
-    pub strategy: String,
-    pub throughput_kilo: f64,
-    /// Repair accounting columns (0 when the baseline predates them).
-    pub states_lost: u64,
-    pub ops_replayed: u64,
-    pub ops_reused: u64,
-}
-
-/// Decodes the output of [`throughput_json`]. This is not a general JSON
-/// parser: it relies on the writer's one-row-per-line layout and flat
-/// `"key":value` pairs, which is exactly what we commit as the baseline.
-pub fn parse_throughput_json(text: &str) -> Result<Vec<BaselineRow>, String> {
-    if !text.contains("\"schema\": \"bench-throughput-v1\"") {
-        return Err("baseline is missing the bench-throughput-v1 schema marker".into());
-    }
-    let mut rows = Vec::new();
-    for line in text.lines() {
-        if !line.trim_start().starts_with('{') || !line.contains("\"zipf_centi\"") {
-            continue;
-        }
-        rows.push(BaselineRow {
-            zipf_centi: json_num(line, "zipf_centi")?.parse().map_err(|_| bad(line))?,
-            concurrency: json_num(line, "concurrency")?.parse().map_err(|_| bad(line))?,
-            policy: json_str(line, "policy")?,
-            strategy: json_str(line, "strategy")?,
-            throughput_kilo: json_num(line, "throughput_kilo")?.parse().map_err(|_| bad(line))?,
-            states_lost: json_num_or_zero(line, "states_lost")?,
-            ops_replayed: json_num_or_zero(line, "ops_replayed")?,
-            ops_reused: json_num_or_zero(line, "ops_reused")?,
-        });
-    }
-    if rows.is_empty() {
-        return Err("baseline contains no rows".into());
-    }
-    Ok(rows)
-}
-
-fn bad(line: &str) -> String {
-    format!("malformed baseline row: {line}")
-}
-
-/// `"key":<u64>` in a flat one-line JSON object, 0 when the key is
-/// absent (pre-repair baselines) but still an error when present and
-/// malformed.
-fn json_num_or_zero(line: &str, key: &str) -> Result<u64, String> {
-    if !line.contains(&format!("\"{key}\":")) {
-        return Ok(0);
-    }
-    json_num(line, key)?.parse().map_err(|_| bad(line))
-}
-
-/// The raw text of `"key":<number>` in a flat one-line JSON object.
-fn json_num<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-    let tag = format!("\"{key}\":");
-    let start = line.find(&tag).ok_or_else(|| format!("missing {key:?} in: {line}"))? + tag.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).ok_or_else(|| bad(line))?;
-    Ok(rest[..end].trim())
-}
-
-fn json_str(line: &str, key: &str) -> Result<String, String> {
-    let raw = json_num(line, key)?;
-    raw.strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .map(String::from)
-        .ok_or_else(|| bad(line))
-}
-
-/// A perf-gate comparison for one (policy, strategy) cell at the gate
-/// point.
-#[derive(Clone, Debug)]
-pub struct GateResult {
-    pub policy: String,
-    pub strategy: String,
-    pub baseline_kilo: f64,
-    pub current_kilo: f64,
-    /// Negative = slower than baseline (e.g. -0.25 = 25% drop).
-    pub delta: f64,
-    pub failed: bool,
-}
-
-/// The contention point the perf gate compares: Zipf s = 1.2, 64-way.
-pub const GATE_ZIPF_CENTI: u16 = 120;
-pub const GATE_CONCURRENCY: usize = 64;
-/// Fail the gate when commit throughput drops by more than 20%.
-pub const GATE_MAX_DROP: f64 = 0.20;
-
-/// Compares fresh measurements against the committed baseline at the
-/// gate point. Every baseline cell at that point must be present in
-/// `current` and within [`GATE_MAX_DROP`] of its baseline throughput;
-/// a missing cell is a failure (it means the sweep grid drifted).
-pub fn gate_against_baseline(
-    baseline: &[BaselineRow],
-    current: &[ThroughputRow],
-) -> Result<Vec<GateResult>, String> {
-    let at_point = |z: u16, c: usize| z == GATE_ZIPF_CENTI && c == GATE_CONCURRENCY;
-    let base: Vec<&BaselineRow> =
-        baseline.iter().filter(|r| at_point(r.zipf_centi, r.concurrency)).collect();
-    if base.is_empty() {
-        return Err(format!(
-            "baseline has no rows at the gate point (zipf_centi={GATE_ZIPF_CENTI}, \
-             concurrency={GATE_CONCURRENCY}) — regenerate BENCH_throughput.json"
-        ));
-    }
-    let mut results = Vec::new();
-    for b in base {
-        let cur = current
-            .iter()
-            .find(|r| {
-                at_point(r.zipf_centi, r.concurrency)
-                    && r.policy == b.policy
-                    && r.strategy == b.strategy
-            })
-            .ok_or_else(|| {
-                format!("current sweep is missing gate cell {}/{}", b.policy, b.strategy)
-            })?;
-        let delta = if b.throughput_kilo > 0.0 {
-            (cur.throughput_kilo - b.throughput_kilo) / b.throughput_kilo
-        } else {
-            0.0
-        };
-        results.push(GateResult {
-            policy: b.policy.clone(),
-            strategy: b.strategy.clone(),
-            baseline_kilo: b.throughput_kilo,
-            current_kilo: cur.throughput_kilo,
-            delta,
-            failed: delta < -GATE_MAX_DROP,
-        });
-    }
-    Ok(results)
-}
-
-/// A repair-gate comparison for one grant policy at the gate point.
-#[derive(Clone, Debug)]
-pub struct RepairGateResult {
-    pub policy: String,
-    pub baseline_kilo: f64,
-    pub current_kilo: f64,
-    /// Negative = slower than baseline.
-    pub delta: f64,
-    pub states_lost_repair: u64,
-    pub states_lost_mcs: u64,
-    pub ops_replayed: u64,
-    pub ops_reused: u64,
-    /// Every violated invariant, empty when the cell passes.
-    pub reasons: Vec<String>,
-}
-
-impl RepairGateResult {
-    pub fn failed(&self) -> bool {
-        !self.reasons.is_empty()
-    }
-}
-
-/// The Repair-specific perf gate at the s = 1.2 / 64-way point. Beyond
-/// the plain >20%-drop rule it checks the equivalence the strategy is
-/// sold on: Repair plans exactly like MCS (same victims, same targets),
-/// so on the deterministic gate workload its `states_lost` must equal
-/// MCS's cell for the same grant policy; and because every gate run
-/// commits everything, Repair's two ledgers must partition those states.
-pub fn gate_repair_against_baseline(
-    baseline: &[BaselineRow],
-    current: &[ThroughputRow],
-) -> Result<Vec<RepairGateResult>, String> {
-    let at_point = |z: u16, c: usize| z == GATE_ZIPF_CENTI && c == GATE_CONCURRENCY;
-    let base: Vec<&BaselineRow> = baseline
-        .iter()
-        .filter(|r| at_point(r.zipf_centi, r.concurrency) && r.strategy == "repair")
-        .collect();
-    if base.is_empty() {
-        return Err(format!(
-            "baseline has no repair rows at the gate point (zipf_centi={GATE_ZIPF_CENTI}, \
-             concurrency={GATE_CONCURRENCY}) — regenerate BENCH_throughput.json"
-        ));
-    }
-    let mut results = Vec::new();
-    for b in base {
-        let find = |strategy: &str| {
-            current
-                .iter()
-                .find(|r| {
-                    at_point(r.zipf_centi, r.concurrency)
-                        && r.policy == b.policy
-                        && r.strategy == strategy
-                })
-                .ok_or_else(|| {
-                    format!("current sweep is missing gate cell {}/{strategy}", b.policy)
-                })
-        };
-        let repair = find("repair")?;
-        let mcs = find("mcs")?;
-        let delta = if b.throughput_kilo > 0.0 {
-            (repair.throughput_kilo - b.throughput_kilo) / b.throughput_kilo
-        } else {
-            0.0
-        };
-        let mut reasons = Vec::new();
-        if delta < -GATE_MAX_DROP {
-            reasons.push(format!("throughput dropped {:.1}% vs baseline", -delta * 100.0));
-        }
-        if repair.states_lost != mcs.states_lost {
-            reasons.push(format!(
-                "states_lost {} != MCS cell {} — repair stopped planning like MCS",
-                repair.states_lost, mcs.states_lost
-            ));
-        }
-        if repair.ops_replayed + repair.ops_reused != repair.states_lost {
-            reasons.push(format!(
-                "ledgers do not partition the rollback cost: {} replayed + {} reused != {} lost",
-                repair.ops_replayed, repair.ops_reused, repair.states_lost
-            ));
-        }
-        results.push(RepairGateResult {
-            policy: b.policy.clone(),
-            baseline_kilo: b.throughput_kilo,
-            current_kilo: repair.throughput_kilo,
-            delta,
-            states_lost_repair: repair.states_lost,
-            states_lost_mcs: mcs.states_lost,
-            ops_replayed: repair.ops_replayed,
-            ops_reused: repair.ops_reused,
-            reasons,
-        });
-    }
-    Ok(results)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -800,7 +296,6 @@ mod tests {
         assert_eq!(a.txn_latency.count(), 24);
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.txn_latency, b.txn_latency);
-        assert!(a.throughput_kilo() > 0.0);
     }
 
     #[test]
@@ -939,98 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn ordered_fight_covers_three_policies_and_never_deadlocks() {
-        let rows = ordered_fight(8, 1);
-        assert_eq!(rows.len(), 3 * 4);
-        for policy in ["barging", "fair-queue", "ordered"] {
-            assert_eq!(rows.iter().filter(|r| r.policy == policy).count(), 4, "{policy}");
-        }
-        assert!(rows.iter().all(|r| r.deadlocks == 0));
-        assert!(rows.iter().all(|r| r.zipf_centi == GATE_ZIPF_CENTI));
-        let json = throughput_json(&rows);
-        let parsed = parse_throughput_json(&json).unwrap();
-        assert_eq!(parsed.len(), 12);
-        assert!(json.contains("\"policy\":\"ordered\""));
-    }
-
-    #[test]
-    fn sweep_covers_the_grid_and_serialises() {
-        let rows = throughput_sweep(&[0, 120], &[4], 8, 1);
-        assert_eq!(rows.len(), 2 * 2 * 4); // zipf × policy × strategy
-        let json = throughput_json(&rows);
-        assert!(json.contains("\"schema\": \"bench-throughput-v1\""));
-        assert!(json.contains("\"policy\":\"barging\""));
-        assert!(json.contains("\"policy\":\"fair-queue\""));
-        assert!(json.contains("\"strategy\":\"sdg\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn baseline_round_trips_through_the_parser() {
-        let rows = throughput_sweep(&[120], &[4], 8, 1);
-        let parsed = parse_throughput_json(&throughput_json(&rows)).unwrap();
-        assert_eq!(parsed.len(), rows.len());
-        for (p, r) in parsed.iter().zip(&rows) {
-            assert_eq!(p.zipf_centi, r.zipf_centi);
-            assert_eq!(p.concurrency, r.concurrency);
-            assert_eq!(p.policy, r.policy);
-            assert_eq!(p.strategy, r.strategy);
-            // The writer rounds to 3 decimals; the parser must agree with
-            // what was written, not the pre-rounding value.
-            assert!((p.throughput_kilo - r.throughput_kilo).abs() < 0.001);
-        }
-        assert!(parse_throughput_json("{}").is_err());
-        assert!(parse_throughput_json("not json at all").is_err());
-    }
-
-    #[test]
-    fn perf_gate_trips_only_on_large_drops() {
-        let cell = |policy: &str, strategy: &str, thr: f64| BaselineRow {
-            zipf_centi: GATE_ZIPF_CENTI,
-            concurrency: GATE_CONCURRENCY,
-            policy: policy.into(),
-            strategy: strategy.into(),
-            throughput_kilo: thr,
-            states_lost: 0,
-            ops_replayed: 0,
-            ops_reused: 0,
-        };
-        let current = |thr: f64| ThroughputRow {
-            zipf_centi: GATE_ZIPF_CENTI,
-            concurrency: GATE_CONCURRENCY,
-            policy: "barging".into(),
-            strategy: "mcs".into(),
-            commits: 96,
-            steps: 1000,
-            throughput_kilo: thr,
-            latency_p50: 1,
-            latency_p95: 1,
-            latency_p99: 1,
-            latency_max: 1,
-            grant_p99: 1,
-            deadlocks: 0,
-            max_queue_depth: 1,
-            states_lost: 0,
-            ops_replayed: 0,
-            ops_reused: 0,
-        };
-        let base = vec![cell("barging", "mcs", 10.0)];
-        // 10% down: fine. 25% down: gate failure. Faster: fine.
-        let ok = gate_against_baseline(&base, &[current(9.0)]).unwrap();
-        assert!(!ok[0].failed, "{ok:?}");
-        let slow = gate_against_baseline(&base, &[current(7.5)]).unwrap();
-        assert!(slow[0].failed, "{slow:?}");
-        assert!((slow[0].delta + 0.25).abs() < 1e-9);
-        let fast = gate_against_baseline(&base, &[current(12.0)]).unwrap();
-        assert!(!fast[0].failed);
-        // Missing cell and missing gate point are hard errors.
-        assert!(gate_against_baseline(&base, &[]).is_err());
-        assert!(gate_against_baseline(&[cell("barging", "mcs", 0.0)], &[]).is_err());
-        let off_point = vec![BaselineRow { zipf_centi: 0, ..cell("barging", "mcs", 10.0) }];
-        assert!(gate_against_baseline(&off_point, &[current(9.0)]).is_err());
-    }
-
-    #[test]
     fn read_write_skew_repairs_deterministically() {
         let cfg = read_write_skew(StrategyKind::Repair, 7);
         let a = run_stress(&cfg).unwrap();
@@ -1047,85 +450,28 @@ mod tests {
 
     #[test]
     fn long_vs_oltp_mix_repairs_like_mcs() {
-        let repair = run_stress(&long_vs_oltp(StrategyKind::Repair, 11)).unwrap();
-        let mcs = run_stress(&long_vs_oltp(StrategyKind::Mcs, 11)).unwrap();
-        assert!(repair.completed && mcs.completed);
-        assert_eq!(repair.commits, 48);
-        assert!(repair.metrics.deadlocks > 0, "the mix must deadlock");
-        // Repair plans exactly like MCS and the driver is deterministic in
-        // its seed, so both runs walk the same schedule step for step.
-        assert_eq!(repair.steps, mcs.steps);
-        assert_eq!(repair.metrics.deadlocks, mcs.metrics.deadlocks);
-        assert_eq!(repair.metrics.states_lost, mcs.metrics.states_lost);
-        assert_eq!(
-            repair.metrics.ops_replayed + repair.metrics.ops_reused,
-            repair.metrics.states_lost
-        );
-        assert!(repair.metrics.ops_reused > 0, "long victims must reuse suffix work");
-        assert_eq!(mcs.metrics.ops_replayed + mcs.metrics.ops_reused, 0);
-    }
-
-    #[test]
-    fn repair_gate_checks_throughput_and_ledger_invariants() {
-        let base = vec![BaselineRow {
-            zipf_centi: GATE_ZIPF_CENTI,
-            concurrency: GATE_CONCURRENCY,
-            policy: "barging".into(),
-            strategy: "repair".into(),
-            throughput_kilo: 10.0,
-            states_lost: 40,
-            ops_replayed: 25,
-            ops_reused: 15,
-        }];
-        let row = |strategy: &str, thr: f64, lost: u64, replayed: u64, reused: u64| ThroughputRow {
-            zipf_centi: GATE_ZIPF_CENTI,
-            concurrency: GATE_CONCURRENCY,
-            policy: "barging".into(),
-            strategy: strategy.into(),
-            commits: 96,
-            steps: 1000,
-            throughput_kilo: thr,
-            latency_p50: 1,
-            latency_p95: 1,
-            latency_p99: 1,
-            latency_max: 1,
-            grant_p99: 1,
-            deadlocks: 4,
-            max_queue_depth: 1,
-            states_lost: lost,
-            ops_replayed: replayed,
-            ops_reused: reused,
-        };
-        // Healthy: throughput held, ledgers partition, MCS cell matches.
-        let ok = gate_repair_against_baseline(
-            &base,
-            &[row("repair", 9.5, 42, 30, 12), row("mcs", 9.9, 42, 0, 0)],
-        )
-        .unwrap();
-        assert!(!ok[0].failed(), "{:?}", ok[0].reasons);
-        // Throughput collapse fails.
-        let slow = gate_repair_against_baseline(
-            &base,
-            &[row("repair", 7.0, 42, 30, 12), row("mcs", 9.9, 42, 0, 0)],
-        )
-        .unwrap();
-        assert!(slow[0].failed());
-        // Planner drift (states_lost != MCS cell) fails.
-        let drift = gate_repair_against_baseline(
-            &base,
-            &[row("repair", 9.5, 42, 30, 12), row("mcs", 9.9, 41, 0, 0)],
-        )
-        .unwrap();
-        assert!(drift[0].failed());
-        // Ledgers that don't partition the cost fail.
-        let leak = gate_repair_against_baseline(
-            &base,
-            &[row("repair", 9.5, 42, 30, 11), row("mcs", 9.9, 42, 0, 0)],
-        )
-        .unwrap();
-        assert!(leak[0].failed());
-        // Missing repair rows (stale baseline or drifted sweep) are errors.
-        assert!(gate_repair_against_baseline(&[], &[]).is_err());
-        assert!(gate_repair_against_baseline(&base, &[row("mcs", 9.9, 42, 0, 0)]).is_err());
+        for policy in GrantPolicy::ALL {
+            let run = |strategy| {
+                let mut cfg = long_vs_oltp(strategy, 11);
+                cfg.system.grant_policy = policy;
+                run_stress(&cfg).unwrap()
+            };
+            let (repair, mcs) = (run(StrategyKind::Repair), run(StrategyKind::Mcs));
+            assert!(repair.completed && mcs.completed, "{policy:?}");
+            assert_eq!(repair.commits, 48, "{policy:?}");
+            assert!(repair.metrics.deadlocks > 0, "{policy:?}: the mix must deadlock");
+            // Repair plans exactly like MCS and the driver is deterministic in
+            // its seed, so both runs walk the same schedule step for step.
+            assert_eq!(repair.steps, mcs.steps, "{policy:?}");
+            assert_eq!(repair.metrics.deadlocks, mcs.metrics.deadlocks, "{policy:?}");
+            assert_eq!(repair.metrics.states_lost, mcs.metrics.states_lost, "{policy:?}");
+            assert_eq!(
+                repair.metrics.ops_replayed + repair.metrics.ops_reused,
+                repair.metrics.states_lost,
+                "{policy:?}"
+            );
+            assert!(repair.metrics.ops_reused > 0, "{policy:?}: long victims must reuse work");
+            assert_eq!(mcs.metrics.ops_replayed + mcs.metrics.ops_reused, 0, "{policy:?}");
+        }
     }
 }
