@@ -1,19 +1,23 @@
 //! The execution engine: 2PL with partial-rollback deadlock removal.
+//!
+//! [`System`] drives the [`Kernel`]'s transitions one scheduler step at a
+//! time and adds everything that is about *observing* them: metrics, the
+//! event log, the deadlock history, resolution audits, the
+//! acquisition-order certificate and the invariant sentinel.
 
 use crate::config::SystemConfig;
-use crate::deadlock::{plan_resolution, DeadlockEvent, ResolutionPlan};
+use crate::deadlock::{DeadlockEvent, ResolutionPlan};
 use crate::error::EngineError;
-use crate::event::{Event, EventLog, RollbackReason};
+use crate::event::{Event, EventLog};
+use crate::kernel::{Kernel, MAX_RESOLUTION_ROUNDS};
 use crate::metrics::Metrics;
 use crate::runtime::{Phase, TxnRuntime};
 use crate::scheduler::Scheduler;
-use pr_graph::cycles::cycles_on_wait;
 use pr_graph::{CandidateRollback, WaitsForGraph};
 use pr_lock::{EntityOrder, GrantPolicy, HeldLock, LockTable, RequestOutcome};
-use pr_model::{EntityId, LockIndex, LockMode, Op, TransactionProgram, TxnId};
+use pr_model::{EntityId, LockMode, Op, TransactionProgram, TxnId};
 use pr_storage::GlobalStore;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// Result of stepping one transaction.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -36,12 +40,6 @@ pub enum StepOutcome {
     Committed,
 }
 
-/// Maximum resolution rounds per blocked request. Each round performs at
-/// least one rollback, which strictly reduces held locks, so this bound is
-/// never reached by a correct engine; it converts a hypothetical
-/// resolution-loop bug into a visible error instead of an infinite loop.
-const MAX_RESOLUTION_ROUNDS: usize = 1024;
-
 /// A concurrent database system executing two-phase transactions under the
 /// configured rollback strategy and victim policy.
 ///
@@ -50,14 +48,9 @@ const MAX_RESOLUTION_ROUNDS: usize = 1024;
 /// `pr-explore` branch the execution at every scheduling choice.
 #[derive(Clone)]
 pub struct System {
-    store: GlobalStore,
-    table: LockTable,
+    kernel: Kernel,
     wfg: WaitsForGraph,
-    txns: BTreeMap<TxnId, TxnRuntime>,
-    config: SystemConfig,
     metrics: Metrics,
-    next_txn: u32,
-    entry_counter: u64,
     /// Every deadlock the system resolved, with the plan used — the
     /// scenario tests and figure reproductions assert on this log.
     history: Vec<(DeadlockEvent, ResolutionPlan)>,
@@ -95,14 +88,9 @@ impl System {
     /// Creates a system over `store` with the given configuration.
     pub fn new(store: GlobalStore, config: SystemConfig) -> Self {
         System {
-            store,
-            table: LockTable::with_policy(config.grant_policy),
+            kernel: Kernel::new(store, config),
             wfg: WaitsForGraph::new(),
-            txns: BTreeMap::new(),
-            config,
             metrics: Metrics::default(),
-            next_txn: 1,
-            entry_counter: 0,
             history: Vec::new(),
             events: EventLog::new(),
             blocked_since: BTreeMap::new(),
@@ -124,7 +112,8 @@ impl System {
     /// machinery, so a permissive install is always safe.
     pub fn install_order(&mut self, order: EntityOrder) -> usize {
         self.covered = self
-            .txns
+            .kernel
+            .txns()
             .values()
             .filter(|rt| order.covers_program(&rt.program))
             .map(|rt| rt.id)
@@ -140,7 +129,7 @@ impl System {
     /// for a workload whose precedence graph is cyclic (no order can
     /// cover all of its programs).
     pub fn install_certificate(&mut self, order: EntityOrder) -> Result<usize, EngineError> {
-        for rt in self.txns.values() {
+        for rt in self.kernel.txns().values() {
             if let Some((pc, entity)) = order.first_violation(&rt.program) {
                 return Err(EngineError::CertificateViolation { txn: rt.id, pc, entity });
             }
@@ -164,7 +153,7 @@ impl System {
     /// blocked transaction (any deadlock cycle consists of blocked
     /// transactions only).
     fn ordered_wait_is_certified(&self, causer: TxnId) -> bool {
-        self.config.grant_policy == GrantPolicy::Ordered
+        self.config().grant_policy == GrantPolicy::Ordered
             && self.covered.contains(&causer)
             && self.blocked_since.keys().all(|t| self.covered.contains(t))
     }
@@ -203,28 +192,17 @@ impl System {
     /// The program must be valid (see `pr_model::validate`); invalid
     /// programs are rejected.
     pub fn admit(&mut self, program: TransactionProgram) -> Result<TxnId, EngineError> {
-        pr_model::validate::validate(&program)
-            .map_err(|_| EngineError::NotRunnable(TxnId::new(self.next_txn)))?;
-        for entity in program.locked_entities() {
-            self.store.ensure(entity);
-        }
-        let id = TxnId::new(self.next_txn);
-        self.next_txn += 1;
-        let entry = self.entry_counter;
-        self.entry_counter += 1;
-        self.txns.insert(id, TxnRuntime::new(id, Arc::new(program), entry, self.config.strategy));
-        if let Some(order) = &self.certified_order {
-            if order.covers_program(&self.txns[&id].program) {
-                self.covered.insert(id);
-            }
+        let id = self.kernel.admit(program)?;
+        let rt = &self.kernel.txns()[&id];
+        if self.certified_order.as_ref().is_some_and(|order| order.covers_program(&rt.program)) {
+            self.covered.insert(id);
         }
         #[cfg(feature = "invariants")]
         {
-            if self.txns[&id].program.lock_requests().iter().any(|(_, _, m)| *m == LockMode::Shared)
-            {
+            if rt.program.lock_requests().iter().any(|(_, _, m)| *m == LockMode::Shared) {
                 self.sentinel.note_shared_mode();
             }
-            self.sentinel.record(format!("{id} admitted (entry order {entry})"));
+            self.sentinel.record(format!("{id} admitted (entry order {})", rt.entry_order));
         }
         self.events.record(self.metrics.steps, Event::Admitted { txn: id });
         Ok(id)
@@ -237,30 +215,28 @@ impl System {
 
     /// Transactions currently ready to step, ascending by id.
     pub fn ready(&self) -> Vec<TxnId> {
-        self.txns.values().filter(|rt| rt.phase == Phase::Running).map(|rt| rt.id).collect()
+        self.kernel.ready()
     }
 
     /// Transactions currently blocked, ascending by id.
     pub fn blocked(&self) -> Vec<TxnId> {
-        self.txns.values().filter(|rt| rt.phase == Phase::Blocked).map(|rt| rt.id).collect()
+        self.kernel.blocked()
     }
 
     /// Whether every admitted transaction has committed.
     pub fn all_committed(&self) -> bool {
-        self.txns.values().all(|rt| rt.phase == Phase::Committed)
+        self.kernel.all_committed()
     }
 
-    /// Whether every admitted transaction has terminated — committed or
-    /// cleanly aborted. This is the no-wedge invariant the chaos harness
-    /// asserts: no transaction may be left running or blocked forever.
+    /// Whether every admitted transaction has terminated.
     pub fn all_settled(&self) -> bool {
-        self.txns.values().all(|rt| matches!(rt.phase, Phase::Committed | Phase::Aborted))
+        self.kernel.all_settled()
     }
 
     /// Executes one atomic operation of `id`.
     pub fn step(&mut self, id: TxnId) -> Result<StepOutcome, EngineError> {
         self.metrics.steps += 1;
-        let rt = self.txns.get(&id).ok_or(EngineError::NoSuchTxn(id))?;
+        let rt = self.kernel.txn(id).ok_or(EngineError::NoSuchTxn(id))?;
         if rt.phase != Phase::Running {
             return Err(EngineError::NotRunnable(id));
         }
@@ -269,34 +245,14 @@ impl System {
             Op::LockShared(entity) => self.do_lock(id, entity, LockMode::Shared),
             Op::LockExclusive(entity) => self.do_lock(id, entity, LockMode::Exclusive),
             Op::Unlock(entity) => self.do_unlock(id, entity),
-            Op::Read { entity, into } => {
-                let global = self.store.read(entity)?;
-                let rt = self.txns.get_mut(&id).expect("checked above");
-                rt.exec_read(entity, into, global)?;
-                self.metrics.ops_executed += 1;
-                Ok(StepOutcome::Progressed)
-            }
-            Op::Write { entity, expr } => {
-                let rt = self.txns.get_mut(&id).expect("checked above");
-                rt.exec_write(entity, &expr)?;
-                self.metrics.ops_executed += 1;
-                self.update_peak_copies_for(id);
-                Ok(StepOutcome::Progressed)
-            }
-            Op::Assign { var, expr } => {
-                let rt = self.txns.get_mut(&id).expect("checked above");
-                rt.exec_assign(var, &expr)?;
-                self.metrics.ops_executed += 1;
-                self.update_peak_copies_for(id);
-                Ok(StepOutcome::Progressed)
-            }
-            Op::Compute(expr) => {
-                let rt = self.txns.get_mut(&id).expect("checked above");
-                rt.exec_compute(&expr);
-                self.metrics.ops_executed += 1;
-                Ok(StepOutcome::Progressed)
-            }
             Op::Commit => self.do_commit(id),
+            local => self.kernel.exec_local(id, &local).map(|()| {
+                self.metrics.ops_executed += 1;
+                if matches!(local, Op::Write { .. } | Op::Assign { .. }) {
+                    self.update_peak_copies_for(id);
+                }
+                StepOutcome::Progressed
+            }),
         };
         // Every successful step — in particular every wait response and
         // every completed deadlock resolution — must leave the system in a
@@ -320,8 +276,8 @@ impl System {
                 return Err(EngineError::Stuck { blocked: self.blocked() });
             }
             steps += 1;
-            if steps > self.config.max_steps {
-                return Err(EngineError::StepLimitExceeded { limit: self.config.max_steps });
+            if steps > self.config().max_steps {
+                return Err(EngineError::StepLimitExceeded { limit: self.config().max_steps });
             }
             let pick = scheduler.pick(&ready);
             self.step(pick)?;
@@ -338,32 +294,19 @@ impl System {
         entity: EntityId,
         mode: LockMode,
     ) -> Result<StepOutcome, EngineError> {
-        let rt = self.txns.get(&id).expect("caller verified");
-        let outcome = self.table.request(id, entity, mode, rt.state, rt.lock_index())?;
-        match outcome {
+        match self.kernel.request(&mut self.wfg, id, entity, mode)? {
             RequestOutcome::Granted => {
-                self.finalize_grant(id, entity, mode)?;
-                // A compatible request may be granted while others wait
-                // (e.g. a shared lock joining shared holders past a blocked
-                // exclusive waiter): those waiters now wait on this new
-                // holder as well, and their arcs must say so or a later
-                // cycle through it would go undetected.
-                self.refresh_waiters(entity);
+                self.note_grant(id, entity, mode);
                 Ok(StepOutcome::Progressed)
             }
             RequestOutcome::Wait { holders, .. } => {
-                {
-                    let rt = self.txns.get_mut(&id).expect("caller verified");
-                    rt.phase = Phase::Blocked;
-                    rt.blocked_on = Some(entity);
-                }
                 self.events.record(
                     self.metrics.steps,
                     Event::Waited { txn: id, entity, holders: holders.clone() },
                 );
                 self.wfg.set_wait(id, entity, &holders);
                 self.metrics.waits += 1;
-                self.metrics.note_queue_depth(entity, self.table.queue_depth(entity));
+                self.metrics.note_queue_depth(entity, self.kernel.table().queue_depth(entity));
                 self.blocked_since.insert(id, self.metrics.steps);
                 #[cfg(feature = "invariants")]
                 self.sentinel
@@ -400,31 +343,14 @@ impl System {
             if round >= MAX_RESOLUTION_ROUNDS {
                 return Err(EngineError::Stuck { blocked: self.blocked() });
             }
-            let rt = self.txns.get(&causer).expect("causer exists");
-            if rt.phase != Phase::Blocked {
-                break; // granted (or rolled back) during a previous round
-            }
-            let entity = rt.blocked_on.expect("blocked transactions record their entity");
-            // Recompute the (possibly changed) blocker set under the
-            // table's grant policy: the incompatible holders, plus — fair
-            // queue — incompatible requests queued ahead of the causer.
-            debug_assert!(
-                self.table.waiting_on(causer, entity).is_some(),
-                "blocked transaction has a queued request"
-            );
-            let holders = self.table.blockers_of(causer, entity);
-            // Detection runs on the graph without the causer's own arcs.
-            self.wfg.clear_wait(causer);
-            let cycles = cycles_on_wait(&self.wfg, causer, entity, &holders, self.config.cycle_cap);
-            self.wfg.set_wait(causer, entity, &holders);
-            if cycles.is_empty() {
+            let Some((event, plan)) = self.kernel.detect(&mut self.wfg, causer) else {
                 break;
-            }
+            };
+            let (entity, cycles) = (event.entity, event.cycles.len());
             #[cfg(feature = "invariants")]
             {
                 self.sentinel.record(format!(
-                    "deadlock: {causer}'s wait on {entity} closes {} cycle(s)",
-                    cycles.len()
+                    "deadlock: {causer}'s wait on {entity} closes {cycles} cycle(s)"
                 ));
                 // Theorem 1: with exclusive locks only and the paper's
                 // grant rule, the graph was a forest before this wait, so
@@ -433,69 +359,27 @@ impl System {
                 // both a holder and a queued predecessor), so the theorem's
                 // premise — and the check — only applies under barging.
                 if self.sentinel.exclusive_only()
-                    && self.config.grant_policy == GrantPolicy::Barging
-                    && cycles.len() > 1
+                    && self.config().grant_policy == GrantPolicy::Barging
+                    && cycles > 1
                 {
                     self.sentinel.fail(
                         "deadlock detection",
                         &format!(
-                            "exclusive-only wait by {causer} closed {} cycles; \
-                             Theorem 1 allows at most one",
-                            cycles.len()
+                            "exclusive-only wait by {causer} closed {cycles} cycles; \
+                             Theorem 1 allows at most one"
                         ),
                     );
                 }
             }
             self.metrics.deadlocks += 1;
-            self.events.record(
-                self.metrics.steps,
-                Event::DeadlockDetected { causer, entity, cycles: cycles.len() },
-            );
-            let event = DeadlockEvent { causer, entity, cycles };
-            let plan = plan_resolution(&event, &self.config, &self.txns);
+            self.events
+                .record(self.metrics.steps, Event::DeadlockDetected { causer, entity, cycles });
             if self.audits.is_some() {
                 // Capture the solver's inputs *now*: the rollbacks below
                 // mutate lock modes and runtime costs, so a post-hoc audit
                 // could not reconstruct the instance the plan was built
                 // from.
-                let unfiltered = crate::victim::build_instance(
-                    &event.cycles,
-                    crate::config::VictimPolicyKind::MinCost,
-                    self.config.strategy,
-                    causer,
-                    &self.txns,
-                );
-                let filtered: Vec<Vec<CandidateRollback>> = crate::victim::build_instance(
-                    &event.cycles,
-                    self.config.victim,
-                    self.config.strategy,
-                    causer,
-                    &self.txns,
-                )
-                .into_iter()
-                .filter(|c| !c.is_empty())
-                .collect();
-                let exclusive_only = event.cycles.iter().all(|c| {
-                    c.members.iter().all(|m| {
-                        self.table
-                            .held_by(m.txn, m.holds)
-                            .is_some_and(|h| h.mode == LockMode::Exclusive)
-                    })
-                });
-                let entry_orders = event
-                    .cycles
-                    .iter()
-                    .flat_map(|c| c.members.iter().map(|m| m.txn))
-                    .filter_map(|txn| self.txns.get(&txn).map(|rt| (txn, rt.entry_order)))
-                    .collect();
-                let audit = crate::deadlock::ResolutionAudit {
-                    event: event.clone(),
-                    unfiltered,
-                    filtered,
-                    plan: plan.clone(),
-                    exclusive_only,
-                    entry_orders,
-                };
+                let audit = self.audit(&event, &plan);
                 if let Some(audits) = &mut self.audits {
                     audits.push(audit);
                 }
@@ -515,12 +399,11 @@ impl System {
             // or the causer itself when it is the youngest cycle member —
             // which is what guarantees system-wide progress.
             #[cfg(feature = "invariants")]
-            if self.config.victim == crate::config::VictimPolicyKind::PartialOrder {
-                let causer_entry =
-                    self.txns.get(&causer).map(|rt| rt.entry_order).unwrap_or(u64::MAX);
+            if self.config().victim == crate::config::VictimPolicyKind::PartialOrder {
+                let entry = |txn| self.kernel.txn(txn).map(|rt| rt.entry_order);
+                let causer_entry = entry(causer).unwrap_or(u64::MAX);
                 for rb in &plan.rollbacks {
-                    let legal = rb.txn == causer
-                        || self.txns.get(&rb.txn).is_some_and(|rt| rt.entry_order > causer_entry);
+                    let legal = rb.txn == causer || entry(rb.txn).is_some_and(|e| e > causer_entry);
                     if !legal {
                         self.sentinel.fail(
                             "victim selection",
@@ -535,7 +418,7 @@ impl System {
             }
             self.metrics.resolution_cost.record(plan.total_cost);
             for rb in &plan.rollbacks {
-                self.execute_rollback(*rb, RollbackReason::DeadlockVictim)?;
+                self.execute_rollback(rb)?;
             }
             self.history.push((event.clone(), plan.clone()));
             if first.is_none() {
@@ -545,119 +428,91 @@ impl System {
         Ok(first)
     }
 
-    /// Performs one planned rollback: §4's procedure, engine side.
-    fn execute_rollback(
-        &mut self,
-        rb: CandidateRollback,
-        reason: RollbackReason,
-    ) -> Result<(), EngineError> {
-        let CandidateRollback { txn: victim, target, ideal, .. } = rb;
-        // Step 1: halt the transaction — cancel its pending request if any.
-        let blocked_entity = {
-            let rt = self.txns.get(&victim).ok_or(EngineError::NoSuchTxn(victim))?;
-            (rt.phase == Phase::Blocked)
-                .then(|| rt.blocked_on.expect("blocked transactions record their entity"))
+    /// The raw solver inputs behind `plan`, for the optimality oracles.
+    fn audit(
+        &self,
+        event: &DeadlockEvent,
+        plan: &ResolutionPlan,
+    ) -> crate::deadlock::ResolutionAudit {
+        let config = self.config();
+        let instance = |policy| {
+            crate::victim::build_instance(
+                &event.cycles,
+                policy,
+                config.strategy,
+                event.causer,
+                self.kernel.txns(),
+            )
         };
-        if let Some(entity) = blocked_entity {
-            let granted = self.table.cancel_wait(victim, entity)?;
-            self.wfg.clear_wait(victim);
+        let members = || event.cycles.iter().flat_map(|c| c.members.iter());
+        crate::deadlock::ResolutionAudit {
+            event: event.clone(),
+            unfiltered: instance(crate::config::VictimPolicyKind::MinCost),
+            filtered: instance(config.victim).into_iter().filter(|c| !c.is_empty()).collect(),
+            plan: plan.clone(),
+            exclusive_only: members().all(|m| {
+                self.table().held_by(m.txn, m.holds).is_some_and(|h| h.mode == LockMode::Exclusive)
+            }),
+            entry_orders: members()
+                .filter_map(|m| self.txn(m.txn).map(|rt| (m.txn, rt.entry_order)))
+                .collect(),
+        }
+    }
+
+    /// Performs one planned rollback: §4's procedure, engine side.
+    fn execute_rollback(&mut self, rb: &CandidateRollback) -> Result<(), EngineError> {
+        let victim = rb.txn;
+        // Step 1: halt the transaction — cancel its pending request if any.
+        if let Some((entity, promoted)) = self.kernel.cancel_wait(&mut self.wfg, victim)? {
             self.blocked_since.remove(&victim);
-            self.process_grants(entity, granted)?;
-            self.refresh_waiters(entity);
+            self.note_promoted(entity, &promoted);
         }
         // Steps 2–5: workspace and runtime rollback.
-        let (released, cost, overshoot) = {
-            let rt = self.txns.get_mut(&victim).expect("checked above");
-            let target = target.min(rt.lock_index());
-            let ideal = ideal.min(rt.lock_index());
-            let cost = rt.cost_to_lock_state(target);
-            let ideal_cost = rt.cost_to_lock_state(ideal);
-            let released = rt.rollback_to(target)?;
-            (released, cost, cost - ideal_cost)
-        };
-        self.events.record(self.metrics.steps, Event::RolledBack { victim, target, cost, reason });
+        let receipt = self.kernel.rollback(rb)?;
+        self.events.record(
+            self.metrics.steps,
+            Event::RolledBack { victim, target: receipt.target, cost: receipt.cost },
+        );
         #[cfg(feature = "invariants")]
-        self.sentinel
-            .record(format!("{victim} rolled back to lock state {} (cost {cost})", target.raw()));
-        self.metrics.states_lost += u64::from(cost);
-        self.metrics.rollback_overshoot += u64::from(overshoot);
-        if target == LockIndex::ZERO {
-            self.metrics.total_rollbacks += 1;
-        } else {
-            self.metrics.partial_rollbacks += 1;
-        }
-        if self.config.strategy == crate::config::StrategyKind::Repair {
-            // The rolled-back suffix is not discarded: the victim replays
-            // it from its tape. Its length is the histogram mass that must
-            // reconcile with `states_lost` (and with the per-transaction
-            // replayed/reused ledgers) in a clean run.
-            self.metrics.repairs += 1;
-            self.metrics.repair_suffix.record(u64::from(cost));
-        }
-        self.metrics.record_preemption(victim);
+        self.sentinel.record(format!(
+            "{victim} rolled back to lock state {} (cost {})",
+            receipt.target.raw(),
+            receipt.cost
+        ));
+        self.metrics.record_rollback(victim, self.config().strategy, &receipt);
         self.update_peak_copies_for(victim);
         // Release the undone locks — without publishing: the database still
         // holds the pre-lock global values (§4's deferred update).
-        for ls in released {
-            let granted = self.table.release(victim, ls.entity)?;
-            self.process_grants(ls.entity, granted)?;
-            self.refresh_waiters(ls.entity);
+        for ls in &receipt.released {
+            let promoted = self.kernel.release(&mut self.wfg, victim, ls.entity)?;
+            self.note_promoted(ls.entity, &promoted);
         }
         Ok(())
     }
 
     fn do_unlock(&mut self, id: TxnId, entity: EntityId) -> Result<StepOutcome, EngineError> {
-        let published = {
-            let rt = self.txns.get_mut(&id).expect("caller verified");
-            rt.complete_unlock(entity)
-        };
-        if let Some(value) = published {
-            self.store.publish(entity, value)?;
+        let release = self.kernel.unlock(&mut self.wfg, id, entity)?;
+        if release.published {
             self.events.record(self.metrics.steps, Event::Published { txn: id, entity });
         }
         self.update_peak_copies_for(id);
-        let granted = self.table.release(id, entity)?;
-        self.process_grants(entity, granted)?;
-        self.refresh_waiters(entity);
+        self.note_promoted(entity, &release.promoted);
         self.metrics.ops_executed += 1;
         Ok(StepOutcome::Progressed)
     }
 
     fn do_commit(&mut self, id: TxnId) -> Result<StepOutcome, EngineError> {
-        // Release every lock still held, publishing exclusive finals
-        // ("the system may equivalently release any entities which a
-        // transaction has failed to unlock at the time it terminates").
-        let held: Vec<EntityId> = {
-            let rt = self.txns.get(&id).expect("caller verified");
-            rt.held.iter().copied().collect()
-        };
+        // Release every lock still held, publishing exclusive finals.
+        let held: Vec<EntityId> = self.kernel.txns()[&id].held.iter().copied().collect();
         for entity in held {
-            let published = {
-                let rt = self.txns.get_mut(&id).expect("caller verified");
-                rt.complete_unlock(entity)
-            };
-            // complete_unlock advanced pc/state; commit-time releases are
-            // not separate operations, so undo the advance.
-            {
-                let rt = self.txns.get_mut(&id).expect("caller verified");
-                rt.pc -= 1;
-                rt.state = pr_model::StateIndex::new(rt.state.raw() - 1);
-            }
-            if let Some(value) = published {
-                self.store.publish(entity, value)?;
-            }
-            let granted = self.table.release(id, entity)?;
-            self.process_grants(entity, granted)?;
-            self.refresh_waiters(entity);
+            let release = self.kernel.commit_release(&mut self.wfg, id, entity)?;
+            self.note_promoted(entity, &release.promoted);
         }
-        let rt = self.txns.get_mut(&id).expect("caller verified");
-        rt.advance();
-        rt.phase = Phase::Committed;
         // Harvest the repair ledger at commit — the one point where it is
         // final. (Aborted transactions drop theirs, which is why the
         // replayed + reused == states_lost reconciliation only holds in
         // clean runs.)
-        let (replayed, reused) = rt.repair_ops();
+        let (replayed, reused) = self.kernel.finish_commit(id)?;
         self.metrics.ops_replayed += replayed;
         self.metrics.ops_reused += reused;
         self.events.record(self.metrics.steps, Event::Committed { txn: id });
@@ -670,152 +525,31 @@ impl System {
     }
 
     // ------------------------------------------------------------------
-    // Crash-recovery hooks (used by the distributed layer's fault
-    // injection; see `pr-dist` and DESIGN §9)
+    // Grant accounting
     // ------------------------------------------------------------------
 
-    /// Forcibly expires `txn`'s granted lock on `entity`, as when the site
-    /// holding the lock state crashes and its volatile lock table is lost.
-    ///
-    /// A still-growing holder is partially rolled back just past the lost
-    /// lock state — the §4 machinery and the version stacks make this a
-    /// partial rollback, not a restart. A shrinking holder cannot be
-    /// rolled back (two-phase rule); it merely loses the table record, and
-    /// any unpublished update to `entity` is lost with the site.
-    ///
-    /// Returns the states lost to the recovery rollback (0 for shrinking
-    /// holders).
-    pub fn expire_grant(&mut self, txn: TxnId, entity: EntityId) -> Result<u32, EngineError> {
-        let rt = self.txns.get(&txn).ok_or(EngineError::NoSuchTxn(txn))?;
-        if self.table.held_by(txn, entity).is_none() {
-            return Err(pr_lock::LockError::NotHeld { txn, entity }.into());
-        }
-        self.events.record(self.metrics.steps, Event::GrantExpired { txn, entity });
-        #[cfg(feature = "invariants")]
-        self.sentinel.record(format!("{txn}'s grant on {entity} expired (site crash)"));
-        self.metrics.expired_grants += 1;
-        let cost = if rt.rollbackable() {
-            let ideal = rt.lock_state_for(entity).expect("held entities have a lock state");
-            let target = rt.reachable_target(self.config.strategy, ideal);
-            let cost = rt.cost_to_lock_state(target);
-            let conflict = rt.conflict_state_for(ideal);
-            self.execute_rollback(
-                CandidateRollback { txn, target, ideal, cost, conflict },
-                RollbackReason::GrantExpired,
-            )?;
-            cost
-        } else {
-            let granted = self.table.release(txn, entity)?;
-            self.txns.get_mut(&txn).expect("checked above").held.remove(&entity);
-            self.process_grants(entity, granted)?;
-            self.refresh_waiters(entity);
-            0
-        };
-        #[cfg(feature = "invariants")]
-        self.sentinel_verify("post-expiry check");
-        Ok(cost)
-    }
-
-    /// Terminates `txn` without commit: cancels its pending request,
-    /// releases every held lock *without* publishing (uncommitted local
-    /// values die with the workspace), and marks it [`Phase::Aborted`].
-    /// Used when a transaction's home site crashes and its volatile
-    /// execution state is unrecoverable.
-    pub fn abort(&mut self, txn: TxnId) -> Result<(), EngineError> {
-        let rt = self.txns.get(&txn).ok_or(EngineError::NoSuchTxn(txn))?;
-        if matches!(rt.phase, Phase::Committed | Phase::Aborted) {
-            return Err(EngineError::NotRunnable(txn));
-        }
-        let blocked_entity = (rt.phase == Phase::Blocked)
-            .then(|| rt.blocked_on.expect("blocked transactions record their entity"));
-        if let Some(entity) = blocked_entity {
-            let granted = self.table.cancel_wait(txn, entity)?;
-            self.wfg.clear_wait(txn);
-            self.blocked_since.remove(&txn);
-            self.process_grants(entity, granted)?;
-            self.refresh_waiters(entity);
-        }
-        let held: Vec<EntityId> = self.txns[&txn].held.iter().copied().collect();
-        for entity in held {
-            let granted = self.table.release(txn, entity)?;
-            self.process_grants(entity, granted)?;
-            self.refresh_waiters(entity);
-        }
-        let rt = self.txns.get_mut(&txn).expect("checked above");
-        rt.held.clear();
-        rt.blocked_on = None;
-        rt.phase = Phase::Aborted;
-        self.metrics.aborts += 1;
-        self.events.record(self.metrics.steps, Event::Aborted { txn });
-        self.update_peak_copies_for(txn);
-        #[cfg(feature = "invariants")]
-        {
-            self.sentinel.record(format!("{txn} aborted"));
-            self.sentinel_verify("post-abort check");
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Grant plumbing
-    // ------------------------------------------------------------------
-
-    fn finalize_grant(
-        &mut self,
-        id: TxnId,
-        entity: EntityId,
-        mode: LockMode,
-    ) -> Result<(), EngineError> {
-        let global = self.store.read(entity)?;
-        let rt = self.txns.get_mut(&id).expect("grantee exists");
-        rt.complete_lock(entity, mode, global);
+    /// Accounts for a grant the kernel completed.
+    fn note_grant(&mut self, id: TxnId, entity: EntityId, mode: LockMode) {
         self.events.record(self.metrics.steps, Event::Granted { txn: id, entity, mode });
         #[cfg(feature = "invariants")]
         self.sentinel.record(format!("{id} granted {mode:?} lock on {entity}"));
         self.metrics.ops_executed += 1;
         self.update_peak_copies_for(id);
-        Ok(())
     }
 
-    /// Completes promoted waiters after a release or cancellation.
-    fn process_grants(
-        &mut self,
-        entity: EntityId,
-        granted: Vec<HeldLock>,
-    ) -> Result<(), EngineError> {
-        for h in granted {
-            self.wfg.clear_wait(h.txn);
+    /// Accounts for the waiters a release or cancellation promoted.
+    fn note_promoted(&mut self, entity: EntityId, promoted: &[HeldLock]) {
+        for h in promoted {
             if let Some(since) = self.blocked_since.remove(&h.txn) {
                 self.metrics.grant_latency.record(self.metrics.steps.saturating_sub(since));
             }
-            self.finalize_grant(h.txn, entity, h.mode)?;
-        }
-        Ok(())
-    }
-
-    /// Re-points the waits-for arcs of every transaction still queued on
-    /// `entity` at its *current* blockers under the grant policy. Blocker
-    /// sets change at every release, cancellation, and grant; a stale arc
-    /// would make deadlock detection miss cycles through the new holders
-    /// (the DESIGN §7 hazard: a shared lock barging past a blocked
-    /// exclusive waiter becomes one of that waiter's blockers).
-    ///
-    /// Refreshing never closes a cycle itself: under barging it can only
-    /// retarget arcs at freshly *granted* (hence running, non-waiting)
-    /// transactions, and under the fair queue a waiter's blocker set only
-    /// ever shrinks (new requests join behind it, and a grant compatible
-    /// with every queued waiter cannot be an incompatible holder of one).
-    fn refresh_waiters(&mut self, entity: EntityId) {
-        for w in self.table.waiters_of(entity) {
-            let blockers = self.table.blockers_of(w.txn, entity);
-            debug_assert!(!blockers.is_empty(), "grantable waiter left in queue");
-            self.wfg.set_wait(w.txn, entity, &blockers);
+            self.note_grant(h.txn, entity, h.mode);
         }
     }
 
     /// Refreshes the cached copy count of `id` and bumps the peak metric.
     fn update_peak_copies_for(&mut self, id: TxnId) {
-        let now = self.txns.get(&id).map(TxnRuntime::copies).unwrap_or(0);
+        let now = self.kernel.txn(id).map(TxnRuntime::copies).unwrap_or(0);
         let prev = self.copies_cache.insert(id, now).unwrap_or(0);
         self.copies_total = self.copies_total + now - prev.min(self.copies_total);
         if self.copies_total > self.metrics.peak_copies {
@@ -829,12 +563,12 @@ impl System {
 
     /// The database.
     pub fn store(&self) -> &GlobalStore {
-        &self.store
+        self.kernel.store()
     }
 
     /// Mutable database access (for scenario setup).
     pub fn store_mut(&mut self) -> &mut GlobalStore {
-        &mut self.store
+        self.kernel.store_mut()
     }
 
     /// Accumulated metrics.
@@ -844,12 +578,12 @@ impl System {
 
     /// The engine configuration.
     pub fn config(&self) -> &SystemConfig {
-        &self.config
+        self.kernel.config()
     }
 
     /// The lock table.
     pub fn table(&self) -> &LockTable {
-        &self.table
+        self.kernel.table()
     }
 
     /// The concurrency graph.
@@ -859,12 +593,12 @@ impl System {
 
     /// Runtime state of one transaction.
     pub fn txn(&self, id: TxnId) -> Option<&TxnRuntime> {
-        self.txns.get(&id)
+        self.kernel.txn(id)
     }
 
     /// All transaction ids, ascending.
     pub fn txn_ids(&self) -> Vec<TxnId> {
-        self.txns.keys().copied().collect()
+        self.kernel.txns().keys().copied().collect()
     }
 
     /// The deadlock/resolution log, oldest first.
@@ -873,44 +607,19 @@ impl System {
     }
 
     /// Engine-wide invariant check, used liberally by the test suites:
-    /// lock-table consistency, graph/table agreement, and two-phase
-    /// discipline of every runtime.
+    /// the kernel's table/runtime coherence, graph/table agreement, and
+    /// an acyclic graph.
     pub fn check_invariants(&self) -> Result<(), String> {
-        self.table.check_invariants()?;
-        for rt in self.txns.values() {
-            match rt.phase {
-                Phase::Blocked => {
-                    let entity = rt
-                        .blocked_on
-                        .ok_or_else(|| format!("{}: blocked without entity", rt.id))?;
-                    if self.table.waiting_on(rt.id, entity).is_none() {
-                        return Err(format!("{}: blocked but not queued on {entity}", rt.id));
-                    }
-                    if !self.wfg.is_waiting(rt.id) {
-                        return Err(format!("{}: blocked but absent from waits-for graph", rt.id));
-                    }
-                }
-                Phase::Running | Phase::Committed => {
-                    if self.wfg.is_waiting(rt.id) {
-                        return Err(format!("{}: not blocked but waits in graph", rt.id));
-                    }
-                }
-                Phase::Aborted => {
-                    if self.wfg.is_waiting(rt.id) {
-                        return Err(format!("{}: aborted but waits in graph", rt.id));
-                    }
-                    if !rt.held.is_empty() {
-                        return Err(format!("{}: aborted but still holds locks", rt.id));
-                    }
-                }
-            }
-            for entity in &rt.held {
-                if self.table.held_by(rt.id, *entity).is_none() {
-                    return Err(format!(
-                        "{}: believes it holds {entity} but table disagrees",
-                        rt.id
-                    ));
-                }
+        self.kernel.check_invariants()?;
+        for rt in self.kernel.txns().values() {
+            let blocked = rt.phase == Phase::Blocked;
+            if blocked != self.wfg.is_waiting(rt.id) {
+                return Err(format!(
+                    "{}: {:?} but {} in the waits-for graph",
+                    rt.id,
+                    rt.phase,
+                    if blocked { "absent from" } else { "waiting" }
+                ));
             }
         }
         if self.wfg.has_cycle() {
@@ -939,7 +648,7 @@ impl System {
         // to queued predecessors as well as holders, so a chain of
         // exclusive waiters is legitimately not a forest there.
         if self.sentinel.exclusive_only()
-            && self.config.grant_policy == GrantPolicy::Barging
+            && self.config().grant_policy == GrantPolicy::Barging
             && !self.wfg.is_forest()
         {
             self.sentinel
@@ -972,7 +681,7 @@ impl System {
     /// conflicting suffix op; a no-op under other strategies.
     #[doc(hidden)]
     pub fn plant_repair_mutant(&mut self) {
-        for rt in self.txns.values_mut() {
+        for rt in self.kernel.txns.values_mut() {
             rt.plant_unsound_skip_taint();
         }
     }
@@ -983,7 +692,7 @@ mod tests {
     use super::*;
     use crate::config::{StrategyKind, VictimPolicyKind};
     use crate::scheduler::{RoundRobin, Scripted};
-    use pr_model::{Expr, ProgramBuilder, Value, VarId};
+    use pr_model::{Expr, LockIndex, ProgramBuilder, Value, VarId};
 
     fn e(i: u32) -> EntityId {
         EntityId::new(i)
@@ -1564,8 +1273,7 @@ mod tests {
         assert_eq!(m.resolution_cost.count(), m.deadlocks);
         assert!(m.resolution_cost.sum() >= 1, "the deadlock cost something");
         assert_eq!(m.max_queue_depth(), 1);
-        let json = m.snapshot().to_json();
-        assert!(json.contains("\"deadlocks\":1"), "{json}");
+        assert_eq!(m.deadlocks, 1);
     }
 
     fn ordered_system(strategy: StrategyKind) -> System {

@@ -8,16 +8,6 @@ use pr_model::{EntityId, LockIndex, LockMode, TxnId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Why a rollback happened.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum RollbackReason {
-    /// Chosen as a deadlock victim.
-    DeadlockVictim,
-    /// A held grant expired — the site holding the lock state crashed and
-    /// the survivor was rolled back past the lost state.
-    GrantExpired,
-}
-
 /// One engine event.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub enum Event {
@@ -61,8 +51,6 @@ pub enum Event {
         target: LockIndex,
         /// States lost.
         cost: u32,
-        /// Cause.
-        reason: RollbackReason,
     },
     /// An entity's new global value was published (unlock/commit).
     Published {
@@ -73,20 +61,6 @@ pub enum Event {
     },
     /// A transaction committed.
     Committed {
-        /// The transaction.
-        txn: TxnId,
-    },
-    /// A held grant was forcibly expired (crash recovery): the lock is
-    /// gone from the table without an unlock by its holder.
-    GrantExpired {
-        /// The (former) holder.
-        txn: TxnId,
-        /// Entity whose lock state was lost.
-        entity: EntityId,
-    },
-    /// A transaction was aborted by an upper layer (e.g. its home site
-    /// crashed); all its locks were released without publishing.
-    Aborted {
         /// The transaction.
         txn: TxnId,
     },
@@ -105,15 +79,11 @@ impl fmt::Display for Event {
             Event::DeadlockDetected { causer, entity, cycles } => {
                 write!(f, "deadlock: {causer}'s request of {entity} closed {cycles} cycle(s)")
             }
-            Event::RolledBack { victim, target, cost, .. } => {
+            Event::RolledBack { victim, target, cost } => {
                 write!(f, "{victim} rolled back to lock state {target} (cost {cost})")
             }
             Event::Published { txn, entity } => write!(f, "{txn} published {entity}"),
             Event::Committed { txn } => write!(f, "{txn} committed"),
-            Event::GrantExpired { txn, entity } => {
-                write!(f, "{txn}'s lock on {entity} expired (site crash)")
-            }
-            Event::Aborted { txn } => write!(f, "{txn} aborted"),
         }
     }
 }
@@ -238,12 +208,7 @@ mod tests {
             mode: LockMode::Exclusive,
         };
         assert_eq!(e.to_string(), "T1 granted X-lock on a");
-        let e = Event::RolledBack {
-            victim: TxnId::new(2),
-            target: LockIndex::new(1),
-            cost: 4,
-            reason: RollbackReason::DeadlockVictim,
-        };
+        let e = Event::RolledBack { victim: TxnId::new(2), target: LockIndex::new(1), cost: 4 };
         assert_eq!(e.to_string(), "T2 rolled back to lock state 1 (cost 4)");
         let e =
             Event::DeadlockDetected { causer: TxnId::new(2), entity: EntityId::new(4), cycles: 1 };

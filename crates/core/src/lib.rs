@@ -38,6 +38,7 @@ pub mod engine;
 pub mod error;
 pub mod event;
 pub mod fingerprint;
+pub mod kernel;
 pub mod metrics;
 pub mod runtime;
 pub mod scheduler;
@@ -51,7 +52,7 @@ pub use engine::{StepOutcome, System};
 pub use error::EngineError;
 pub use event::{Event, EventLog};
 pub use fingerprint::{canonical_state, canonical_state_relabeled, fingerprint};
-pub use metrics::{HistogramSummary, LogHistogram, Metrics, MetricsSnapshot, ServerMetrics};
+pub use metrics::{HistogramSummary, LogHistogram, Metrics, ServerMetrics};
 pub use pr_lock::{derive_order, EntityOrder, GrantPolicy, PrecedenceCycle};
 pub use runtime::RuntimeView;
 pub use scheduler::{Recording, RoundRobin, Scheduler};

@@ -1,9 +1,11 @@
 //! Engine metrics — the quantities the paper's arguments are about, plus
 //! the latency/contention instrumentation behind the throughput harness:
-//! a log-bucket histogram ([`LogHistogram`]), per-entity wait-queue
-//! high-water marks, and a JSON-serialisable [`MetricsSnapshot`].
+//! a log-bucket histogram ([`LogHistogram`]) and per-entity wait-queue
+//! high-water marks.
 
-use pr_model::{EntityId, TxnId};
+use crate::config::StrategyKind;
+use crate::runtime::RollbackReceipt;
+use pr_model::{EntityId, LockIndex, TxnId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -177,10 +179,6 @@ pub struct Metrics {
     pub resolution_cost: LogHistogram,
     /// Per-entity high-water mark of the wait-queue depth.
     pub queue_depth_high_water: BTreeMap<EntityId, usize>,
-    /// Grants forcibly expired by crash recovery ([`crate::System::expire_grant`]).
-    pub expired_grants: u64,
-    /// Transactions aborted by an upper layer ([`crate::System::abort`]).
-    pub aborts: u64,
     /// Repair rollbacks performed (Repair strategy only): rollbacks whose
     /// suffix is re-executed from the replay tape rather than from scratch.
     pub repairs: u64,
@@ -225,6 +223,31 @@ impl Metrics {
         *self.preemptions.entry(txn).or_insert(0) += 1;
     }
 
+    /// Accounts for one executed rollback of `victim` under `strategy`.
+    pub fn record_rollback(
+        &mut self,
+        victim: TxnId,
+        strategy: StrategyKind,
+        receipt: &RollbackReceipt,
+    ) {
+        self.states_lost += u64::from(receipt.cost);
+        self.rollback_overshoot += u64::from(receipt.overshoot);
+        if receipt.target == LockIndex::ZERO {
+            self.total_rollbacks += 1;
+        } else {
+            self.partial_rollbacks += 1;
+        }
+        if strategy == StrategyKind::Repair {
+            // The rolled-back suffix is not discarded: the victim replays
+            // it from its tape. Its length is the histogram mass that must
+            // reconcile with `states_lost` (and with the per-transaction
+            // replayed/reused ledgers) in a clean run.
+            self.repairs += 1;
+            self.repair_suffix.record(u64::from(receipt.cost));
+        }
+        self.record_preemption(victim);
+    }
+
     /// Raises `entity`'s queue-depth high-water mark to `depth` if deeper.
     pub fn note_queue_depth(&mut self, entity: EntityId, depth: usize) {
         let hw = self.queue_depth_high_water.entry(entity).or_insert(0);
@@ -243,53 +266,56 @@ impl Metrics {
     /// the true cross-worker concurrent peak, which no single worker can
     /// observe).
     pub fn merge(&mut self, other: &Metrics) {
-        self.steps += other.steps;
-        self.ops_executed += other.ops_executed;
-        self.deadlocks += other.deadlocks;
-        self.partial_rollbacks += other.partial_rollbacks;
-        self.total_rollbacks += other.total_rollbacks;
-        self.states_lost += other.states_lost;
-        self.rollback_overshoot += other.rollback_overshoot;
-        self.waits += other.waits;
-        self.commits += other.commits;
-        self.cutset_optimal += other.cutset_optimal;
-        self.cutset_greedy += other.cutset_greedy;
-        self.peak_copies = self.peak_copies.max(other.peak_copies);
-        for (txn, n) in &other.preemptions {
+        // Exhaustive on purpose: a new field that is not merged here does
+        // not compile.
+        let Metrics {
+            steps,
+            ops_executed,
+            deadlocks,
+            partial_rollbacks,
+            total_rollbacks,
+            states_lost,
+            rollback_overshoot,
+            waits,
+            certified_waits,
+            commits,
+            cutset_optimal,
+            cutset_greedy,
+            peak_copies,
+            preemptions,
+            grant_latency,
+            resolution_cost,
+            queue_depth_high_water,
+            repairs,
+            repair_suffix,
+            ops_replayed,
+            ops_reused,
+        } = other;
+        self.steps += steps;
+        self.ops_executed += ops_executed;
+        self.deadlocks += deadlocks;
+        self.partial_rollbacks += partial_rollbacks;
+        self.total_rollbacks += total_rollbacks;
+        self.states_lost += states_lost;
+        self.rollback_overshoot += rollback_overshoot;
+        self.waits += waits;
+        self.certified_waits += certified_waits;
+        self.commits += commits;
+        self.cutset_optimal += cutset_optimal;
+        self.cutset_greedy += cutset_greedy;
+        self.peak_copies = self.peak_copies.max(*peak_copies);
+        for (txn, n) in preemptions {
             *self.preemptions.entry(*txn).or_insert(0) += n;
         }
-        self.grant_latency.merge(&other.grant_latency);
-        self.resolution_cost.merge(&other.resolution_cost);
-        for (entity, depth) in &other.queue_depth_high_water {
+        self.grant_latency.merge(grant_latency);
+        self.resolution_cost.merge(resolution_cost);
+        for (entity, depth) in queue_depth_high_water {
             self.note_queue_depth(*entity, *depth);
         }
-        self.expired_grants += other.expired_grants;
-        self.aborts += other.aborts;
-        self.repairs += other.repairs;
-        self.repair_suffix.merge(&other.repair_suffix);
-        self.ops_replayed += other.ops_replayed;
-        self.ops_reused += other.ops_reused;
-    }
-
-    /// A flat, JSON-serialisable summary of these metrics.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            steps: self.steps,
-            ops_executed: self.ops_executed,
-            commits: self.commits,
-            waits: self.waits,
-            deadlocks: self.deadlocks,
-            partial_rollbacks: self.partial_rollbacks,
-            total_rollbacks: self.total_rollbacks,
-            states_lost: self.states_lost,
-            max_preemptions: self.max_preemptions(),
-            max_queue_depth: self.max_queue_depth(),
-            grant_latency: HistogramSummary::of(&self.grant_latency),
-            resolution_cost: HistogramSummary::of(&self.resolution_cost),
-            repairs: self.repairs,
-            ops_replayed: self.ops_replayed,
-            ops_reused: self.ops_reused,
-        }
+        self.repairs += repairs;
+        self.repair_suffix.merge(repair_suffix);
+        self.ops_replayed += ops_replayed;
+        self.ops_reused += ops_reused;
     }
 }
 
@@ -329,77 +355,6 @@ impl HistogramSummary {
             "{{\"count\":{},\"mean\":{:.3},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}",
             self.count, self.mean, self.p50, self.p95, self.p99, self.max
         );
-    }
-}
-
-/// A flat summary of [`Metrics`] with hand-rolled JSON serialisation —
-/// like `pr-analyze`, the workspace deliberately has no serde_json, so
-/// machine-readable output is written by hand from static keys and
-/// numeric values (nothing needs escaping).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    /// Scheduler steps taken.
-    pub steps: u64,
-    /// Atomic operations completed.
-    pub ops_executed: u64,
-    /// Transactions committed.
-    pub commits: u64,
-    /// Wait responses issued.
-    pub waits: u64,
-    /// Deadlocks detected.
-    pub deadlocks: u64,
-    /// Partial (lock state > 0) rollbacks.
-    pub partial_rollbacks: u64,
-    /// Total rollbacks (restarts).
-    pub total_rollbacks: u64,
-    /// States lost to rollbacks.
-    pub states_lost: u64,
-    /// Largest preemption count of any transaction.
-    pub max_preemptions: u32,
-    /// Deepest wait queue observed on any entity.
-    pub max_queue_depth: usize,
-    /// Grant-latency distribution, in steps.
-    pub grant_latency: HistogramSummary,
-    /// Per-deadlock resolution-cost distribution, in states lost.
-    pub resolution_cost: HistogramSummary,
-    /// Repair rollbacks performed (0 under non-Repair strategies).
-    pub repairs: u64,
-    /// Suffix operations recomputed during replay.
-    pub ops_replayed: u64,
-    /// Suffix operations reused from the replay tape.
-    pub ops_reused: u64,
-}
-
-impl MetricsSnapshot {
-    /// Serialises the snapshot as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"steps\":{},\"ops_executed\":{},\"commits\":{},\"waits\":{},\
-             \"deadlocks\":{},\"partial_rollbacks\":{},\"total_rollbacks\":{},\
-             \"states_lost\":{},\"max_preemptions\":{},\"max_queue_depth\":{},",
-            self.steps,
-            self.ops_executed,
-            self.commits,
-            self.waits,
-            self.deadlocks,
-            self.partial_rollbacks,
-            self.total_rollbacks,
-            self.states_lost,
-            self.max_preemptions,
-            self.max_queue_depth
-        );
-        out.push_str("\"grant_latency\":");
-        self.grant_latency.write_json(&mut out);
-        out.push_str(",\"resolution_cost\":");
-        self.resolution_cost.write_json(&mut out);
-        let _ = write!(
-            out,
-            ",\"repairs\":{},\"ops_replayed\":{},\"ops_reused\":{}}}",
-            self.repairs, self.ops_replayed, self.ops_reused
-        );
-        out
     }
 }
 
@@ -593,13 +548,25 @@ mod tests {
 
     #[test]
     fn metrics_merge_adds_counters_and_maxes_high_water_marks() {
-        let mut a =
-            Metrics { steps: 5, commits: 2, states_lost: 7, peak_copies: 3, ..Default::default() };
+        let mut a = Metrics {
+            steps: 5,
+            commits: 2,
+            states_lost: 7,
+            certified_waits: 4,
+            peak_copies: 3,
+            ..Default::default()
+        };
         a.record_preemption(TxnId::new(1));
         a.note_queue_depth(EntityId::new(0), 4);
         a.grant_latency.record(8);
-        let mut b =
-            Metrics { steps: 3, commits: 1, states_lost: 2, peak_copies: 9, ..Default::default() };
+        let mut b = Metrics {
+            steps: 3,
+            commits: 1,
+            states_lost: 2,
+            certified_waits: 6,
+            peak_copies: 9,
+            ..Default::default()
+        };
         b.record_preemption(TxnId::new(1));
         b.record_preemption(TxnId::new(2));
         b.note_queue_depth(EntityId::new(0), 2);
@@ -608,6 +575,7 @@ mod tests {
         assert_eq!(a.steps, 8);
         assert_eq!(a.commits, 3);
         assert_eq!(a.states_lost, 9);
+        assert_eq!(a.certified_waits, 10);
         assert_eq!(a.peak_copies, 9);
         assert_eq!(a.preemptions[&TxnId::new(1)], 2);
         assert_eq!(a.preemptions[&TxnId::new(2)], 1);
@@ -671,33 +639,6 @@ mod tests {
             "\"protocol_errors\":1",
             "\"batch_fill\":{\"count\":2",
             "\"group_wait_us\":{\"count\":1",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-    }
-
-    #[test]
-    fn snapshot_json_is_well_formed_and_complete() {
-        let mut m = Metrics { steps: 10, commits: 3, deadlocks: 1, ..Default::default() };
-        m.grant_latency.record(4);
-        m.grant_latency.record(9);
-        m.resolution_cost.record(12);
-        m.note_queue_depth(EntityId::new(7), 4);
-        let json = m.snapshot().to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        for key in [
-            "\"steps\":10",
-            "\"commits\":3",
-            "\"deadlocks\":1",
-            "\"max_queue_depth\":4",
-            "\"grant_latency\":{\"count\":2",
-            "\"resolution_cost\":{\"count\":1",
-            "\"p95\":",
-            "\"p99\":",
-            "\"repairs\":0",
-            "\"ops_replayed\":0",
-            "\"ops_reused\":0",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

@@ -8,9 +8,11 @@
 //! lock releases, which need the lock table.
 
 use crate::config::StrategyKind;
-use pr_graph::StateDependencyGraph;
+use pr_graph::{CandidateRollback, StateDependencyGraph};
 use pr_model::TxnId;
-use pr_model::{EntityId, Expr, LockIndex, LockMode, StateIndex, TransactionProgram, Value, VarId};
+use pr_model::{
+    EntityId, Expr, LockIndex, LockMode, Op, StateIndex, TransactionProgram, Value, VarId,
+};
 use pr_storage::{McsWorkspace, SingleCopyWorkspace, StorageError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -69,6 +71,22 @@ pub struct LockStateInfo {
     /// Program counter of the lock-request operation, where execution
     /// resumes after a rollback to this lock state.
     pub pc: usize,
+}
+
+/// What one rollback did to a transaction: the §4 procedure's output, from
+/// which every engine does its accounting ([`crate::Metrics::record_rollback`])
+/// and its lock releases.
+#[derive(Debug)]
+pub struct RollbackReceipt {
+    /// Lock states undone, oldest first. The engine releases the matching
+    /// table locks *without* publishing.
+    pub released: Vec<LockStateInfo>,
+    /// Lock state actually rolled back to.
+    pub target: LockIndex,
+    /// States lost (§3.1 cost).
+    pub cost: u32,
+    /// States lost beyond the ideal target (strategy overshoot).
+    pub overshoot: u32,
 }
 
 /// Strategy-dependent workspace.
@@ -410,6 +428,26 @@ impl TxnRuntime {
         published
     }
 
+    /// Commit-time release of a lock the program never unlocked ("the
+    /// system may equivalently release any entities which a transaction
+    /// has failed to unlock at the time it terminates"): as
+    /// [`Self::complete_unlock`], except that it is not an operation of
+    /// the program, so `pc` and the state index do not move.
+    pub fn commit_release(&mut self, entity: EntityId) -> Option<Value> {
+        let published = self.complete_unlock(entity);
+        self.pc -= 1;
+        self.state = StateIndex::new(self.state.raw() - 1);
+        published
+    }
+
+    /// Executes the `Commit` op once every lock is released. Returns the
+    /// repair ledger `(ops_replayed, ops_reused)`, final at this point.
+    pub fn finish_commit(&mut self) -> (u64, u64) {
+        self.advance();
+        self.phase = Phase::Committed;
+        self.repair_ops()
+    }
+
     /// Advances one atomic operation: `pc` and state index.
     pub fn advance(&mut self) {
         self.pc += 1;
@@ -426,13 +464,44 @@ impl TxnRuntime {
         }
     }
 
+    /// Executes one lock-free operation (`Read`, `Write`, `Assign` or
+    /// `Compute`) — the interpreter every engine shares. `read_global`
+    /// supplies the database's value of an entity and is only called for a
+    /// `Read`; it is the one thing the engines do differently.
+    ///
+    /// # Panics
+    ///
+    /// On a lock request, unlock or commit: those need the lock service
+    /// and belong to the engine.
+    pub fn exec_local(
+        &mut self,
+        op: &Op,
+        read_global: impl FnOnce(EntityId) -> Result<Value, StorageError>,
+    ) -> Result<(), StorageError> {
+        match op {
+            Op::Read { entity, into } => {
+                let global = read_global(*entity)?;
+                self.exec_read(*entity, *into, global)
+            }
+            Op::Write { entity, expr } => self.exec_write(*entity, expr),
+            Op::Assign { var, expr } => self.exec_assign(*var, expr),
+            Op::Compute(expr) => {
+                self.exec_compute(expr);
+                Ok(())
+            }
+            Op::LockShared(_) | Op::LockExclusive(_) | Op::Unlock(_) | Op::Commit => {
+                panic!("{op:?} is a lock-service operation, not a local one")
+            }
+        }
+    }
+
     /// Executes a `Read` op: observes the transaction's view of `entity`
     /// (local copy when held exclusively, otherwise `global`) and assigns
     /// it to `into`. Under Repair this is the verification point of the
     /// replay protocol: the live observation is compared against the tape,
     /// and `into` is tainted or cleared accordingly — a reuse is never
     /// trusted across a value the environment could have changed.
-    pub fn exec_read(
+    fn exec_read(
         &mut self,
         entity: EntityId,
         into: VarId,
@@ -472,7 +541,7 @@ impl TxnRuntime {
     /// Executes an `Assign` op: evaluates `expr` (reusing the taped result
     /// during replay when no input variable is tainted) and assigns it to
     /// `var`.
-    pub fn exec_assign(&mut self, var: VarId, expr: &Expr) -> Result<(), StorageError> {
+    fn exec_assign(&mut self, var: VarId, expr: &Expr) -> Result<(), StorageError> {
         let value = self.eval_op(expr, Some(var));
         self.assign_var(var, value)?;
         self.close_replay_if_done();
@@ -484,7 +553,7 @@ impl TxnRuntime {
     /// `entity`'s local copy. The write always goes through the workspace,
     /// reused or not — version-stack bookkeeping must be identical to a
     /// from-scratch re-execution.
-    pub fn exec_write(&mut self, entity: EntityId, expr: &Expr) -> Result<(), StorageError> {
+    fn exec_write(&mut self, entity: EntityId, expr: &Expr) -> Result<(), StorageError> {
         let value = self.eval_op(expr, None);
         self.write_entity(entity, value)?;
         self.close_replay_if_done();
@@ -494,7 +563,7 @@ impl TxnRuntime {
     /// Executes a `Compute` op: evaluates `expr` for its cost (result
     /// discarded), skipping the evaluation during replay when no input
     /// variable is tainted.
-    pub fn exec_compute(&mut self, expr: &Expr) {
+    fn exec_compute(&mut self, expr: &Expr) {
         let _ = self.eval_op(expr, None);
         self.advance();
         self.close_replay_if_done();
@@ -556,6 +625,45 @@ impl TxnRuntime {
     /// the current lock index (requeue candidates, which release nothing).
     pub fn conflict_state_for(&self, ideal: LockIndex) -> StateIndex {
         self.lock_states.get(ideal.index()).map_or(self.state, |ls| ls.state_index)
+    }
+
+    /// The rollback of this transaction to `target`, priced by §3.1, when
+    /// the conflict would have been removed at `ideal` already.
+    pub fn candidate_to(&self, target: LockIndex, ideal: LockIndex) -> CandidateRollback {
+        CandidateRollback {
+            txn: self.id,
+            target,
+            ideal,
+            cost: self.cost_to_lock_state(target),
+            conflict: self.conflict_state_for(ideal),
+        }
+    }
+
+    /// The rollback that takes `entity` away from this transaction: to
+    /// the deepest target `strategy` can reach at or below the lock state
+    /// at which `entity` was locked. `None` if the transaction cannot be
+    /// rolled back (it is shrinking or settled) or has no claim on
+    /// `entity`.
+    pub fn rollback_candidate(
+        &self,
+        strategy: StrategyKind,
+        entity: EntityId,
+    ) -> Option<CandidateRollback> {
+        if !self.rollbackable() {
+            return None;
+        }
+        let ideal = match self.lock_state_for(entity) {
+            Some(ls) => ls,
+            // A fair-queue arc may point at a member *queued ahead* on the
+            // contended entity rather than holding it; the member is then
+            // blocked on that same entity. Cancelling its pending request —
+            // a rollback to its current lock state — re-enqueues it at the
+            // tail, which breaks the arc without losing any states (the
+            // strategy may still deepen the target, e.g. total restarts).
+            None if self.blocked_on == Some(entity) => self.lock_index(),
+            None => return None,
+        };
+        Some(self.candidate_to(self.reachable_target(strategy, ideal), ideal))
     }
 
     /// The repair ledger: `(ops_replayed, ops_reused)`. Zero under every
@@ -647,6 +755,19 @@ impl TxnRuntime {
         self.phase = Phase::Running;
         self.blocked_on = None;
         Ok(released)
+    }
+
+    /// Executes a planned rollback: [`Self::rollback_to`] the planned
+    /// target, clamped to the current lock index (an earlier rollback of
+    /// the same plan, or a nested one, may already have taken the
+    /// transaction further back than planned).
+    pub fn rollback(&mut self, rb: &CandidateRollback) -> Result<RollbackReceipt, StorageError> {
+        let target = rb.target.min(self.lock_index());
+        let ideal = rb.ideal.min(self.lock_index());
+        let cost = self.cost_to_lock_state(target);
+        let overshoot = cost - self.cost_to_lock_state(ideal);
+        let released = self.rollback_to(target)?;
+        Ok(RollbackReceipt { released, target, cost, overshoot })
     }
 
     /// Whether this transaction may still be rolled back.

@@ -14,36 +14,6 @@ use crate::runtime::RuntimeView;
 use pr_graph::{CandidateRollback, Cycle};
 use pr_model::TxnId;
 
-/// Builds the candidate for one cycle member under the given strategy, or
-/// `None` if the member cannot be rolled back (shrinking transactions —
-/// which, being unblockable, should never appear on a cycle).
-fn candidate_for<V: RuntimeView>(
-    txns: &V,
-    strategy: StrategyKind,
-    txn: TxnId,
-    holds: pr_model::EntityId,
-) -> Option<CandidateRollback> {
-    let rt = txns.runtime(txn)?;
-    if !rt.rollbackable() {
-        return None;
-    }
-    let ideal = match rt.lock_state_for(holds) {
-        Some(ls) => ls,
-        // A fair-queue arc may point at a member *queued ahead* on the
-        // contended entity rather than holding it; the member is then
-        // blocked on that same entity. Cancelling its pending request —
-        // a rollback to its current lock state — re-enqueues it at the
-        // tail, which breaks the arc without losing any states (the
-        // strategy may still deepen the target, e.g. total restarts).
-        None if rt.blocked_on == Some(holds) => rt.lock_index(),
-        None => return None,
-    };
-    let target = rt.reachable_target(strategy, ideal);
-    let cost = rt.cost_to_lock_state(target);
-    let conflict = rt.conflict_state_for(ideal);
-    Some(CandidateRollback { txn, target, ideal, cost, conflict })
-}
-
 /// Builds the cut-set instance for a deadlock: one candidate list per
 /// cycle, already filtered by the victim policy.
 ///
@@ -65,9 +35,10 @@ pub fn build_instance<V: RuntimeView>(
                 .members
                 .iter()
                 .filter_map(|m| {
-                    let cand = candidate_for(txns, strategy, m.txn, m.holds)?;
-                    let entry = txns.runtime(m.txn).map(|rt| rt.entry_order).unwrap_or(u64::MAX);
-                    Some((m.txn, cand, entry))
+                    // Shrinking members — which, being unblockable, should
+                    // never appear on a cycle — yield no candidate.
+                    let rt = txns.runtime(m.txn)?;
+                    Some((m.txn, rt.rollback_candidate(strategy, m.holds)?, rt.entry_order))
                 })
                 .collect();
             let filtered: Vec<CandidateRollback> = match policy {

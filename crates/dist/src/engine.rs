@@ -1,25 +1,24 @@
 //! The distributed execution engine (§3.3).
 //!
-//! Shares the transaction runtime, lock semantics, rollback strategies and
-//! victim machinery with `pr-core`, but distributes deadlock handling:
-//! entities live at sites, remote interactions cost messages, and the
-//! cross-site scheme decides between detection and prevention.
+//! A driver over the `pr-core` [`Kernel`]: every lock, unlock, rollback and
+//! commit is the kernel's transition, the same one [`pr_core::System`]
+//! drives. What this module adds is distribution: entities live at sites,
+//! remote interactions cost messages and may stall, and the cross-site
+//! scheme decides between detection and prevention.
 
 use crate::fault::FaultPlan;
 use crate::metrics::DistMetrics;
 use crate::net::{AsyncOutcome, GraphUpdate, Network, Transition};
 use crate::site::{Partition, SiteId};
-use pr_core::deadlock::{plan_resolution, DeadlockEvent};
+use pr_core::kernel::{Kernel, MAX_RESOLUTION_ROUNDS};
 use pr_core::runtime::{Phase, TxnRuntime};
 use pr_core::scheduler::Scheduler;
 use pr_core::{EngineError, StrategyKind, SystemConfig, VictimPolicyKind};
-use pr_graph::cycles::cycles_on_wait;
 use pr_graph::{CandidateRollback, WaitsForGraph};
-use pr_lock::{HeldLock, LockTable, RequestOutcome};
+use pr_lock::{HeldLock, RequestOutcome};
 use pr_model::{EntityId, LockIndex, LockMode, Op, TransactionProgram, TxnId};
 use pr_storage::GlobalStore;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// How cross-site deadlocks are kept at bay (§3.3).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -97,8 +96,7 @@ impl DistConfig {
 
 /// A multi-site database system.
 pub struct DistributedSystem {
-    pub(crate) store: GlobalStore,
-    pub(crate) table: LockTable,
+    pub(crate) kernel: Kernel,
     /// One graph per site under `SiteOrdered` (indexed by entity site);
     /// `graphs[0]` is the coordinator's graph otherwise.
     pub(crate) graphs: Vec<WaitsForGraph>,
@@ -106,7 +104,6 @@ pub struct DistributedSystem {
     /// coordinator is unreachable. Rebuilt from lock-table truth right
     /// before each use, so they never carry stale arcs.
     pub(crate) fallback: Vec<WaitsForGraph>,
-    pub(crate) txns: BTreeMap<TxnId, TxnRuntime>,
     pub(crate) home: BTreeMap<TxnId, SiteId>,
     pub(crate) config: DistConfig,
     pub(crate) metrics: DistMetrics,
@@ -117,8 +114,6 @@ pub struct DistributedSystem {
     /// Next tick at which the coordinator refreshes its graph from
     /// lock-table truth (fault injection + `GlobalDetection` only).
     next_reconcile_at: u64,
-    next_txn: u32,
-    entry_counter: u64,
 }
 
 /// Anti-entropy cadence for the coordinator graph under fault injection.
@@ -150,40 +145,26 @@ impl DistributedSystem {
             Vec::new()
         };
         DistributedSystem {
-            store,
-            table: LockTable::new(),
+            kernel: Kernel::new(store, config.engine_config()),
             graphs,
             fallback,
-            txns: BTreeMap::new(),
             home: BTreeMap::new(),
             config,
             metrics: DistMetrics::default(),
             net,
             degraded: false,
             next_reconcile_at: RECONCILE_INTERVAL_TICKS,
-            next_txn: 1,
-            entry_counter: 0,
         }
     }
 
     /// Admits a program; the transaction's home site is the site of its
     /// first locked entity (where it originates).
     pub fn admit(&mut self, program: TransactionProgram) -> Result<TxnId, EngineError> {
-        pr_model::validate::validate(&program)
-            .map_err(|_| EngineError::NotRunnable(TxnId::new(self.next_txn)))?;
-        for entity in program.locked_entities() {
-            self.store.ensure(entity);
-        }
         let home = program
             .locked_entities()
             .first()
-            .map(|&e| self.config.partition.site_of(e))
-            .unwrap_or(SiteId::COORDINATOR);
-        let id = TxnId::new(self.next_txn);
-        self.next_txn += 1;
-        let entry = self.entry_counter;
-        self.entry_counter += 1;
-        self.txns.insert(id, TxnRuntime::new(id, Arc::new(program), entry, self.config.strategy));
+            .map_or(SiteId::COORDINATOR, |&e| self.config.partition.site_of(e));
+        let id = self.kernel.admit(program)?;
         self.home.insert(id, home);
         Ok(id)
     }
@@ -225,19 +206,19 @@ impl DistributedSystem {
 
     /// Ready transactions.
     pub fn ready(&self) -> Vec<TxnId> {
-        self.txns.values().filter(|rt| rt.phase == Phase::Running).map(|rt| rt.id).collect()
+        self.kernel.ready()
     }
 
     /// Whether every transaction committed.
     pub fn all_committed(&self) -> bool {
-        self.txns.values().all(|rt| rt.phase == Phase::Committed)
+        self.kernel.all_committed()
     }
 
     /// Whether every transaction reached a terminal phase — committed, or
     /// cleanly aborted by crash recovery. This is the no-wedge invariant's
     /// success condition under fault injection.
     pub fn all_settled(&self) -> bool {
-        self.txns.values().all(|rt| matches!(rt.phase, Phase::Committed | Phase::Aborted))
+        self.kernel.all_settled()
     }
 
     /// Runs under `scheduler` until every transaction settles.
@@ -270,14 +251,7 @@ impl DistributedSystem {
                         continue;
                     }
                 }
-                return Err(EngineError::Stuck {
-                    blocked: self
-                        .txns
-                        .values()
-                        .filter(|rt| rt.phase == Phase::Blocked)
-                        .map(|rt| rt.id)
-                        .collect(),
-                });
+                return Err(EngineError::Stuck { blocked: self.kernel.blocked() });
             }
             reconciled = false;
             steps += 1;
@@ -295,12 +269,16 @@ impl DistributedSystem {
     /// due crashes, restarts, and delayed deliveries are processed first,
     /// and may abort or roll back the picked transaction — in that case
     /// the step is consumed as a no-op rather than an error.
+    ///
+    /// An operation that must reach a remote site first attempts the
+    /// exchange; a dead site or an exhausted retry budget stalls the
+    /// transaction, which re-issues the operation on its next slot.
     pub fn step(&mut self, id: TxnId) -> Result<(), EngineError> {
         if self.net.active() {
             self.net.tick();
             self.process_network_events()?;
         }
-        let rt = self.txns.get(&id).ok_or(EngineError::NoSuchTxn(id))?;
+        let rt = self.kernel.txn(id).ok_or(EngineError::NoSuchTxn(id))?;
         if rt.phase != Phase::Running {
             if self.net.active() {
                 return Ok(()); // consumed by a fault processed this tick
@@ -311,190 +289,153 @@ impl DistributedSystem {
         match op {
             Op::LockShared(e) => self.do_lock(id, e, LockMode::Shared),
             Op::LockExclusive(e) => self.do_lock(id, e, LockMode::Exclusive),
-            Op::Unlock(e) => self.do_unlock(id, e),
-            Op::Read { entity, into } => {
-                if self.net.active() && !self.remote_rpc(id, entity) {
-                    return Ok(()); // fetch timed out; retry when rescheduled
+            Op::Unlock(entity) => {
+                if self.remote_rpc(id, entity) {
+                    self.charge_remote(id, entity, 1);
+                    let gi = self.graph_index(entity);
+                    let release = self.kernel.unlock(&mut self.graphs[gi], id, entity)?;
+                    self.after_release(entity, &release.promoted)?;
+                    self.metrics.ops_executed += 1;
                 }
-                let global = self.store.read(entity)?;
-                let rt = self.txns.get_mut(&id).expect("checked");
-                let value = rt.read_entity(entity, global);
-                rt.assign_var(into, value)?;
-                self.charge_remote(id, entity, 1); // remote read fetch
+                Ok(())
+            }
+            Op::Commit => {
+                let held: Vec<EntityId> = self.kernel.txns()[&id].held.iter().copied().collect();
+                for entity in held {
+                    // Commit releases one entity per iteration and is
+                    // re-entrant: if a site is unreachable the step returns
+                    // with the remaining entities still held, and the next
+                    // scheduling slot resumes exactly here.
+                    if !self.remote_rpc(id, entity) {
+                        return Ok(());
+                    }
+                    self.charge_remote(id, entity, 1);
+                    let gi = self.graph_index(entity);
+                    let release = self.kernel.commit_release(&mut self.graphs[gi], id, entity)?;
+                    self.after_release(entity, &release.promoted)?;
+                }
+                self.kernel.finish_commit(id)?;
+                self.metrics.ops_executed += 1;
+                self.metrics.commits += 1;
+                Ok(())
+            }
+            local => {
+                if let Op::Read { entity, .. } = local {
+                    if !self.remote_rpc(id, entity) {
+                        return Ok(());
+                    }
+                    self.charge_remote(id, entity, 1); // remote read fetch
+                }
+                self.kernel.exec_local(id, &local)?;
                 self.metrics.ops_executed += 1;
                 Ok(())
             }
-            Op::Write { entity, expr } => {
-                let rt = self.txns.get_mut(&id).expect("checked");
-                let value = expr.eval(rt.workspace.vars());
-                rt.write_entity(entity, value)?;
-                self.metrics.ops_executed += 1;
-                Ok(())
-            }
-            Op::Assign { var, expr } => {
-                let rt = self.txns.get_mut(&id).expect("checked");
-                let value = expr.eval(rt.workspace.vars());
-                rt.assign_var(var, value)?;
-                self.metrics.ops_executed += 1;
-                Ok(())
-            }
-            Op::Compute(expr) => {
-                let rt = self.txns.get_mut(&id).expect("checked");
-                let _ = expr.eval(rt.workspace.vars());
-                rt.advance();
-                self.metrics.ops_executed += 1;
-                Ok(())
-            }
-            Op::Commit => self.do_commit(id),
         }
     }
 
     fn do_lock(&mut self, id: TxnId, entity: EntityId, mode: LockMode) -> Result<(), EngineError> {
-        // The request must first reach the entity's site at all: a dead
-        // site or an exhausted retry budget stalls the requester (it
-        // re-issues the request on its next scheduling slot).
-        if self.net.active() && !self.remote_rpc(id, entity) {
+        if !self.remote_rpc(id, entity) {
             return Ok(());
         }
         // Site-order rule is checked before the request is even sent.
         if self.config.scheme == CrossSiteScheme::SiteOrdered {
             let s = self.site_of(entity);
-            let rt = self.txns.get(&id).expect("checked");
+            let rt = self.kernel.txn(id).expect("checked");
             let violation = rt
                 .lock_states
                 .iter()
                 .position(|ls| self.site_of(ls.entity) > s && rt.held.contains(&ls.entity));
-            if let Some(first_bad) = violation {
-                // Only an actual wait violates the ordering argument; probe
-                // whether the lock would be granted outright.
-                let holders = self.table.holder_records(entity);
-                let must_wait =
-                    holders.iter().any(|h| h.txn != id && !mode.compatible_with(h.mode));
-                if must_wait {
-                    // Tie-break by entry order so mutual violators cannot
-                    // preempt each other forever (the Theorem 2 argument):
-                    // the oldest requester wounds the younger holders out
-                    // of its way and acquires in the same step; a younger
-                    // requester yields by releasing everything. The loop
-                    // is needed because each wound's releases may promote
-                    // queued waiters into fresh holders.
-                    self.metrics.order_violations += 1;
-                    let my_key = self.wound_key(rt);
-                    let ideal = LockIndex::new(first_bad as u32);
-                    loop {
-                        let blockers: Vec<TxnId> = self
-                            .table
-                            .holder_records(entity)
-                            .into_iter()
-                            .filter(|h| h.txn != id && !mode.compatible_with(h.mode))
-                            .map(|h| h.txn)
-                            .collect();
-                        if blockers.is_empty() {
-                            let (state, lock_index) = {
-                                let rt = self.txns.get(&id).expect("checked");
-                                (rt.state, rt.lock_index())
-                            };
-                            self.charge_remote(id, entity, 2);
-                            match self.table.request(id, entity, mode, state, lock_index)? {
-                                RequestOutcome::Granted => {
-                                    self.finalize_grant(id, entity, mode)?;
-                                    self.sync_entity(entity)?;
-                                }
-                                RequestOutcome::Wait { .. } => {
-                                    unreachable!("no incompatible holders remain")
-                                }
-                            }
-                            return Ok(());
-                        }
-                        // "Younger" must mean the same thing here as in
-                        // the wound routine (the *skewed* key), or a
-                        // holder judged woundable would be skipped by the
-                        // wound and this loop would never terminate.
-                        let all_younger = blockers.iter().all(|t| {
-                            self.txns.get(t).is_some_and(|hrt| {
-                                self.wound_key(hrt) > my_key && hrt.rollbackable()
-                            })
-                        });
-                        if !all_younger {
-                            // Yield: release *everything*. Dropping only
-                            // the high-site holdings is not enough — the
-                            // older holder may be waiting on a low-site
-                            // lock we would keep (a cross-site cycle in
-                            // disguise).
-                            let rt = self.txns.get(&id).expect("checked");
-                            let target = LockIndex::ZERO;
-                            let cost = rt.cost_to_lock_state(target);
-                            let ideal_cost = rt.cost_to_lock_state(ideal);
-                            let conflict = rt.conflict_state_for(ideal);
-                            self.execute_rollback(CandidateRollback {
-                                txn: id,
-                                target,
-                                ideal,
-                                cost,
-                                conflict,
-                            })?;
-                            self.metrics.rollback_overshoot += u64::from(cost - ideal_cost);
-                            return Ok(());
-                        }
-                        self.wound_younger_holders(id, entity, &blockers)?;
+            // Only an actual wait violates the ordering argument: a request
+            // that would be granted outright goes through.
+            if let Some(first_bad) =
+                violation.filter(|_| !self.incompatible_holders(id, entity, mode).is_empty())
+            {
+                // Tie-break by entry order so mutual violators cannot
+                // preempt each other forever (the Theorem 2 argument): the
+                // oldest requester wounds the younger holders out of its
+                // way and acquires in the same step; a younger requester
+                // yields by releasing everything. The loop is needed
+                // because each wound's releases may promote queued waiters
+                // into fresh holders.
+                self.metrics.order_violations += 1;
+                let my_key = self.wound_key(rt);
+                loop {
+                    let blockers = self.incompatible_holders(id, entity, mode);
+                    if blockers.is_empty() {
+                        break; // the request below is granted outright
                     }
+                    // "Younger" must mean the same thing here as in the
+                    // wound routine (the *skewed* key), or a holder judged
+                    // woundable would be skipped by the wound and this
+                    // loop would never terminate.
+                    let all_younger = blockers.iter().all(|t| {
+                        self.kernel
+                            .txn(*t)
+                            .is_some_and(|hrt| self.wound_key(hrt) > my_key && hrt.rollbackable())
+                    });
+                    if !all_younger {
+                        // Yield: release *everything*. Dropping only the
+                        // high-site holdings is not enough — the older
+                        // holder may be waiting on a low-site lock we would
+                        // keep (a cross-site cycle in disguise).
+                        let rt = self.kernel.txn(id).expect("checked");
+                        let ideal = LockIndex::new(first_bad as u32);
+                        self.rollback(rt.candidate_to(LockIndex::ZERO, ideal))?;
+                        return Ok(());
+                    }
+                    self.wound_younger_holders(id, entity, &blockers)?;
                 }
             }
         }
 
-        let (state, lock_index) = {
-            let rt = self.txns.get(&id).expect("checked");
-            (rt.state, rt.lock_index())
-        };
         self.charge_remote(id, entity, 2); // request + response
-        let outcome = self.table.request(id, entity, mode, state, lock_index)?;
-        match outcome {
+        let gi = self.graph_index(entity);
+        match self.kernel.request(&mut self.graphs[gi], id, entity, mode)? {
             RequestOutcome::Granted => {
-                self.finalize_grant(id, entity, mode)?;
-                self.sync_entity(entity)?;
-                Ok(())
+                self.metrics.ops_executed += 1;
+                self.enforce_wound_wait(entity)
             }
             RequestOutcome::Wait { holders, .. } => {
-                {
-                    let rt = self.txns.get_mut(&id).expect("checked");
-                    rt.phase = Phase::Blocked;
-                    rt.blocked_on = Some(entity);
-                }
                 self.metrics.waits += 1;
                 if self.config.scheme == CrossSiteScheme::WoundWait {
-                    let gi = self.graph_index(entity);
                     self.graphs[gi].set_wait(id, entity, &holders);
                     return self.wound_younger_holders(id, entity, &holders);
                 }
                 if self.config.scheme == CrossSiteScheme::GlobalDetection
-                    && self.net.active()
                     && self.home_of(id) != SiteId::COORDINATOR
                 {
-                    // The coordinator learns of this wait by message; the
-                    // message is subject to the fault plan.
+                    // The coordinator learns of this wait by message; under
+                    // a fault plan the message is subject to it.
                     self.metrics.messages += 1;
-                    let update = GraphUpdate { waiter: id, entity };
-                    let (from, to) = (self.home_of(id), SiteId::COORDINATOR);
-                    return match self.net.send_async(from, to, update, &mut self.metrics) {
-                        AsyncOutcome::Applied => {
-                            self.graphs[0].set_wait(id, entity, &holders);
-                            self.resolve_cycles_in(0, id, entity)
-                        }
-                        AsyncOutcome::Deferred => Ok(()), // arrives via poll
-                        AsyncOutcome::Dropped => Ok(()),  // reconcile repairs
-                        AsyncOutcome::DestinationDown => self.local_fallback(id, entity),
-                    };
+                    if self.net.active() {
+                        let update = GraphUpdate { waiter: id, entity };
+                        let (from, to) = (self.home_of(id), SiteId::COORDINATOR);
+                        return match self.net.send_async(from, to, update, &mut self.metrics) {
+                            AsyncOutcome::Applied => self.resolve(id, entity, false),
+                            AsyncOutcome::Deferred => Ok(()), // arrives via poll
+                            AsyncOutcome::Dropped => Ok(()),  // reconcile repairs
+                            AsyncOutcome::DestinationDown => {
+                                self.degraded = true;
+                                self.resolve(id, entity, true)
+                            }
+                        };
+                    }
                 }
-                let gi = self.graph_index(entity);
-                self.graphs[gi].set_wait(id, entity, &holders);
-                if self.config.scheme == CrossSiteScheme::GlobalDetection
-                    && self.home_of(id) != SiteId::COORDINATOR
-                {
-                    self.metrics.messages += 1; // graph maintenance
-                }
-                self.resolve_cycles_in(gi, id, entity)
+                self.resolve(id, entity, false)
             }
         }
+    }
+
+    /// The holders of `entity` whose locks conflict with `id` taking it in
+    /// `mode`.
+    fn incompatible_holders(&self, id: TxnId, entity: EntityId, mode: LockMode) -> Vec<TxnId> {
+        self.kernel
+            .table()
+            .holder_records(entity)
+            .into_iter()
+            .filter(|h| h.txn != id && !mode.compatible_with(h.mode))
+            .map(|h| h.txn)
+            .collect()
     }
 
     /// The WoundWait age key of a transaction: its admission timestamp
@@ -515,252 +456,155 @@ impl DistributedSystem {
         entity: EntityId,
         holders: &[TxnId],
     ) -> Result<(), EngineError> {
-        let my_key = self.wound_key(self.txns.get(&requester).expect("checked"));
+        let my_key = self.wound_key(self.kernel.txn(requester).expect("checked"));
         for &h in holders {
-            let Some(hrt) = self.txns.get(&h) else { continue };
-            if self.wound_key(hrt) <= my_key || !hrt.rollbackable() {
-                continue; // older (or unwoundable) holder: we wait
+            let Some(hrt) = self.kernel.txn(h) else { continue };
+            if self.wound_key(hrt) <= my_key {
+                continue; // older holder: we wait
             }
-            let Some(ideal) = hrt.lock_state_for(entity) else { continue };
-            let target = hrt.reachable_target(self.config.strategy, ideal);
-            let cost = hrt.cost_to_lock_state(target);
-            let ideal_cost = hrt.cost_to_lock_state(ideal);
-            let conflict = hrt.conflict_state_for(ideal);
-            self.execute_rollback(CandidateRollback { txn: h, target, ideal, cost, conflict })?;
+            let Some(rb) = hrt.rollback_candidate(self.config.strategy, entity) else {
+                continue; // unwoundable holder: we wait
+            };
+            self.rollback(rb)?;
             self.metrics.wounds += 1;
-            self.metrics.rollback_overshoot += u64::from(cost - ideal_cost);
             self.charge_remote(h, entity, 1); // wound notification
-            if self.net.active() {
-                let (from, to) = (self.site_of(entity), self.home_of(h));
-                self.net.send_reliable(from, to, "wound", &mut self.metrics);
-            }
+            let (from, to) = (self.site_of(entity), self.home_of(h));
+            self.net.send_reliable(from, to, "wound", &mut self.metrics);
         }
         Ok(())
     }
 
-    /// Detection-based resolution in graph `gi` (the global graph, a
-    /// per-site graph under `SiteOrdered`, or a coordinator-outage
-    /// fallback graph), mirroring the single-site engine's loop.
-    pub(crate) fn resolve_cycles_in(
-        &mut self,
-        gi: usize,
-        causer: TxnId,
-        entity: EntityId,
-    ) -> Result<(), EngineError> {
-        for round in 0..1024 {
-            let rt = self.txns.get(&causer).expect("checked");
-            if rt.phase != Phase::Blocked {
-                return Ok(());
-            }
-            let Some(mode) = self.table.waiting_on(causer, entity).map(|w| w.mode) else {
-                return Ok(());
-            };
-            let holders: Vec<TxnId> = self
-                .table
-                .holder_records(entity)
-                .into_iter()
-                .filter(|h| h.txn != causer && !mode.compatible_with(h.mode))
-                .map(|h| h.txn)
-                .collect();
-            self.graphs[gi].clear_wait(causer);
-            let cycles = cycles_on_wait(&self.graphs[gi], causer, entity, &holders, 64);
-            self.graphs[gi].set_wait(causer, entity, &holders);
-            if cycles.is_empty() {
-                return Ok(());
-            }
-            self.metrics.detected_deadlocks += 1;
-            let event = DeadlockEvent { causer, entity, cycles };
-            let plan = plan_resolution(&event, &self.config.engine_config(), &self.txns);
-            if plan.rollbacks.is_empty() {
-                break;
-            }
-            for rb in &plan.rollbacks {
-                self.execute_rollback(*rb)?;
-                self.metrics.detection_rollbacks += 1;
-            }
-            let _ = round;
-        }
-        Err(EngineError::Stuck { blocked: vec![causer] })
-    }
-
-    pub(crate) fn execute_rollback(&mut self, rb: CandidateRollback) -> Result<(), EngineError> {
-        let victim = rb.txn;
-        let blocked_entity = {
-            let rt = self.txns.get(&victim).ok_or(EngineError::NoSuchTxn(victim))?;
-            (rt.phase == Phase::Blocked).then(|| rt.blocked_on.expect("blocked records entity"))
-        };
-        if let Some(entity) = blocked_entity {
-            let granted = self.table.cancel_wait(victim, entity)?;
-            let gi = self.graph_index(entity);
-            self.graphs[gi].clear_wait(victim);
-            self.process_grants(entity, granted)?;
-            self.refresh_waiters(entity);
-        }
-        let (released, cost) = {
-            let rt = self.txns.get_mut(&victim).expect("checked");
-            let target = rb.target.min(rt.lock_index());
-            let cost = rt.cost_to_lock_state(target);
-            (rt.rollback_to(target)?, cost)
-        };
-        self.metrics.states_lost += u64::from(cost);
-        for ls in released {
-            // A nested wound triggered by an earlier release in this loop
-            // may already have rolled the victim further and released this
-            // entity; the lock table is the source of truth.
-            if self.table.held_by(victim, ls.entity).is_none() {
-                continue;
-            }
-            self.charge_remote(victim, ls.entity, 1);
-            let granted = self.table.release(victim, ls.entity)?;
-            self.process_grants(ls.entity, granted)?;
-            self.sync_entity(ls.entity)?;
-        }
-        Ok(())
-    }
-
-    fn do_unlock(&mut self, id: TxnId, entity: EntityId) -> Result<(), EngineError> {
-        if self.net.active() && !self.remote_rpc(id, entity) {
-            return Ok(()); // unlock could not reach the entity's site yet
-        }
-        let published = {
-            let rt = self.txns.get_mut(&id).expect("checked");
-            rt.complete_unlock(entity)
-        };
-        if let Some(v) = published {
-            self.store.publish(entity, v)?;
-        }
-        self.charge_remote(id, entity, 1);
-        let granted = self.table.release(id, entity)?;
-        self.process_grants(entity, granted)?;
-        self.sync_entity(entity)?;
-        self.metrics.ops_executed += 1;
-        Ok(())
-    }
-
-    fn do_commit(&mut self, id: TxnId) -> Result<(), EngineError> {
-        let held: Vec<EntityId> = {
-            let rt = self.txns.get(&id).expect("checked");
-            rt.held.iter().copied().collect()
-        };
-        for entity in held {
-            // Commit releases one entity per iteration and is re-entrant:
-            // if a site is unreachable the step returns with the remaining
-            // entities still held, and the next scheduling slot resumes
-            // exactly here.
-            if self.net.active() && !self.remote_rpc(id, entity) {
-                return Ok(());
-            }
-            let published = {
-                let rt = self.txns.get_mut(&id).expect("checked");
-                let v = rt.complete_unlock(entity);
-                rt.pc -= 1;
-                rt.state = pr_model::StateIndex::new(rt.state.raw() - 1);
-                v
-            };
-            if let Some(v) = published {
-                self.store.publish(entity, v)?;
-            }
-            self.charge_remote(id, entity, 1);
-            let granted = self.table.release(id, entity)?;
-            self.process_grants(entity, granted)?;
-            self.sync_entity(entity)?;
-        }
-        let rt = self.txns.get_mut(&id).expect("checked");
-        rt.advance();
-        rt.phase = Phase::Committed;
-        self.metrics.ops_executed += 1;
-        self.metrics.commits += 1;
-        Ok(())
-    }
-
-    fn finalize_grant(
-        &mut self,
-        id: TxnId,
-        entity: EntityId,
-        mode: LockMode,
-    ) -> Result<(), EngineError> {
-        let global = self.store.read(entity)?;
-        let rt = self.txns.get_mut(&id).expect("grantee exists");
-        rt.complete_lock(entity, mode, global);
-        self.metrics.ops_executed += 1;
-        Ok(())
-    }
-
-    pub(crate) fn process_grants(
-        &mut self,
-        entity: EntityId,
-        granted: Vec<HeldLock>,
-    ) -> Result<(), EngineError> {
-        let gi = self.graph_index(entity);
-        for h in granted {
-            self.graphs[gi].clear_wait(h.txn);
-            self.finalize_grant(h.txn, entity, h.mode)?;
-            // A remote grantee learns of its grant by a reliable (possibly
-            // duplicated, dedup-suppressed) notification.
-            if self.net.active() {
-                let (from, to) = (self.site_of(entity), self.home_of(h.txn));
-                if from != to {
-                    self.metrics.messages += 1;
-                    self.net.send_reliable(from, to, "grant", &mut self.metrics);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Refreshes waiter arcs and re-applies the wound-wait rule: a newly
-    /// granted *younger* holder must not keep an older waiter waiting, or
-    /// the timestamp invariant (waits only run young → old) breaks and an
-    /// undetectable cycle could form.
-    pub(crate) fn sync_entity(&mut self, entity: EntityId) -> Result<(), EngineError> {
-        self.refresh_waiters(entity);
+    /// Re-applies the wound-wait rule on `entity` after its holders
+    /// changed: a newly granted *younger* holder must not keep an older
+    /// waiter waiting, or the timestamp invariant (waits only run young →
+    /// old) breaks and an undetectable cycle could form.
+    fn enforce_wound_wait(&mut self, entity: EntityId) -> Result<(), EngineError> {
         if self.config.scheme != CrossSiteScheme::WoundWait {
             return Ok(());
         }
         loop {
-            let holders = self.table.holder_records(entity);
-            let mut wound: Option<CandidateRollback> = None;
-            'outer: for w in self.table.waiters_of(entity) {
-                let w_key = match self.txns.get(&w.txn) {
-                    Some(rt) => self.wound_key(rt),
-                    None => continue,
-                };
-                for h in &holders {
-                    if h.txn == w.txn || w.mode.compatible_with(h.mode) {
-                        continue;
-                    }
-                    let Some(hrt) = self.txns.get(&h.txn) else { continue };
-                    if self.wound_key(hrt) > w_key && hrt.rollbackable() {
-                        let Some(ideal) = hrt.lock_state_for(entity) else { continue };
-                        let target = hrt.reachable_target(self.config.strategy, ideal);
-                        let cost = hrt.cost_to_lock_state(target);
-                        let conflict = hrt.conflict_state_for(ideal);
-                        wound =
-                            Some(CandidateRollback { txn: h.txn, target, ideal, cost, conflict });
-                        break 'outer;
-                    }
-                }
-            }
+            let table = self.kernel.table();
+            let holders = table.holder_records(entity);
+            let wound = table.waiters_of(entity).into_iter().find_map(|w| {
+                let w_key = self.wound_key(self.kernel.txn(w.txn)?);
+                holders
+                    .iter()
+                    .filter(|h| h.txn != w.txn && !w.mode.compatible_with(h.mode))
+                    .filter_map(|h| self.kernel.txn(h.txn))
+                    .filter(|hrt| self.wound_key(hrt) > w_key)
+                    .find_map(|hrt| hrt.rollback_candidate(self.config.strategy, entity))
+            });
             let Some(rb) = wound else { return Ok(()) };
-            let ideal_cost = self.txns.get(&rb.txn).expect("checked").cost_to_lock_state(rb.ideal);
-            self.execute_rollback(rb)?;
+            self.rollback(rb)?;
             self.metrics.wounds += 1;
-            self.metrics.rollback_overshoot += u64::from(rb.cost - ideal_cost);
             self.charge_remote(rb.txn, entity, 1);
-            self.refresh_waiters(entity);
         }
     }
 
-    pub(crate) fn refresh_waiters(&mut self, entity: EntityId) {
+    /// Detection-based resolution of `causer`'s wait on `entity`, in the
+    /// graph that tracks the entity (the global graph, or its site's graph
+    /// under `SiteOrdered`) — or, `fallback`, in its site's fallback graph
+    /// while the `GlobalDetection` coordinator is unreachable. The
+    /// fallback resolves same-site cycles only; cross-site cycles stay
+    /// invisible until the coordinator restarts and
+    /// [`Self::reconcile_graphs`] runs.
+    pub(crate) fn resolve(
+        &mut self,
+        causer: TxnId,
+        entity: EntityId,
+        fallback: bool,
+    ) -> Result<(), EngineError> {
+        for _round in 0..MAX_RESOLUTION_ROUNDS {
+            let graph = if fallback {
+                let site = usize::from(self.site_of(entity).raw());
+                self.rebuild_fallback_graph(site);
+                &mut self.fallback[site]
+            } else {
+                let gi = self.graph_index(entity);
+                &mut self.graphs[gi]
+            };
+            let Some((_, plan)) = self.kernel.detect(graph, causer) else {
+                return Ok(());
+            };
+            self.metrics.detected_deadlocks += 1;
+            self.metrics.local_fallback_detections += u64::from(fallback);
+            if plan.rollbacks.is_empty() {
+                break;
+            }
+            for rb in plan.rollbacks {
+                self.rollback(rb)?;
+                self.metrics.detection_rollbacks += 1;
+            }
+        }
+        Err(EngineError::Stuck { blocked: vec![causer] })
+    }
+
+    /// Performs one rollback — a deadlock victim's, a wound, a site-order
+    /// yield, or a crash recovery's — charging the messages its releases
+    /// cost. Returns the states lost.
+    pub(crate) fn rollback(&mut self, rb: CandidateRollback) -> Result<u32, EngineError> {
+        let victim = rb.txn;
+        self.cancel_wait(victim)?;
+        let receipt = self.kernel.rollback(&rb)?;
+        self.metrics.states_lost += u64::from(receipt.cost);
+        self.metrics.rollback_overshoot += u64::from(receipt.overshoot);
+        for ls in &receipt.released {
+            if self.drop_lock(victim, ls.entity)? {
+                self.charge_remote(victim, ls.entity, 1);
+            }
+        }
+        Ok(receipt.cost)
+    }
+
+    /// Cancels `txn`'s pending request, if it has one.
+    pub(crate) fn cancel_wait(&mut self, txn: TxnId) -> Result<(), EngineError> {
+        let Some(entity) = self.kernel.txn(txn).and_then(|rt| rt.blocked_on) else {
+            return Ok(());
+        };
         let gi = self.graph_index(entity);
-        let holders = self.table.holder_records(entity);
-        for w in self.table.waiters_of(entity) {
-            let blockers: Vec<TxnId> = holders
-                .iter()
-                .filter(|h| h.txn != w.txn && !w.mode.compatible_with(h.mode))
-                .map(|h| h.txn)
-                .collect();
-            self.graphs[gi].set_wait(w.txn, entity, &blockers);
+        if let Some((_, promoted)) = self.kernel.cancel_wait(&mut self.graphs[gi], txn)? {
+            self.notify_grants(entity, &promoted);
+        }
+        Ok(())
+    }
+
+    /// Releases, unpublished, a table lock `txn`'s runtime no longer
+    /// records. Returns `false`, doing nothing, if the table has no such
+    /// lock: the entity's site crashed, or a nested wound triggered by an
+    /// earlier release already rolled the victim further — the lock table
+    /// is the source of truth.
+    pub(crate) fn drop_lock(&mut self, txn: TxnId, entity: EntityId) -> Result<bool, EngineError> {
+        if self.kernel.table().held_by(txn, entity).is_none() {
+            return Ok(false);
+        }
+        let gi = self.graph_index(entity);
+        let promoted = self.kernel.release(&mut self.graphs[gi], txn, entity)?;
+        self.after_release(entity, &promoted)?;
+        Ok(true)
+    }
+
+    /// Driver-side follow-up to a release on `entity`: grant
+    /// notifications, then the wound-wait rule on the new holders.
+    fn after_release(
+        &mut self,
+        entity: EntityId,
+        promoted: &[HeldLock],
+    ) -> Result<(), EngineError> {
+        self.notify_grants(entity, promoted);
+        self.enforce_wound_wait(entity)
+    }
+
+    /// Accounts for the waiters a release or cancellation promoted. A
+    /// remote grantee learns of its grant by a reliable (possibly
+    /// duplicated, dedup-suppressed) notification.
+    fn notify_grants(&mut self, entity: EntityId, promoted: &[HeldLock]) {
+        for h in promoted {
+            self.metrics.ops_executed += 1;
+            let (from, to) = (self.site_of(entity), self.home_of(h.txn));
+            if self.net.active() && from != to {
+                self.metrics.messages += 1;
+                self.net.send_reliable(from, to, "grant", &mut self.metrics);
+            }
         }
     }
 
@@ -789,81 +633,27 @@ impl DistributedSystem {
 
     /// Applies a (possibly late, possibly reordered) waits-for update at
     /// the coordinator. The carried snapshot is ignored in favour of
-    /// current lock-table truth — together with per-channel sequence
-    /// numbers this is what makes reordered updates harmless; an update
-    /// whose waiter has since moved on is discarded as stale.
+    /// current lock-table truth (detection re-registers the wait from
+    /// it) — together with per-channel sequence numbers this is what
+    /// makes reordered updates harmless; an update whose waiter has since
+    /// moved on is discarded as stale.
     fn apply_graph_update(&mut self, u: GraphUpdate) -> Result<(), EngineError> {
-        let still_blocked = self
-            .txns
-            .get(&u.waiter)
-            .is_some_and(|rt| rt.phase == Phase::Blocked && rt.blocked_on == Some(u.entity));
+        let still_blocked =
+            self.kernel.txn(u.waiter).is_some_and(|rt| rt.blocked_on == Some(u.entity));
         if !still_blocked {
             self.metrics.stale_updates_discarded += 1;
             return Ok(());
         }
-        let blockers = self.table.blockers_of(u.waiter, u.entity);
-        self.graphs[0].set_wait(u.waiter, u.entity, &blockers);
-        self.resolve_cycles_in(0, u.waiter, u.entity)
-    }
-
-    /// `GlobalDetection` with the coordinator unreachable: track the wait
-    /// in the entity's site-local fallback graph and resolve same-site
-    /// cycles locally. Cross-site cycles stay invisible until the
-    /// coordinator restarts and [`Self::reconcile_graphs`] runs.
-    pub(crate) fn local_fallback(
-        &mut self,
-        causer: TxnId,
-        entity: EntityId,
-    ) -> Result<(), EngineError> {
-        self.degraded = true;
-        let site = usize::from(self.site_of(entity).raw());
-        for _round in 0..1024 {
-            let rt = self.txns.get(&causer).expect("checked");
-            if rt.phase != Phase::Blocked {
-                return Ok(());
-            }
-            let Some(mode) = self.table.waiting_on(causer, entity).map(|w| w.mode) else {
-                return Ok(());
-            };
-            let holders: Vec<TxnId> = self
-                .table
-                .holder_records(entity)
-                .into_iter()
-                .filter(|h| h.txn != causer && !mode.compatible_with(h.mode))
-                .map(|h| h.txn)
-                .collect();
-            self.rebuild_fallback_graph(site);
-            self.fallback[site].clear_wait(causer);
-            let cycles = cycles_on_wait(&self.fallback[site], causer, entity, &holders, 64);
-            if cycles.is_empty() {
-                return Ok(());
-            }
-            self.metrics.detected_deadlocks += 1;
-            self.metrics.local_fallback_detections += 1;
-            let event = DeadlockEvent { causer, entity, cycles };
-            let plan = plan_resolution(&event, &self.config.engine_config(), &self.txns);
-            if plan.rollbacks.is_empty() {
-                break;
-            }
-            for rb in &plan.rollbacks {
-                self.execute_rollback(*rb)?;
-                self.metrics.detection_rollbacks += 1;
-            }
-        }
-        Err(EngineError::Stuck { blocked: vec![causer] })
+        self.resolve(u.waiter, u.entity, false)
     }
 
     /// Rebuilds one site's fallback graph from lock-table truth,
     /// restricted to entities homed at that site.
     fn rebuild_fallback_graph(&mut self, site: usize) {
         let mut g = WaitsForGraph::new();
-        for entity in self.table.entities() {
-            if usize::from(self.site_of(entity).raw()) != site {
-                continue;
-            }
-            for w in self.table.waiters_of(entity) {
-                let blockers = self.table.blockers_of(w.txn, entity);
-                g.set_wait(w.txn, entity, &blockers);
+        for entity in self.kernel.table().entities() {
+            if usize::from(self.site_of(entity).raw()) == site {
+                self.kernel.repoint_waiters(&mut g, entity);
             }
         }
         self.fallback[site] = g;
@@ -881,81 +671,43 @@ impl DistributedSystem {
         for g in &mut self.graphs {
             *g = WaitsForGraph::new();
         }
-        for entity in self.table.entities() {
+        for entity in self.kernel.table().entities() {
             let gi = self.graph_index(entity);
-            for w in self.table.waiters_of(entity) {
-                let blockers = self.table.blockers_of(w.txn, entity);
-                self.graphs[gi].set_wait(w.txn, entity, &blockers);
-            }
+            self.kernel.repoint_waiters(&mut self.graphs[gi], entity);
         }
         let blocked: Vec<(TxnId, EntityId)> = self
-            .txns
+            .kernel
+            .txns()
             .values()
-            .filter(|rt| rt.phase == Phase::Blocked)
-            .map(|rt| (rt.id, rt.blocked_on.expect("blocked transactions record their entity")))
+            .filter_map(|rt| rt.blocked_on.map(|entity| (rt.id, entity)))
             .collect();
         self.metrics.messages += blocked.len() as u64;
         if self.config.scheme == CrossSiteScheme::WoundWait {
             return Ok(()); // prevention: wounds happen at request time
         }
         for (txn, entity) in blocked {
-            // An earlier iteration's resolution may have already rolled
+            // A no-op if an earlier iteration's resolution already rolled
             // this transaction back to Running.
-            if self.txns.get(&txn).is_some_and(|rt| rt.phase == Phase::Blocked) {
-                let gi = self.graph_index(entity);
-                self.resolve_cycles_in(gi, txn, entity)?;
-            }
+            self.resolve(txn, entity, false)?;
         }
         Ok(())
     }
 
     /// Cross-layer consistency sweep used by the chaos harness and the
-    /// fault tests: lock-table invariants, per-transaction workspace
-    /// integrity, phase/lock coherence, and store consistency.
+    /// fault tests: the kernel's table/runtime coherence, per-transaction
+    /// workspace integrity, and store consistency.
     pub fn check_invariants(&self) -> Result<(), String> {
-        self.table.check_invariants()?;
-        self.store.check_consistency().map_err(|e| format!("store: {e}"))?;
-        for rt in self.txns.values() {
+        self.kernel.check_invariants()?;
+        self.kernel.store().check_consistency().map_err(|e| format!("store: {e}"))?;
+        for rt in self.kernel.txns().values() {
             rt.workspace.check_integrity().map_err(|e| format!("{}: {e}", rt.id))?;
-            match rt.phase {
-                Phase::Committed | Phase::Aborted => {
-                    if !rt.held.is_empty() {
-                        return Err(format!("{} settled but still holds locks", rt.id));
-                    }
-                }
-                Phase::Blocked => {
-                    let Some(entity) = rt.blocked_on else {
-                        return Err(format!("{} blocked without an entity", rt.id));
-                    };
-                    if self.table.waiting_on(rt.id, entity).is_none() {
-                        return Err(format!(
-                            "{} blocked on {entity} without a queued request",
-                            rt.id
-                        ));
-                    }
-                }
-                Phase::Running => {}
-            }
-        }
-        for entity in self.table.entities() {
-            for h in self.table.holders_of(entity) {
-                let Some(rt) = self.txns.get(&h) else {
-                    return Err(format!("{entity}: holder {h} has no runtime"));
-                };
-                if matches!(rt.phase, Phase::Committed | Phase::Aborted) {
-                    return Err(format!("{entity}: settled transaction {h} still holds it"));
-                }
-                if !rt.held.contains(&entity) {
-                    return Err(format!("{entity}: holder {h} does not track it as held"));
-                }
-            }
         }
         Ok(())
     }
 
     /// The database.
     pub fn store(&self) -> &GlobalStore {
-        &self.store
+        self.kernel.store()
     }
 
     /// The simulated network (fault trace, virtual clock, liveness).
@@ -970,7 +722,7 @@ impl DistributedSystem {
 
     /// A transaction's runtime.
     pub fn txn(&self, id: TxnId) -> Option<&TxnRuntime> {
-        self.txns.get(&id)
+        self.kernel.txn(id)
     }
 
     /// A transaction's home site.
@@ -1188,6 +940,33 @@ mod tests {
                 "{scheme:?}: ({v0}, {v1}) is not a serial outcome"
             );
         }
+    }
+
+    /// Repair on the distributed engine is Repair, not MCS under another
+    /// label: every state a rollback loses is re-walked from the tape, so
+    /// the per-transaction ledgers account for exactly `states_lost`,
+    /// while commits, final values and rollback depth equal the MCS run's.
+    #[test]
+    fn repair_ledger_reconciles_and_outcome_equals_mcs() {
+        let run = |strategy| {
+            let mut s = sys(CrossSiteScheme::GlobalDetection, strategy);
+            let t1 = s.admit(two_lock(0, 1, 4)).unwrap();
+            let t2 = s.admit(two_lock(1, 0, 4)).unwrap();
+            s.step(t1).unwrap();
+            s.step(t2).unwrap();
+            s.run(&mut RoundRobin::new()).unwrap();
+            assert!(s.all_committed(), "{strategy:?}");
+            let ledger: u64 = [t1, t2]
+                .iter()
+                .map(|t| s.txn(*t).unwrap().repair_ops())
+                .map(|(replayed, reused)| replayed + reused)
+                .sum();
+            (ledger, s.metrics().states_lost, s.metrics().commits, s.store().snapshot())
+        };
+        let (ledger, lost, commits, snapshot) = run(StrategyKind::Repair);
+        assert!(lost > 0, "the opposed pair must deadlock");
+        assert_eq!(ledger, lost, "every lost state is replayed or reused");
+        assert_eq!(run(StrategyKind::Mcs), (0, lost, commits, snapshot));
     }
 
     #[test]

@@ -29,7 +29,6 @@ use crate::engine::{CrossSiteScheme, DistributedSystem};
 use crate::site::SiteId;
 use pr_core::runtime::Phase;
 use pr_core::EngineError;
-use pr_graph::CandidateRollback;
 use pr_lock::HeldLock;
 use pr_model::{EntityId, TxnId};
 
@@ -45,23 +44,27 @@ impl DistributedSystem {
         // Phase 1 — evict the dead site's lock slots wholesale, *before*
         // touching any transaction: releases performed while aborting
         // below must not promote waiters into grants on a dead site.
+        // Evicted waiters lose no state (a partial rollback of cost zero,
+        // conceptually): they re-issue the request, and stall on the down
+        // site until it restarts.
         let mut expired: Vec<(EntityId, HeldLock)> = Vec::new();
-        for entity in self.table.entities() {
+        for entity in self.kernel.table().entities() {
             if self.site_of(entity) != site {
                 continue;
             }
-            let (holders, waiters) = self.table.evict_entity(entity);
-            for h in holders {
-                expired.push((entity, h));
-            }
+            let (holders, waiters) = self.kernel.evict(entity);
+            expired.extend(holders.into_iter().map(|h| (entity, h)));
             for w in waiters {
-                self.unblock_waiter(w.txn, entity);
+                for g in &mut self.graphs {
+                    g.clear_wait(w.txn);
+                }
             }
         }
 
         // Phase 2 — abort every unsettled transaction homed at the site.
         let homed: Vec<TxnId> = self
-            .txns
+            .kernel
+            .txns()
             .values()
             .filter(|rt| {
                 self.home.get(&rt.id) == Some(&site)
@@ -75,39 +78,24 @@ impl DistributedSystem {
 
         // Phase 3 — expire surviving transactions' grants at the site.
         for (entity, held) in expired {
-            let Some(rt) = self.txns.get(&held.txn) else { continue };
-            if matches!(rt.phase, Phase::Committed | Phase::Aborted) {
-                continue; // aborted in phase 2
-            }
+            let txn = held.txn;
+            let Some(rt) = self.kernel.txn(txn) else { continue };
+            // Aborted in phase 2, or an earlier recovery rollback already
+            // shed the lock.
             if !rt.held.contains(&entity) {
-                continue; // an earlier recovery rollback already shed it
+                continue;
             }
             self.metrics.expired_grants += 1;
-            if rt.rollbackable() {
-                let ideal =
-                    rt.lock_state_for(entity).expect("holder records a lock state for its entity");
-                let target = rt.reachable_target(self.config.strategy, ideal);
-                let cost = rt.cost_to_lock_state(target);
-                let ideal_cost = rt.cost_to_lock_state(ideal);
-                let conflict = rt.conflict_state_for(ideal);
-                self.execute_rollback(CandidateRollback {
-                    txn: held.txn,
-                    target,
-                    ideal,
-                    cost,
-                    conflict,
-                })?;
+            if let Some(rb) = rt.rollback_candidate(self.config.strategy, entity) {
+                let cost = self.rollback(rb)?;
                 self.metrics.recovery_rollbacks += 1;
                 self.metrics.recovery_states_lost += u64::from(cost);
-                self.metrics.rollback_overshoot += u64::from(cost - ideal_cost);
             } else {
                 // Shrinking phase: 2PL forbids rolling back, so the grant
                 // is re-asserted at the recovering site instead. The slot
                 // was just evicted, so only fellow reinstated (compatible,
                 // shared) survivors can coexist in it.
-                let txn = held.txn;
-                self.table.reinstate(entity, held).map_err(pr_core::EngineError::from)?;
-                self.txns.get_mut(&txn).expect("checked").held.insert(entity);
+                self.kernel.reinstate(entity, held)?;
                 self.charge_remote(txn, entity, 1); // re-assertion message
             }
         }
@@ -128,54 +116,16 @@ impl DistributedSystem {
         Ok(())
     }
 
-    /// Returns an evicted waiter to `Running` so it re-issues its request;
-    /// no state is lost (partial rollback of cost zero, conceptually).
-    fn unblock_waiter(&mut self, txn: TxnId, entity: EntityId) {
-        for g in &mut self.graphs {
-            g.clear_wait(txn);
-        }
-        if let Some(rt) = self.txns.get_mut(&txn) {
-            if rt.phase == Phase::Blocked && rt.blocked_on == Some(entity) {
-                rt.phase = Phase::Running;
-                rt.blocked_on = None;
-            }
-        }
-    }
-
     /// Aborts a transaction whose home site (and with it the workspace)
     /// is gone: total rollback with nothing published.
     fn abort_for_crash(&mut self, txn: TxnId) -> Result<(), EngineError> {
-        if let Some(entity) = {
-            let rt = self.txns.get(&txn).expect("caller filtered");
-            (rt.phase == Phase::Blocked).then_some(rt.blocked_on).flatten()
-        } {
-            // The waited-on slot may itself have been evicted in phase 1.
-            if self.table.waiting_on(txn, entity).is_some() {
-                let granted = self.table.cancel_wait(txn, entity)?;
-                self.process_grants(entity, granted)?;
-                self.refresh_waiters(entity);
-            }
-        }
-        for g in &mut self.graphs {
-            g.clear_wait(txn);
-        }
-        let held: Vec<EntityId> = {
-            let rt = self.txns.get(&txn).expect("checked");
-            rt.held.iter().copied().collect()
-        };
+        self.cancel_wait(txn)?;
+        let held: Vec<EntityId> = self.kernel.txns()[&txn].held.iter().copied().collect();
         for entity in held {
             // Grants at the crashed site itself were evicted in phase 1.
-            if self.table.held_by(txn, entity).is_none() {
-                continue;
-            }
-            let granted = self.table.release(txn, entity)?;
-            self.process_grants(entity, granted)?;
-            self.sync_entity(entity)?;
+            self.drop_lock(txn, entity)?;
         }
-        let rt = self.txns.get_mut(&txn).expect("checked");
-        rt.held.clear();
-        rt.phase = Phase::Aborted;
-        rt.blocked_on = None;
+        self.kernel.abort(txn)?;
         self.metrics.crash_aborts += 1;
         Ok(())
     }

@@ -58,10 +58,10 @@ use crate::wfg::EpochGraph;
 use crate::word::{EntitySlab, FastPath};
 use pr_core::deadlock::{plan_resolution, DeadlockEvent};
 use pr_core::runtime::{Phase, TxnRuntime};
-use pr_core::{Metrics, StrategyKind};
+use pr_core::Metrics;
 use pr_graph::{CandidateRollback, Cycle};
 use pr_lock::RequestOutcome;
-use pr_model::{EntityId, LockIndex, LockMode, Op, StateIndex, TransactionProgram, TxnId, Value};
+use pr_model::{EntityId, LockMode, Op, TransactionProgram, TxnId, Value};
 use pr_storage::GlobalStore;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -198,29 +198,18 @@ impl Core<'_> {
                 Op::Unlock(entity) => {
                     g = self.op_unlock(g, id, entity, local)?;
                 }
-                Op::Read { entity, into } => {
-                    // 2PL: the program holds a lock on `entity` here, so
-                    // the slab's published value cannot change under us.
-                    let global = self.slab.read(entity);
-                    g.rt.exec_read(entity, into, global)?;
-                    local.ops_executed += 1;
-                }
-                Op::Write { entity, expr } => {
-                    g.rt.exec_write(entity, &expr)?;
-                    local.ops_executed += 1;
-                    local.peak_copies = local.peak_copies.max(g.rt.copies());
-                }
-                Op::Assign { var, expr } => {
-                    g.rt.exec_assign(var, &expr)?;
-                    local.ops_executed += 1;
-                }
-                Op::Compute(expr) => {
-                    g.rt.exec_compute(&expr);
-                    local.ops_executed += 1;
-                }
                 Op::Commit => {
                     self.op_commit(g, id, local, acc)?;
                     return Ok(());
+                }
+                op => {
+                    // 2PL: a `Read` holds a lock on its entity here, so
+                    // the slab's published value cannot change under us.
+                    g.rt.exec_local(&op, |entity| Ok(self.slab.read(entity)))?;
+                    local.ops_executed += 1;
+                    if matches!(op, Op::Write { .. }) {
+                        local.peak_copies = local.peak_copies.max(g.rt.copies());
+                    }
                 }
             }
         }
@@ -514,25 +503,10 @@ impl Core<'_> {
         // Steps 2–5: runtime/workspace rollback, then lock releases
         // without publishing (§4's deferred update — the database still
         // holds the pre-lock globals).
-        let target = rb.target.min(vs.rt.lock_index());
-        let ideal = rb.ideal.min(vs.rt.lock_index());
-        let cost = vs.rt.cost_to_lock_state(target);
-        let ideal_cost = vs.rt.cost_to_lock_state(ideal);
-        let released = vs.rt.rollback_to(target)?;
-        local.states_lost += u64::from(cost);
-        local.rollback_overshoot += u64::from(cost - ideal_cost);
-        if target == LockIndex::ZERO {
-            local.total_rollbacks += 1;
-        } else {
-            local.partial_rollbacks += 1;
-        }
-        if self.config.system.strategy == StrategyKind::Repair {
-            local.repairs += 1;
-            local.repair_suffix.record(u64::from(cost));
-        }
-        local.record_preemption(victim);
+        let receipt = vs.rt.rollback(&rb)?;
+        local.record_rollback(victim, self.config.system.strategy, &receipt);
         local.peak_copies = local.peak_copies.max(vs.rt.copies());
-        for ls in &released {
+        for ls in &receipt.released {
             vs.stamps.remove(&ls.entity);
             // The victim's hold may be a fast-path grant (lock word) or a
             // table grant; release_lock handles both, never publishing.
@@ -543,7 +517,7 @@ impl Core<'_> {
             // it so it resumes from the reset pc.
             to_wake.insert(victim);
         }
-        Ok(u64::from(cost))
+        Ok(u64::from(receipt.cost))
     }
 
     /// One unlock operation: publish (exclusive), release, re-point
@@ -575,15 +549,14 @@ impl Core<'_> {
         let held_entities: Vec<EntityId> = g.rt.held.iter().copied().collect();
         let mut to_wake: Vec<TxnId> = Vec::new();
         for entity in held_entities {
-            let published = g.rt.complete_unlock(entity);
-            // Commit-time releases are not separate operations; undo the
-            // advance (as the deterministic engine does).
-            g.rt.pc -= 1;
-            g.rt.state = StateIndex::new(g.rt.state.raw() - 1);
+            let published = g.rt.commit_release(entity);
             to_wake.extend(self.release_lock(id, entity, published)?);
         }
-        g.rt.advance();
-        g.rt.phase = Phase::Committed;
+        // Harvest the repair ledger at commit: the per-worker totals merge
+        // into the run-level metrics.
+        let (replayed, reused) = g.rt.finish_commit();
+        local.ops_replayed += replayed;
+        local.ops_reused += reused;
         acc.extend(g.rt.lock_states.iter().map(|ls| CommittedAccess {
             txn: id,
             entity: ls.entity,
@@ -592,11 +565,6 @@ impl Core<'_> {
         }));
         local.ops_executed += 1;
         local.commits += 1;
-        // Harvest the repair ledger at commit, mirroring the deterministic
-        // engine: the per-worker totals merge into the run-level metrics.
-        let (replayed, reused) = g.rt.repair_ops();
-        local.ops_replayed += replayed;
-        local.ops_reused += reused;
         drop(g);
         self.wake_all(to_wake);
         Ok(())

@@ -23,7 +23,7 @@ usage: pr-load [MODE] [OPTIONS]
 modes (default: drive one load cell and oracle-check it)
   --crash-soak N       seeded in-process crash-injection battery (N cases)
   --probe-malformed ADDR  malformed-frame protocol probe (exit 0 = contract held)
-  --soak               extended randomized soak, multi-process, both policies
+  --soak               the 12k-client oracle-checked soak cell, multi-process
   --shutdown ADDR      drain a live server and report its commit count
   --child              internal: one process's share of a --procs run
 options
@@ -38,7 +38,7 @@ options
   --seed N             workload seed (default 1)
   --client-base N      first global client id (child mode)
   --procs N            worker processes; >1 self-hosts and fans out (default 1)
-  --policy NAME        self-hosted grant policy: barging | fair-queue | ordered
+  --policy NAME        self-hosted grant policy: barging | fair-queue
   --strategy NAME      self-hosted rollback strategy:
                        total | mcs | sdg | repair | bounded-K (default mcs)
   --threads N          self-hosted engine threads per batch (default 8)
@@ -139,8 +139,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--policy" => {
                 let name = value("--policy")?;
-                o.policy = GrantPolicy::parse(name)
-                    .ok_or_else(|| format!("unknown grant policy {name:?}"))?;
+                o.policy = pr_server::server::parse_grant_policy(name)?;
             }
             "--strategy" => {
                 let name = value("--strategy")?;
@@ -418,8 +417,8 @@ fn run_default(o: &Options) -> ExitCode {
 
 /// The nightly crash-injection battery: `cases` seeded in-process crash
 /// points over the [`pr_server::crashsim`] harness, sweeping flush
-/// policy, grant policy, engine threads, page-cache-loss mode, and the
-/// crash byte offset. Every case asserts the full durability contract
+/// policy, engine threads, page-cache-loss mode, and the crash byte
+/// offset. Every case asserts the full durability contract
 /// (acknowledged ⇒ replayed within the policy's loss window,
 /// all-or-nothing recovery, idempotent replay). A failure writes its
 /// reproduction recipe to `crash-soak-failure.txt` for artifact upload.
@@ -435,7 +434,7 @@ fn run_crash_soak(o: &Options, cases: usize) -> ExitCode {
         let flush =
             ["per-batch", "every-4", "off"][i % 3].parse().expect("soak flush policies are valid");
         let mut system = SystemConfig::new(o.strategy, VictimPolicyKind::PartialOrder);
-        system.grant_policy = [GrantPolicy::FairQueue, GrantPolicy::Ordered][(i / 3) % 2];
+        system.grant_policy = o.policy;
         let lose_unsynced = (i / 6) % 2 == 1;
         let cfg = SimConfig { seed, flush, system, threads: 1 + i % 2, ..SimConfig::default() };
 
@@ -564,55 +563,49 @@ fn run_probe(addr: &str) -> ExitCode {
 // Soak
 // ---------------------------------------------------------------------------
 
-/// The nightly soak: the 10k+-client cell under both grant policies,
-/// multi-process, fully oracle-checked. A failure writes the cell's
-/// reproduction recipe to `soak-failure-<policy>.txt` for CI artifact
-/// upload.
+/// The nightly soak: the 10k+-client cell, multi-process, fully
+/// oracle-checked. A failure writes the cell's reproduction recipe to
+/// `soak-failure-<policy>.txt` for CI artifact upload.
 fn run_soak(o: &Options) -> ExitCode {
     let start = Instant::now();
-    for policy in [GrantPolicy::FairQueue, GrantPolicy::Ordered] {
-        let cell_o = Options {
-            mode: Mode::Run,
-            connect: None,
-            load: LoadConfig {
-                clients: 12_288,
-                txns_per_client: 2,
-                zipf_centi: 120,
-                clients_per_conn: 1024,
-                ..o.load.clone()
-            },
-            policy,
-            strategy: o.strategy,
-            threads: o.threads,
-            batch_max: o.batch_max,
-            batch_deadline_us: o.batch_deadline_us,
-            procs: o.procs.max(2),
-            oracle: true,
-            durability: o.durability.clone(),
-        };
-        match run_cell(&cell_o) {
-            Ok(cell) => {
-                print_cell(&cell_o, &cell);
-                let expected = (cell_o.load.clients * cell_o.load.txns_per_client) as u64;
-                if cell.result.commits == expected {
-                    continue;
-                }
-                let why = format!(
+    let cell_o = Options {
+        mode: Mode::Run,
+        connect: None,
+        load: LoadConfig {
+            clients: 12_288,
+            txns_per_client: 2,
+            zipf_centi: 120,
+            clients_per_conn: 1024,
+            ..o.load.clone()
+        },
+        policy: o.policy,
+        strategy: o.strategy,
+        threads: o.threads,
+        batch_max: o.batch_max,
+        batch_deadline_us: o.batch_deadline_us,
+        procs: o.procs.max(2),
+        oracle: true,
+        durability: o.durability.clone(),
+    };
+    let expected = (cell_o.load.clients * cell_o.load.txns_per_client) as u64;
+    let failure = match run_cell(&cell_o) {
+        Ok(cell) => {
+            print_cell(&cell_o, &cell);
+            (cell.result.commits != expected).then(|| {
+                format!(
                     "expected {expected} commits, saw {} ({} aborted)",
                     cell.result.commits, cell.result.aborted
-                );
-                write_soak_trace(&cell_o, &why);
-                eprintln!("pr-load: SOAK FAILED ({}): {why}", policy.name());
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                write_soak_trace(&cell_o, &e);
-                eprintln!("pr-load: SOAK FAILED ({}): {e}", policy.name());
-                return ExitCode::FAILURE;
-            }
+                )
+            })
         }
+        Err(e) => Some(e),
+    };
+    if let Some(why) = failure {
+        write_soak_trace(&cell_o, &why);
+        eprintln!("pr-load: SOAK FAILED ({}): {why}", o.policy.name());
+        return ExitCode::FAILURE;
     }
-    println!("soak passed: both policies clean in {:.1}s", start.elapsed().as_secs_f64());
+    println!("soak passed: clean in {:.1}s", start.elapsed().as_secs_f64());
     ExitCode::SUCCESS
 }
 

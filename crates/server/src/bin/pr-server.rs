@@ -24,7 +24,7 @@ usage: pr-server [OPTIONS]
   --shards N           lock-table shards (default 0 = auto)
   --strategy NAME      rollback strategy: total | mcs | sdg (default mcs)
   --victim NAME        victim policy: min-cost | partial-order | youngest | causer
-  --policy NAME        grant policy: barging | fair-queue | ordered (default fair-queue)
+  --policy NAME        grant policy: barging | fair-queue (default fair-queue)
   --batch-max N        group-commit flush threshold (default 256)
   --batch-deadline-us N  group-commit deadline in microseconds (default 2000)
   --no-fast-path       force every lock through the shard-mutex path
@@ -80,8 +80,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--policy" => {
                 let name = value("--policy")?;
-                system.grant_policy = GrantPolicy::parse(name)
-                    .ok_or_else(|| format!("unknown grant policy {name:?}"))?;
+                system.grant_policy = pr_server::server::parse_grant_policy(name)?;
             }
             "--batch-max" => {
                 config.batch_max =
@@ -188,9 +187,11 @@ mod tests {
     fn parse_options_accepts_sized_servers_and_rejects_empty_ones() {
         assert_eq!(parsed(&[]), Ok((8, GrantPolicy::FairQueue)));
         assert_eq!(
-            parsed(&["--threads", "2", "--policy", "ordered"]),
-            Ok((2, GrantPolicy::Ordered))
+            parsed(&["--threads", "2", "--policy", "barging"]),
+            Ok((2, GrantPolicy::Barging))
         );
+        let ordered = parsed(&["--policy", "ordered"]).unwrap_err();
+        assert!(ordered.contains("deterministic engine and the explorer only"), "{ordered}");
         let rejected: [(&[&str], &str); 3] = [
             (&["--threads", "0"], "--threads needs at least 1"),
             (&["--policy", "fair"], "unknown grant policy \"fair\""),

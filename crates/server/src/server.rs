@@ -34,7 +34,7 @@ use crate::wire::{
     decode_request, encode_reply, frame, AbortReason, FrameAssembler, Reply, Request,
     HISTORY_CHUNK_ACCESSES,
 };
-use pr_core::{ServerMetrics, SystemConfig};
+use pr_core::{GrantPolicy, ServerMetrics, SystemConfig};
 use pr_model::Value;
 use pr_model::{TransactionProgram, TxnId};
 use pr_par::{CommittedAccess, FastPathStats, ParConfig, ParError, Session};
@@ -45,6 +45,20 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Parses a `--policy` value for the threaded stack (`pr-server`,
+/// `pr-load`). `ordered` is refused: the threaded engine installs no
+/// acquisition-order certificate, so it would run the fair queue under
+/// another name.
+pub fn parse_grant_policy(name: &str) -> Result<GrantPolicy, String> {
+    match GrantPolicy::parse(name) {
+        Some(GrantPolicy::Ordered) => Err("grant policy \"ordered\" is not available here: \
+             certificates are honoured by the deterministic engine and the explorer only"
+            .into()),
+        Some(policy) => Ok(policy),
+        None => Err(format!("unknown grant policy {name:?}")),
+    }
+}
 
 /// Everything the server needs to come up.
 #[derive(Clone, Debug)]

@@ -10,7 +10,7 @@
 //! * a graceful drain loses nothing under any policy.
 //!
 //! The full boundary sweep runs under `per-batch` (the strict policy);
-//! `every-N`, `off`, the Ordered grant policy, and a two-thread engine
+//! `every-N`, `off`, the FairQueue grant policy, and a two-thread engine
 //! each get a coarser sweep. The battery asserts it exercised at least
 //! 100 distinct crash cases, the acceptance floor for this invariant.
 
@@ -78,12 +78,12 @@ fn crash_matrix_proves_durability_at_every_record_boundary() {
     let coarse: Vec<u64> = bounds.iter().copied().step_by(2).collect();
     total_cases += sweep(&off, &coarse, &[false, true]);
 
-    // --- Ordered grant policy: different commit interleavings -----------
-    let system = SystemConfig { grant_policy: GrantPolicy::Ordered, ..SystemConfig::default() };
-    let ordered = SimConfig { system, seed: 7, ..SimConfig::default() };
-    let (bounds, _) = survey(&ordered);
+    // --- FairQueue grant policy: different commit interleavings ---------
+    let system = SystemConfig { grant_policy: GrantPolicy::FairQueue, ..SystemConfig::default() };
+    let fair = SimConfig { system, seed: 7, ..SimConfig::default() };
+    let (bounds, _) = survey(&fair);
     let coarse: Vec<u64> = bounds.iter().copied().step_by(2).collect();
-    total_cases += sweep(&ordered, &coarse, &[true]);
+    total_cases += sweep(&fair, &coarse, &[true]);
 
     // --- two engine threads: non-deterministic scheduling ----------------
     // (the harness records its own run as ground truth, so the check is

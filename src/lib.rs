@@ -56,11 +56,11 @@
 //! | [`storage`] | the global store, MCS version stacks, single-copy workspaces |
 //! | [`lock`] | the shared/exclusive lock table |
 //! | [`graph`] | waits-for graph, cycle enumeration, min-cost cut sets, state-dependency graphs |
-//! | [`core`] | the execution engine: strategies, victim policies, metrics |
+//! | [`core`] | the transition kernel and the execution engine: strategies, victim policies, metrics |
 //! | [`par`] | the multi-threaded sharded-lock-table executor and its stamped access history |
 //! | [`sim`] | workload generators, experiment sweeps, the paper's figures, the differential serializability oracle |
 //! | [`server`] | the networked front end: wire protocol, group-commit batching, the `pr-server`/`pr-load` CLIs |
-//! | [`dist`] | the §3.3 multi-site extension: schemes, message accounting |
+//! | [`dist`] | the §3.3 multi-site extension, a driver over the `pr-core` kernel: schemes, message accounting |
 //! | [`analyze`] | static workload lint: deadlock-cycle detection, rollback-cost diagnostics, the `pr-lint` CLI |
 //! | [`explore`] | bounded model checker: exhaustive schedule enumeration with brute-force optimality oracles, the `explore` CLI |
 
@@ -80,8 +80,8 @@ pub use pr_storage as storage;
 pub mod prelude {
     pub use pr_core::scheduler::{RoundRobin, Scheduler, Scripted};
     pub use pr_core::{
-        EngineError, GrantPolicy, Metrics, MetricsSnapshot, StepOutcome, StrategyKind, System,
-        SystemConfig, VictimPolicyKind,
+        EngineError, GrantPolicy, Metrics, StepOutcome, StrategyKind, System, SystemConfig,
+        VictimPolicyKind,
     };
     pub use pr_model::{
         EntityId, Expr, LockIndex, LockMode, Op, ProgramBuilder, StateIndex, TransactionProgram,
