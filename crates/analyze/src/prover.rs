@@ -479,6 +479,59 @@ mod tests {
         parsed.verify(&programs).unwrap();
     }
 
+    /// Certificates outlive the process that issued them, and their
+    /// `content_hash` is a hash of `Debug` output: this one was serialized
+    /// while `Expr` still boxed its operands (leaf, `var ± const` and
+    /// depth-3 nested expressions), and must verify for ever.
+    #[test]
+    fn certificate_from_the_boxed_representation_still_verifies() {
+        use pr_model::{Expr, Op, VarId};
+        const ISSUED: &str = concat!(
+            r#"{"schema":"pr-certificate-v1","workload":"pinned","order":[0,1,2],"programs":["#,
+            "\n",
+            r#"{"txn":0,"content_hash":"3378331c70f42349","sequence":[[0,0,0],[3,1,1]]},"#,
+            "\n",
+            r#"{"txn":1,"content_hash":"46cfbd465872eb70","sequence":[[0,1,1],[2,2,2]]}"#,
+            "\n]}\n",
+        );
+        let v = VarId::new;
+        let e = EntityId::new;
+        let programs = [
+            TransactionProgram::try_from(vec![
+                Op::LockExclusive(e(0)),
+                Op::Read { entity: e(0), into: v(0) },
+                Op::Compute(Expr::add(Expr::var(v(0)), Expr::lit(1))),
+                Op::LockShared(e(1)),
+                Op::Read { entity: e(1), into: v(1) },
+                Op::Assign {
+                    var: v(2),
+                    expr: Expr::mul(
+                        Expr::sub(Expr::add(Expr::var(v(1)), Expr::lit(2)), Expr::var(v(0))),
+                        Expr::add(Expr::lit(-3), Expr::mul(Expr::var(v(2)), Expr::var(v(2)))),
+                    ),
+                },
+                Op::Write { entity: e(0), expr: Expr::sub(Expr::var(v(2)), Expr::lit(-4)) },
+                Op::Unlock(e(0)),
+                Op::Unlock(e(1)),
+                Op::Commit,
+            ])
+            .unwrap(),
+            TransactionProgram::try_from(vec![
+                Op::LockExclusive(e(1)),
+                Op::Write { entity: e(1), expr: Expr::lit(9) },
+                Op::LockExclusive(e(2)),
+                Op::Write {
+                    entity: e(2),
+                    expr: Expr::mul(Expr::lit(3), Expr::add(Expr::lit(1), Expr::lit(2))),
+                },
+                Op::Commit,
+            ])
+            .unwrap(),
+        ];
+        Certificate::from_json(ISSUED).unwrap().verify(&programs).unwrap();
+        assert_eq!(prove("pinned", &programs).certificate().unwrap().to_json(), ISSUED);
+    }
+
     #[test]
     fn verify_rejects_tampering() {
         let programs = [xprog("ab"), xprog("bc")];

@@ -18,6 +18,7 @@ use pr_lock::{EntityOrder, GrantPolicy, HeldLock, LockTable, RequestOutcome};
 use pr_model::{EntityId, LockMode, Op, TransactionProgram, TxnId};
 use pr_storage::GlobalStore;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Result of stepping one transaction.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -240,13 +241,16 @@ impl System {
         if rt.phase != Phase::Running {
             return Err(EngineError::NotRunnable(id));
         }
-        let op = rt.program.op(rt.pc).cloned().ok_or(EngineError::NotRunnable(id))?;
-        let result = match op {
+        // Program text is shared, never copied: hold it by reference count
+        // so the op can be borrowed across the `&mut self` handlers.
+        let program = Arc::clone(&rt.program);
+        let op = program.op(rt.pc).ok_or(EngineError::NotRunnable(id))?;
+        let result = match *op {
             Op::LockShared(entity) => self.do_lock(id, entity, LockMode::Shared),
             Op::LockExclusive(entity) => self.do_lock(id, entity, LockMode::Exclusive),
             Op::Unlock(entity) => self.do_unlock(id, entity),
             Op::Commit => self.do_commit(id),
-            local => self.kernel.exec_local(id, &local).map(|()| {
+            ref local => self.kernel.exec_local(id, local).map(|()| {
                 self.metrics.ops_executed += 1;
                 if matches!(local, Op::Write { .. } | Op::Assign { .. }) {
                     self.update_peak_copies_for(id);

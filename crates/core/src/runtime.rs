@@ -178,6 +178,12 @@ pub struct RepairState {
 }
 
 impl RepairState {
+    /// A fresh state whose tape is reserved for a program of `ops`
+    /// operations, so [`Self::record`] never reallocates mid-transaction.
+    fn for_program_len(ops: usize) -> Self {
+        RepairState { tape: Vec::with_capacity(ops), ..RepairState::default() }
+    }
+
     fn record(&mut self, pc: usize, value: Value) {
         if self.tape.len() <= pc {
             self.tape.resize(pc + 1, None);
@@ -268,6 +274,8 @@ impl TxnRuntime {
         // rollback targets.
         let sdg = matches!(strategy, StrategyKind::Sdg | StrategyKind::Bounded(_))
             .then(StateDependencyGraph::new);
+        let repair = (strategy == StrategyKind::Repair)
+            .then(|| Box::new(RepairState::for_program_len(program.len())));
         TxnRuntime {
             id,
             program,
@@ -284,7 +292,7 @@ impl TxnRuntime {
             states_lost: 0,
             blocked_on: None,
             held: BTreeSet::new(),
-            repair: (strategy == StrategyKind::Repair).then(Box::default),
+            repair,
         }
     }
 
@@ -585,10 +593,8 @@ impl TxnRuntime {
             return value;
         }
         let recorded = rep.recorded(pc);
-        let inputs_clean = rep
-            .replay
-            .as_ref()
-            .is_some_and(|r| !expr.variables().iter().any(|v| r.tainted.contains(v)));
+        let inputs_clean =
+            rep.replay.as_ref().is_some_and(|r| !expr.any_var(|v| r.tainted.contains(&v)));
         let value = match recorded {
             Some(v) if inputs_clean => {
                 rep.ops_reused += 1;

@@ -19,6 +19,7 @@ use pr_lock::{HeldLock, RequestOutcome};
 use pr_model::{EntityId, LockIndex, LockMode, Op, TransactionProgram, TxnId};
 use pr_storage::GlobalStore;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// How cross-site deadlocks are kept at bay (§3.3).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -285,8 +286,11 @@ impl DistributedSystem {
             }
             return Err(EngineError::NotRunnable(id));
         }
-        let op = rt.program.op(rt.pc).cloned().ok_or(EngineError::NotRunnable(id))?;
-        match op {
+        // Program text is shared, never copied: hold it by reference count
+        // so the op can be borrowed across the `&mut self` handlers.
+        let program = Arc::clone(&rt.program);
+        let op = program.op(rt.pc).ok_or(EngineError::NotRunnable(id))?;
+        match *op {
             Op::LockShared(e) => self.do_lock(id, e, LockMode::Shared),
             Op::LockExclusive(e) => self.do_lock(id, e, LockMode::Exclusive),
             Op::Unlock(entity) => {
@@ -319,14 +323,14 @@ impl DistributedSystem {
                 self.metrics.commits += 1;
                 Ok(())
             }
-            local => {
-                if let Op::Read { entity, .. } = local {
+            ref local => {
+                if let Op::Read { entity, .. } = *local {
                     if !self.remote_rpc(id, entity) {
                         return Ok(());
                     }
                     self.charge_remote(id, entity, 1); // remote read fetch
                 }
-                self.kernel.exec_local(id, &local)?;
+                self.kernel.exec_local(id, local)?;
                 self.metrics.ops_executed += 1;
                 Ok(())
             }

@@ -35,6 +35,6 @@ pub use builder::ProgramBuilder;
 pub use error::{ModelError, Violation};
 pub use ids::{EntityId, LockIndex, StateIndex, TxnId, VarId};
 pub use interpret::{run_solo, SoloOutcome};
-pub use op::{Expr, LockMode, Op};
+pub use op::{Expr, LockMode, Op, Operand};
 pub use program::TransactionProgram;
 pub use value::Value;

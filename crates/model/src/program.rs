@@ -13,12 +13,18 @@ use crate::op::{LockMode, Op};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A static transaction program.
+///
+/// The text is immutable and reference-counted: a clone shares the
+/// operations and initial values instead of copying them, so every layer
+/// that hands a program on (batching, admission, the explorer's forks)
+/// pays two reference-count bumps however long the program is.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct TransactionProgram {
-    ops: Vec<Op>,
-    initial_vars: Vec<Value>,
+    ops: Arc<[Op]>,
+    initial_vars: Arc<[Value]>,
 }
 
 impl TransactionProgram {
@@ -27,7 +33,7 @@ impl TransactionProgram {
     /// Use [`crate::validate::validate`] (or [`crate::ProgramBuilder`],
     /// which validates on `build`) before handing a program to the engine.
     pub fn from_parts(ops: Vec<Op>, initial_vars: Vec<Value>) -> Self {
-        TransactionProgram { ops, initial_vars }
+        TransactionProgram { ops: ops.into(), initial_vars: initial_vars.into() }
     }
 
     /// The operation sequence.
@@ -112,7 +118,7 @@ impl TransactionProgram {
     /// Entities the program ever locks (deduplicated, program order).
     pub fn locked_entities(&self) -> Vec<EntityId> {
         let mut seen = Vec::new();
-        for op in &self.ops {
+        for op in self.ops.iter() {
             if let Some((e, _)) = op.lock_request() {
                 if !seen.contains(&e) {
                     seen.push(e);
@@ -125,7 +131,7 @@ impl TransactionProgram {
     /// Entities the program writes (deduplicated, program order).
     pub fn written_entities(&self) -> Vec<EntityId> {
         let mut seen = Vec::new();
-        for op in &self.ops {
+        for op in self.ops.iter() {
             if let Op::Write { entity, .. } = op {
                 if !seen.contains(entity) {
                     seen.push(*entity);
@@ -138,7 +144,7 @@ impl TransactionProgram {
     /// The strongest lock mode the program ever requests for `entity`.
     pub fn lock_mode_for(&self, entity: EntityId) -> Option<LockMode> {
         let mut mode = None;
-        for op in &self.ops {
+        for op in self.ops.iter() {
             if let Some((e, m)) = op.lock_request() {
                 if e == entity {
                     mode = match (mode, m) {
@@ -161,7 +167,7 @@ impl TransactionProgram {
                 _ => v,
             });
         };
-        for op in &self.ops {
+        for op in self.ops.iter() {
             if let Some(v) = op.written_var() {
                 bump(v);
             }
@@ -207,9 +213,9 @@ impl TryFrom<Vec<Op>> for TransactionProgram {
     /// Builds a program with enough zero-initialised local variables for
     /// every reference, then validates it.
     fn try_from(ops: Vec<Op>) -> Result<Self, ModelError> {
-        let tmp = TransactionProgram::from_parts(ops, Vec::new());
-        let nvars = tmp.max_var_referenced().map_or(0, |v| v.index() + 1);
-        let prog = TransactionProgram::from_parts(tmp.ops, vec![Value::ZERO; nvars]);
+        let mut prog = TransactionProgram::from_parts(ops, Vec::new());
+        let nvars = prog.max_var_referenced().map_or(0, |v| v.index() + 1);
+        prog.initial_vars = vec![Value::ZERO; nvars].into();
         crate::validate::validate(&prog)?;
         Ok(prog)
     }

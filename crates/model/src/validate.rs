@@ -7,7 +7,7 @@
 
 use crate::error::{ModelError, Violation};
 use crate::ids::{EntityId, VarId};
-use crate::op::{LockMode, Op};
+use crate::op::{Expr, LockMode, Op};
 use crate::program::TransactionProgram;
 use std::collections::HashMap;
 
@@ -23,6 +23,16 @@ pub fn violations(program: &TransactionProgram) -> Vec<Violation> {
     let check_var = |pc: usize, var: VarId, out: &mut Vec<Violation>| {
         if var.index() >= declared {
             out.push(Violation::VarOutOfRange { pc, var, declared });
+        }
+    };
+    // Valid programs (every admission re-validates) take the allocation-free
+    // scan; only an offending expression pays for the sorted, deduplicated
+    // list the diagnostics are reported in.
+    let check_expr = |pc: usize, expr: &Expr, out: &mut Vec<Violation>| {
+        if expr.any_var(|v| v.index() >= declared) {
+            for v in expr.variables() {
+                check_var(pc, v, out);
+            }
         }
     };
 
@@ -90,23 +100,17 @@ pub fn violations(program: &TransactionProgram) -> Vec<Violation> {
                 if !locked_any {
                     out.push(Violation::WriteBeforeFirstLock { pc });
                 }
-                for v in expr.variables() {
-                    check_var(pc, v, &mut out);
-                }
+                check_expr(pc, expr, &mut out);
             }
             Op::Assign { var, expr } => {
                 if !locked_any {
                     out.push(Violation::WriteBeforeFirstLock { pc });
                 }
                 check_var(pc, *var, &mut out);
-                for v in expr.variables() {
-                    check_var(pc, v, &mut out);
-                }
+                check_expr(pc, expr, &mut out);
             }
             Op::Compute(expr) => {
-                for v in expr.variables() {
-                    check_var(pc, v, &mut out);
-                }
+                check_expr(pc, expr, &mut out);
             }
             Op::Commit => {
                 committed_at = Some(pc);

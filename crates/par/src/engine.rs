@@ -169,6 +169,9 @@ impl Core<'_> {
         let slot = &self.slots[idx];
         let id = TxnId::new(self.txn_base + idx as u32 + 1);
         let mut g = slot.lock();
+        // Program text is shared, never copied: one reference-count bump
+        // per transaction lets every op be borrowed while `g` is mutated.
+        let program = Arc::clone(&g.rt.program);
         loop {
             if self.aborted() {
                 return Ok(());
@@ -184,11 +187,11 @@ impl Core<'_> {
                 }
             }
             let pc = g.rt.pc;
-            let Some(op) = g.rt.program.op(pc).cloned() else {
+            let Some(op) = program.op(pc) else {
                 return Err(ParError::MissingOp { txn: id, pc });
             };
             local.steps += 1;
-            match op {
+            match *op {
                 Op::LockShared(entity) => {
                     g = self.op_lock(slot, g, id, entity, LockMode::Shared, local)?;
                 }
@@ -202,10 +205,10 @@ impl Core<'_> {
                     self.op_commit(g, id, local, acc)?;
                     return Ok(());
                 }
-                op => {
+                ref op => {
                     // 2PL: a `Read` holds a lock on its entity here, so
                     // the slab's published value cannot change under us.
-                    g.rt.exec_local(&op, |entity| Ok(self.slab.read(entity)))?;
+                    g.rt.exec_local(op, |entity| Ok(self.slab.read(entity)))?;
                     local.ops_executed += 1;
                     if matches!(op, Op::Write { .. }) {
                         local.peak_copies = local.peak_copies.max(g.rt.copies());

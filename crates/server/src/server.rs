@@ -35,8 +35,7 @@ use crate::wire::{
     HISTORY_CHUNK_ACCESSES,
 };
 use pr_core::{GrantPolicy, ServerMetrics, SystemConfig};
-use pr_model::Value;
-use pr_model::{TransactionProgram, TxnId};
+use pr_model::{EntityId, LockMode, TransactionProgram, TxnId, Value};
 use pr_par::{CommittedAccess, FastPathStats, ParConfig, ParError, Session};
 use pr_storage::wal::{FsDir, LogDir};
 use pr_storage::GlobalStore;
@@ -428,7 +427,9 @@ fn executor_loop(
                 m.txns_recovered = rec.summary.txns;
                 m.commits = rec.summary.txns;
             }
-            (rec.store, rec.accesses, rec.summary.txns, rec.summary.last_batch_id, session)
+            let history: Vec<RetainedAccess> =
+                rec.accesses.iter().map(RetainedAccess::pack).collect();
+            (rec.store, history, rec.summary.txns, rec.summary.last_batch_id, session)
         }
         None => {
             let store = GlobalStore::with_entities(config.entities, Value::new(config.init));
@@ -500,7 +501,7 @@ fn executor_loop(
                         }
                     }
                     commits += outcome.commits() as u64;
-                    history.extend(outcome.accesses);
+                    history.extend(outcome.accesses.iter().map(RetainedAccess::pack));
                     // Group commit: every reply in the batch goes out
                     // after the whole batch reached quiescence.
                     for (i, (request_id, conn)) in submitters.iter().enumerate() {
@@ -557,12 +558,42 @@ fn executor_loop(
     Ok(ServerSummary { commits, batches, fast })
 }
 
+/// One committed access as the executor retains it for the server's
+/// lifetime: 16 bytes against [`CommittedAccess`]'s 24, with the lock mode
+/// in the stamp's top bit. Expanded again per chunk by [`send_history`].
+#[derive(Clone, Copy)]
+struct RetainedAccess {
+    txn: u32,
+    entity: u32,
+    stamp_and_mode: u64,
+}
+
+impl RetainedAccess {
+    const EXCLUSIVE: u64 = 1 << 63;
+
+    fn pack(a: &CommittedAccess) -> Self {
+        assert!(a.stamp < Self::EXCLUSIVE, "grant stamp {} overflows 63 bits", a.stamp);
+        let mode = if a.mode == LockMode::Exclusive { Self::EXCLUSIVE } else { 0 };
+        RetainedAccess { txn: a.txn.raw(), entity: a.entity.raw(), stamp_and_mode: a.stamp | mode }
+    }
+
+    fn unpack(self) -> CommittedAccess {
+        let exclusive = self.stamp_and_mode & Self::EXCLUSIVE != 0;
+        CommittedAccess {
+            txn: TxnId::new(self.txn),
+            entity: EntityId::new(self.entity),
+            mode: if exclusive { LockMode::Exclusive } else { LockMode::Shared },
+            stamp: self.stamp_and_mode & !Self::EXCLUSIVE,
+        }
+    }
+}
+
 /// Streams the full history in bounded chunks; the last chunk carries
 /// the snapshot.
 fn send_history(
     conn: &Arc<ConnWriter>,
     shared: &Arc<Shared>,
-    history: &[CommittedAccess],
+    history: &[RetainedAccess],
     session: &Session,
 ) {
     let mut chunks = history.chunks(HISTORY_CHUNK_ACCESSES).peekable();
@@ -578,6 +609,39 @@ fn send_history(
         } else {
             Vec::new()
         };
-        conn.send(shared, &Reply::HistoryChunk { last, accesses: chunk.to_vec(), snapshot });
+        let accesses = chunk.iter().map(|a| a.unpack()).collect();
+        conn.send(shared, &Reply::HistoryChunk { last, accesses, snapshot });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn retained_access_is_16_bytes_and_round_trips() {
+        assert_eq!(std::mem::size_of::<RetainedAccess>(), 16);
+        for mode in [LockMode::Shared, LockMode::Exclusive] {
+            for stamp in [0, 1, u64::MAX >> 1] {
+                let access = CommittedAccess {
+                    txn: TxnId::new(u32::MAX),
+                    entity: EntityId::new(u32::MAX - 1),
+                    mode,
+                    stamp,
+                };
+                assert_eq!(RetainedAccess::pack(&access).unpack(), access);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows 63 bits")]
+    fn a_stamp_that_would_collide_with_the_mode_bit_is_refused() {
+        RetainedAccess::pack(&CommittedAccess {
+            txn: TxnId::new(1),
+            entity: EntityId::new(0),
+            mode: LockMode::Shared,
+            stamp: 1 << 63,
+        });
     }
 }

@@ -36,7 +36,7 @@
 //! length prefix is satisfied, rejecting oversized declarations before
 //! buffering their payload.
 
-use pr_model::{EntityId, Expr, LockMode, Op, TxnId, Value, VarId};
+use pr_model::{EntityId, Expr, LockMode, Op, Operand, TxnId, Value, VarId};
 use pr_par::CommittedAccess;
 use std::fmt;
 
@@ -264,31 +264,36 @@ impl<'a> Reader<'a> {
 // ---------------------------------------------------------------------
 // Expression and op codecs
 
+fn encode_const(out: &mut Vec<u8>, v: Value) {
+    out.push(0);
+    put_i64(out, v.raw());
+}
+
+fn encode_var(out: &mut Vec<u8>, v: VarId) {
+    out.push(1);
+    put_u16(out, v.raw());
+}
+
 fn encode_expr(out: &mut Vec<u8>, e: &Expr) {
-    match e {
-        Expr::Const(v) => {
-            out.push(0);
-            put_i64(out, v.raw());
-        }
-        Expr::Var(v) => {
-            out.push(1);
-            put_u16(out, v.raw());
-        }
-        Expr::Add(a, b) => {
-            out.push(2);
-            encode_expr(out, a);
-            encode_expr(out, b);
-        }
-        Expr::Sub(a, b) => {
-            out.push(3);
-            encode_expr(out, a);
-            encode_expr(out, b);
-        }
-        Expr::Mul(a, b) => {
-            out.push(4);
-            encode_expr(out, a);
-            encode_expr(out, b);
-        }
+    let (tag, a, b) = match e {
+        Expr::Const(v) => return encode_const(out, *v),
+        Expr::Var(v) => return encode_var(out, *v),
+        Expr::Add(a, b) => (2, a, b),
+        Expr::Sub(a, b) => (3, a, b),
+        Expr::Mul(a, b) => (4, a, b),
+    };
+    out.push(tag);
+    encode_operand(out, a);
+    encode_operand(out, b);
+}
+
+/// An operand is encoded as the expression it stands for: the inline
+/// leaf representation is invisible on the wire.
+fn encode_operand(out: &mut Vec<u8>, o: &Operand) {
+    match o {
+        Operand::Const(v) => encode_const(out, *v),
+        Operand::Var(v) => encode_var(out, *v),
+        Operand::Nested(e) => encode_expr(out, e),
     }
 }
 

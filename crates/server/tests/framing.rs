@@ -7,7 +7,7 @@ use pr_model::{EntityId, Expr, Op, TxnId, Value, VarId};
 use pr_par::CommittedAccess;
 use pr_server::wire::{
     decode_reply, decode_request, encode_reply, encode_request, frame, AbortReason, FrameAssembler,
-    WireError, MAX_PAYLOAD,
+    WireError, MAX_EXPR_DEPTH, MAX_PAYLOAD,
 };
 use pr_server::{Reply, Request};
 use proptest::prelude::*;
@@ -231,4 +231,106 @@ fn expression_bomb_is_depth_limited() {
         Err(WireError::LimitExceeded(what)) => assert_eq!(what, "expression nesting"),
         other => panic!("expected LimitExceeded, got {other:?}"),
     }
+}
+
+/// Hand-writes the wire bytes of one expression whose deepest node sits
+/// exactly `levels` below the root, choosing at each level which side
+/// carries the nested subtree (so both operand positions see leaves and
+/// nested nodes). Independent of the crate's encoder on purpose.
+fn raw_expr(g: &mut Gen, levels: usize, out: &mut Vec<u8>) {
+    if levels == 0 {
+        if g.below(2) == 0 {
+            out.push(0);
+            out.extend_from_slice(&g.next().to_le_bytes());
+        } else {
+            out.push(1);
+            out.extend_from_slice(&(g.below(64) as u16).to_le_bytes());
+        }
+        return;
+    }
+    out.push(2 + g.below(3) as u8);
+    let (left, right) = match g.below(3) {
+        0 => (levels - 1, 0),
+        1 => (0, levels - 1),
+        _ => (levels - 1, g.below(levels as u64) as usize),
+    };
+    raw_expr(g, left, out);
+    raw_expr(g, right, out);
+}
+
+/// Hand-writes a SUBMIT payload of expression-carrying ops.
+fn raw_submit(g: &mut Gen) -> Vec<u8> {
+    let count = 1 + g.below(6) as u16;
+    let mut out = vec![0x01];
+    out.extend_from_slice(&g.next().to_le_bytes());
+    out.extend_from_slice(&count.to_le_bytes());
+    for _ in 0..count {
+        match g.below(3) {
+            0 => {
+                out.push(4);
+                out.extend_from_slice(&(g.below(1 << 20) as u32).to_le_bytes());
+            }
+            1 => {
+                out.push(5);
+                out.extend_from_slice(&(g.below(64) as u16).to_le_bytes());
+            }
+            _ => out.push(6),
+        }
+        // Bias towards the decoder's limit; keep the 3-way fan-out small.
+        let levels = if g.below(2) == 0 { MAX_EXPR_DEPTH } else { g.below(6) as usize };
+        raw_expr(g, levels, &mut out);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The in-memory representation of expressions is invisible on the
+    /// wire: decoding any valid SUBMIT and encoding it again reproduces
+    /// the bytes, for nesting right up to `MAX_EXPR_DEPTH`.
+    #[test]
+    fn decode_then_encode_is_the_identity_on_bytes(seed in 0u64..100_000) {
+        let bytes = raw_submit(&mut Gen(seed));
+        let request = decode_request(&bytes).unwrap();
+        prop_assert_eq!(encode_request(&request), bytes);
+    }
+}
+
+/// A SUBMIT frame produced before operands were stored inline (leaf,
+/// `var ± const` and depth-3 nested expressions): it must decode to the
+/// same program and re-encode to the same bytes for ever.
+#[test]
+fn frame_from_the_boxed_representation_still_round_trips() {
+    const FRAME: &str = "740000000108070605040302010a00010000000003000000000000060201000000010000\
+        000000000000010000000301000000010005020004030201010000020000000000000001\
+        00000200fdffffffffffffff0401020001020004000000000301020000fcffffffffffff\
+        ff0200000000020100000007";
+    let bytes: Vec<u8> = (0..FRAME.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&FRAME[i..i + 2], 16).unwrap())
+        .collect();
+    let v = VarId::new;
+    let e = EntityId::new;
+    let ops = vec![
+        Op::LockExclusive(e(0)),
+        Op::Read { entity: e(0), into: v(0) },
+        Op::Compute(Expr::add(Expr::var(v(0)), Expr::lit(1))),
+        Op::LockShared(e(1)),
+        Op::Read { entity: e(1), into: v(1) },
+        Op::Assign {
+            var: v(2),
+            expr: Expr::mul(
+                Expr::sub(Expr::add(Expr::var(v(1)), Expr::lit(2)), Expr::var(v(0))),
+                Expr::add(Expr::lit(-3), Expr::mul(Expr::var(v(2)), Expr::var(v(2)))),
+            ),
+        },
+        Op::Write { entity: e(0), expr: Expr::sub(Expr::var(v(2)), Expr::lit(-4)) },
+        Op::Unlock(e(0)),
+        Op::Unlock(e(1)),
+        Op::Commit,
+    ];
+    let request = Request::Submit { request_id: 0x0102_0304_0506_0708, ops };
+    assert_eq!(decode_request(&bytes[4..]).unwrap(), request);
+    assert_eq!(frame(&encode_request(&request)), bytes);
 }

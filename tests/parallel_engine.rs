@@ -96,13 +96,16 @@ fn four_thread_resolution_costs_match_victim_ledgers() {
     let e = EntityId::new;
     let mut total_deadlocks = 0u64;
     let mut saw_repeat_victim = false;
+    // The pad must outlast worker start-up skew in a cold process, or the
+    // first worker drains the batch alone; sized for a ~100 ns step.
+    const PAD: usize = 8_000;
     for round in 0..12 {
         let mut programs = Vec::new();
         for i in 0..16 {
             if i % 2 == 0 {
-                programs.push(padded_transfer(e(0), e(1), 1, 2_000));
+                programs.push(padded_transfer(e(0), e(1), 1, PAD));
             } else {
-                programs.push(padded_transfer(e(1), e(0), 1, 2_000));
+                programs.push(padded_transfer(e(1), e(0), 1, PAD));
             }
         }
         let store = GlobalStore::with_entities(2, Value::new(50));

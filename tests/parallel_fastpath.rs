@@ -92,13 +92,16 @@ fn contended_transfers_with_fast_path_pass_the_oracle() {
     let mut fast_grants = 0u64;
     let mut inflations = 0u64;
     let mut deadlocks = 0u64;
+    // The pad must outlast worker start-up skew in a cold process, or the
+    // first worker drains the batch alone; sized for a ~100 ns step.
+    const PAD: usize = 6_000;
     for round in 0..8u64 {
         let mut programs = Vec::new();
         for i in 0..12 {
             if i % 2 == 0 {
-                programs.push(padded_transfer(e(0), e(1), 1, 1_500));
+                programs.push(padded_transfer(e(0), e(1), 1, PAD));
             } else {
-                programs.push(padded_transfer(e(1), e(0), 1, 1_500));
+                programs.push(padded_transfer(e(1), e(0), 1, PAD));
             }
         }
         let strategy = STRATEGIES[(round % 3) as usize];
