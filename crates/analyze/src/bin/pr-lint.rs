@@ -20,7 +20,6 @@
 //! | `generated`| a random `ProgramGenerator` workload                  |
 //! | `ordered`  | the same generator with a global lock order (clean)   |
 //! | `stress`   | the stress harness's Zipf-hot generator output        |
-//! | `chaos`    | the chaos harness's generator output                  |
 //! | `grid`     | all 56 three-transaction grid cases (expands)         |
 //! | `grid:X`   | one grid case by name, e.g. `grid:XXab+XXba+SXab`     |
 //!
@@ -47,7 +46,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: pr-lint [--json] [--certify] [--out DIR] [WORKLOAD...]\n       \
                      workloads: figure1 figure2 figure3a figure3b figure3c \
-                     figure4 figure5 generated ordered stress chaos grid grid:<case>\n       \
+                     figure4 figure5 generated ordered stress grid grid:<case>\n       \
                      exit codes: 0 clean, 1 error diagnostics, 2 usage error, \
                      3 certify requested but workload unorderable";
 
@@ -62,7 +61,6 @@ const ALL: &[&str] = &[
     "generated",
     "ordered",
     "stress",
-    "chaos",
 ];
 
 fn workload(name: &str) -> Option<Vec<TransactionProgram>> {
@@ -89,14 +87,6 @@ fn workload(name: &str) -> Option<Vec<TransactionProgram>> {
             exclusive_per_mille: 700,
             pad_between: 1,
             skew_centi: 120,
-            ..GeneratorConfig::default()
-        })),
-        // What `pr_sim::chaos::run_chaos` feeds the distributed engine.
-        "chaos" => Some(generate(GeneratorConfig {
-            num_entities: 24,
-            min_locks: 2,
-            max_locks: 4,
-            pad_between: 1,
             ..GeneratorConfig::default()
         })),
         name => {

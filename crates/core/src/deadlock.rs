@@ -1,10 +1,11 @@
 //! Deadlock events and resolution planning (§3's rule 3).
 
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, VictimPolicyKind};
 use crate::runtime::RuntimeView;
 use crate::victim;
 use pr_graph::{cutset, CandidateRollback, Cycle};
-use pr_model::{EntityId, TxnId};
+use pr_lock::LockTable;
+use pr_model::{EntityId, LockMode, TxnId};
 use serde::{Deserialize, Serialize};
 
 /// A detected deadlock: the request that would close cycle(s) in the
@@ -59,6 +60,53 @@ pub struct ResolutionAudit {
     pub entry_orders: std::collections::BTreeMap<TxnId, u64>,
 }
 
+impl ResolutionAudit {
+    /// Records the solver inputs behind `plan` from the runtimes and lock
+    /// table it was planned over; valid only before the plan's first
+    /// rollback executes.
+    pub fn capture<V: RuntimeView>(
+        event: &DeadlockEvent,
+        plan: &ResolutionPlan,
+        config: &SystemConfig,
+        txns: &V,
+        table: &LockTable,
+    ) -> Self {
+        let members = || event.cycles.iter().flat_map(|c| c.members.iter());
+        ResolutionAudit {
+            event: event.clone(),
+            unfiltered: victim::build_instance(
+                &event.cycles,
+                VictimPolicyKind::MinCost,
+                config.strategy,
+                event.causer,
+                txns,
+            ),
+            filtered: policy_instance(event, config, txns),
+            plan: plan.clone(),
+            exclusive_only: members().all(|m| {
+                table.held_by(m.txn, m.holds).is_some_and(|h| h.mode == LockMode::Exclusive)
+            }),
+            entry_orders: members()
+                .filter_map(|m| txns.runtime(m.txn).map(|rt| (m.txn, rt.entry_order)))
+                .collect(),
+        }
+    }
+}
+
+/// The candidate instance for `event` after the configured victim
+/// policy's filtering, as handed to the cut-set solver.
+fn policy_instance<V: RuntimeView>(
+    event: &DeadlockEvent,
+    config: &SystemConfig,
+    txns: &V,
+) -> Vec<Vec<CandidateRollback>> {
+    let instance =
+        victim::build_instance(&event.cycles, config.victim, config.strategy, event.causer, txns);
+    // Cycles whose candidates all vanished (defensively) cannot constrain
+    // the cut; drop them rather than making the instance unsolvable.
+    instance.into_iter().filter(|c| !c.is_empty()).collect()
+}
+
 /// Plans the resolution of `event`: builds the policy-filtered candidate
 /// instance and solves the minimum-cost vertex-cut problem over the
 /// cycles.
@@ -70,13 +118,7 @@ pub fn plan_resolution<V: RuntimeView>(
     config: &SystemConfig,
     txns: &V,
 ) -> ResolutionPlan {
-    let instance =
-        victim::build_instance(&event.cycles, config.victim, config.strategy, event.causer, txns);
-    // Cycles whose candidates all vanished (defensively) cannot constrain
-    // the cut; drop them rather than making the instance unsolvable.
-    let instance: Vec<Vec<CandidateRollback>> =
-        instance.into_iter().filter(|c| !c.is_empty()).collect();
-    let solution = cutset::solve(&instance, config.cutset_node_budget);
+    let solution = cutset::solve(&policy_instance(event, config, txns), config.cutset_node_budget);
     ResolutionPlan {
         rollbacks: solution.rollbacks,
         total_cost: solution.total_cost,

@@ -6,15 +6,15 @@
 //! acquisition-order certificate and the invariant sentinel.
 
 use crate::config::SystemConfig;
-use crate::deadlock::{DeadlockEvent, ResolutionPlan};
+use crate::deadlock::{DeadlockEvent, ResolutionAudit, ResolutionPlan};
 use crate::error::EngineError;
 use crate::event::{Event, EventLog};
-use crate::kernel::{Kernel, MAX_RESOLUTION_ROUNDS};
+use crate::kernel::{Kernel, Release, MAX_RESOLUTION_ROUNDS};
 use crate::metrics::Metrics;
 use crate::runtime::{Phase, TxnRuntime};
 use crate::scheduler::Scheduler;
 use pr_graph::{CandidateRollback, WaitsForGraph};
-use pr_lock::{EntityOrder, GrantPolicy, HeldLock, LockTable, RequestOutcome};
+use pr_lock::{EntityOrder, GrantPolicy, LockTable, RequestOutcome};
 use pr_model::{EntityId, LockMode, Op, TransactionProgram, TxnId};
 use pr_storage::GlobalStore;
 use std::collections::{BTreeMap, BTreeSet};
@@ -50,7 +50,6 @@ pub enum StepOutcome {
 #[derive(Clone)]
 pub struct System {
     kernel: Kernel,
-    wfg: WaitsForGraph,
     metrics: Metrics,
     /// Every deadlock the system resolved, with the plan used — the
     /// scenario tests and figure reproductions assert on this log.
@@ -68,7 +67,7 @@ pub struct System {
     /// When `Some`, every resolved deadlock also records a
     /// [`ResolutionAudit`] — the raw solver inputs captured *before* the
     /// rollbacks execute — for external optimality oracles. Off by default.
-    audits: Option<Vec<crate::deadlock::ResolutionAudit>>,
+    audits: Option<Vec<ResolutionAudit>>,
     /// The installed acquisition-order certificate, if any (only
     /// consulted under [`GrantPolicy::Ordered`]).
     certified_order: Option<EntityOrder>,
@@ -90,7 +89,6 @@ impl System {
     pub fn new(store: GlobalStore, config: SystemConfig) -> Self {
         System {
             kernel: Kernel::new(store, config),
-            wfg: WaitsForGraph::new(),
             metrics: Metrics::default(),
             history: Vec::new(),
             events: EventLog::new(),
@@ -165,10 +163,10 @@ impl System {
     }
 
     /// Turns on resolution auditing: every deadlock resolved from now on
-    /// also records a [`crate::deadlock::ResolutionAudit`] with the exact
-    /// solver inputs (unfiltered and policy-filtered candidate instances,
-    /// lock modes, entry orders) captured before any rollback executes.
-    /// The model checker's optimality oracles consume these via
+    /// also records a [`ResolutionAudit`] with the exact solver inputs
+    /// (unfiltered and policy-filtered candidate instances, lock modes,
+    /// entry orders) captured before any rollback executes. The model
+    /// checker's optimality oracles consume these via
     /// [`Self::take_resolution_audits`].
     pub fn enable_resolution_audit(&mut self) {
         if self.audits.is_none() {
@@ -178,7 +176,7 @@ impl System {
 
     /// Drains the resolution audits recorded since the last call (empty
     /// unless [`Self::enable_resolution_audit`] was called).
-    pub fn take_resolution_audits(&mut self) -> Vec<crate::deadlock::ResolutionAudit> {
+    pub fn take_resolution_audits(&mut self) -> Vec<ResolutionAudit> {
         self.audits.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
@@ -229,11 +227,6 @@ impl System {
         self.kernel.all_committed()
     }
 
-    /// Whether every admitted transaction has terminated.
-    pub fn all_settled(&self) -> bool {
-        self.kernel.all_settled()
-    }
-
     /// Executes one atomic operation of `id`.
     pub fn step(&mut self, id: TxnId) -> Result<StepOutcome, EngineError> {
         self.metrics.steps += 1;
@@ -274,7 +267,7 @@ impl System {
         loop {
             let ready = self.ready();
             if ready.is_empty() {
-                if self.all_settled() {
+                if self.all_committed() {
                     return Ok(());
                 }
                 return Err(EngineError::Stuck { blocked: self.blocked() });
@@ -298,7 +291,7 @@ impl System {
         entity: EntityId,
         mode: LockMode,
     ) -> Result<StepOutcome, EngineError> {
-        match self.kernel.request(&mut self.wfg, id, entity, mode)? {
+        match self.kernel.request(id, entity, mode)? {
             RequestOutcome::Granted => {
                 self.note_grant(id, entity, mode);
                 Ok(StepOutcome::Progressed)
@@ -308,7 +301,6 @@ impl System {
                     self.metrics.steps,
                     Event::Waited { txn: id, entity, holders: holders.clone() },
                 );
-                self.wfg.set_wait(id, entity, &holders);
                 self.metrics.waits += 1;
                 self.metrics.note_queue_depth(entity, self.kernel.table().queue_depth(entity));
                 self.blocked_since.insert(id, self.metrics.steps);
@@ -317,8 +309,8 @@ impl System {
                     .record(format!("{id} waits on {entity} held by {holders:?} ({mode:?})"));
                 // Certified fast path: when every blocked transaction is
                 // covered by the installed order, no cycle can exist, so
-                // detection is skipped outright. The wait arcs were still
-                // recorded above — the invariant checks (including the
+                // detection is skipped outright. The kernel still recorded
+                // the wait arcs — the invariant checks (including the
                 // acyclicity check) see the same graph either way.
                 let resolved = if self.ordered_wait_is_certified(id) {
                     self.metrics.certified_waits += 1;
@@ -347,7 +339,7 @@ impl System {
             if round >= MAX_RESOLUTION_ROUNDS {
                 return Err(EngineError::Stuck { blocked: self.blocked() });
             }
-            let Some((event, plan)) = self.kernel.detect(&mut self.wfg, causer) else {
+            let Some((event, plan)) = self.kernel.detect(causer) else {
                 break;
             };
             let (entity, cycles) = (event.entity, event.cycles.len());
@@ -378,15 +370,19 @@ impl System {
             self.metrics.deadlocks += 1;
             self.events
                 .record(self.metrics.steps, Event::DeadlockDetected { causer, entity, cycles });
-            if self.audits.is_some() {
+            if let Some(audits) = &mut self.audits {
                 // Capture the solver's inputs *now*: the rollbacks below
                 // mutate lock modes and runtime costs, so a post-hoc audit
                 // could not reconstruct the instance the plan was built
                 // from.
-                let audit = self.audit(&event, &plan);
-                if let Some(audits) = &mut self.audits {
-                    audits.push(audit);
-                }
+                let k = &self.kernel;
+                audits.push(ResolutionAudit::capture(
+                    &event,
+                    &plan,
+                    k.config(),
+                    k.txns(),
+                    k.table(),
+                ));
             }
             if plan.optimal {
                 self.metrics.cutset_optimal += 1;
@@ -432,47 +428,17 @@ impl System {
         Ok(first)
     }
 
-    /// The raw solver inputs behind `plan`, for the optimality oracles.
-    fn audit(
-        &self,
-        event: &DeadlockEvent,
-        plan: &ResolutionPlan,
-    ) -> crate::deadlock::ResolutionAudit {
-        let config = self.config();
-        let instance = |policy| {
-            crate::victim::build_instance(
-                &event.cycles,
-                policy,
-                config.strategy,
-                event.causer,
-                self.kernel.txns(),
-            )
-        };
-        let members = || event.cycles.iter().flat_map(|c| c.members.iter());
-        crate::deadlock::ResolutionAudit {
-            event: event.clone(),
-            unfiltered: instance(crate::config::VictimPolicyKind::MinCost),
-            filtered: instance(config.victim).into_iter().filter(|c| !c.is_empty()).collect(),
-            plan: plan.clone(),
-            exclusive_only: members().all(|m| {
-                self.table().held_by(m.txn, m.holds).is_some_and(|h| h.mode == LockMode::Exclusive)
-            }),
-            entry_orders: members()
-                .filter_map(|m| self.txn(m.txn).map(|rt| (m.txn, rt.entry_order)))
-                .collect(),
-        }
-    }
-
-    /// Performs one planned rollback: §4's procedure, engine side.
+    /// Performs one planned rollback and accounts for it in the order it
+    /// happened: the cancellation's promotions, the rollback itself, then
+    /// each release's promotions (the peak-copies metric depends on it).
     fn execute_rollback(&mut self, rb: &CandidateRollback) -> Result<(), EngineError> {
         let victim = rb.txn;
-        // Step 1: halt the transaction — cancel its pending request if any.
-        if let Some((entity, promoted)) = self.kernel.cancel_wait(&mut self.wfg, victim)? {
+        let done = self.kernel.rollback(rb)?;
+        if let Some(cancelled) = &done.cancelled {
             self.blocked_since.remove(&victim);
-            self.note_promoted(entity, &promoted);
+            self.note_promoted(cancelled);
         }
-        // Steps 2–5: workspace and runtime rollback.
-        let receipt = self.kernel.rollback(rb)?;
+        let receipt = &done.receipt;
         self.events.record(
             self.metrics.steps,
             Event::RolledBack { victim, target: receipt.target, cost: receipt.cost },
@@ -483,40 +449,31 @@ impl System {
             receipt.target.raw(),
             receipt.cost
         ));
-        self.metrics.record_rollback(victim, self.config().strategy, &receipt);
+        self.metrics.record_rollback(victim, self.config().strategy, receipt);
         self.update_peak_copies_for(victim);
-        // Release the undone locks — without publishing: the database still
-        // holds the pre-lock global values (§4's deferred update).
-        for ls in &receipt.released {
-            let promoted = self.kernel.release(&mut self.wfg, victim, ls.entity)?;
-            self.note_promoted(ls.entity, &promoted);
+        for release in &done.releases {
+            self.note_promoted(release);
         }
         Ok(())
     }
 
     fn do_unlock(&mut self, id: TxnId, entity: EntityId) -> Result<StepOutcome, EngineError> {
-        let release = self.kernel.unlock(&mut self.wfg, id, entity)?;
+        let release = self.kernel.unlock(id, entity)?;
         if release.published {
             self.events.record(self.metrics.steps, Event::Published { txn: id, entity });
         }
         self.update_peak_copies_for(id);
-        self.note_promoted(entity, &release.promoted);
+        self.note_promoted(&release);
         self.metrics.ops_executed += 1;
         Ok(StepOutcome::Progressed)
     }
 
     fn do_commit(&mut self, id: TxnId) -> Result<StepOutcome, EngineError> {
-        // Release every lock still held, publishing exclusive finals.
-        let held: Vec<EntityId> = self.kernel.txns()[&id].held.iter().copied().collect();
-        for entity in held {
-            let release = self.kernel.commit_release(&mut self.wfg, id, entity)?;
-            self.note_promoted(entity, &release.promoted);
+        let commit = self.kernel.commit(id)?;
+        for release in &commit.releases {
+            self.note_promoted(release);
         }
-        // Harvest the repair ledger at commit — the one point where it is
-        // final. (Aborted transactions drop theirs, which is why the
-        // replayed + reused == states_lost reconciliation only holds in
-        // clean runs.)
-        let (replayed, reused) = self.kernel.finish_commit(id)?;
+        let (replayed, reused) = commit.ledger;
         self.metrics.ops_replayed += replayed;
         self.metrics.ops_reused += reused;
         self.events.record(self.metrics.steps, Event::Committed { txn: id });
@@ -542,12 +499,12 @@ impl System {
     }
 
     /// Accounts for the waiters a release or cancellation promoted.
-    fn note_promoted(&mut self, entity: EntityId, promoted: &[HeldLock]) {
-        for h in promoted {
+    fn note_promoted(&mut self, release: &Release) {
+        for h in &release.promoted {
             if let Some(since) = self.blocked_since.remove(&h.txn) {
                 self.metrics.grant_latency.record(self.metrics.steps.saturating_sub(since));
             }
-            self.note_grant(h.txn, entity, h.mode);
+            self.note_grant(h.txn, release.entity, h.mode);
         }
     }
 
@@ -592,7 +549,7 @@ impl System {
 
     /// The concurrency graph.
     pub fn graph(&self) -> &WaitsForGraph {
-        &self.wfg
+        self.kernel.graph()
     }
 
     /// Runtime state of one transaction.
@@ -611,25 +568,9 @@ impl System {
     }
 
     /// Engine-wide invariant check, used liberally by the test suites:
-    /// the kernel's table/runtime coherence, graph/table agreement, and
-    /// an acyclic graph.
+    /// [`Kernel::check_invariants`].
     pub fn check_invariants(&self) -> Result<(), String> {
-        self.kernel.check_invariants()?;
-        for rt in self.kernel.txns().values() {
-            let blocked = rt.phase == Phase::Blocked;
-            if blocked != self.wfg.is_waiting(rt.id) {
-                return Err(format!(
-                    "{}: {:?} but {} in the waits-for graph",
-                    rt.id,
-                    rt.phase,
-                    if blocked { "absent from" } else { "waiting" }
-                ));
-            }
-        }
-        if self.wfg.has_cycle() {
-            return Err("waits-for graph contains an unresolved cycle".into());
-        }
-        Ok(())
+        self.kernel.check_invariants()
     }
 
     // ------------------------------------------------------------------
@@ -640,7 +581,7 @@ impl System {
     /// the recent event trace on violation. See [`crate::sentinel`].
     #[cfg(feature = "invariants")]
     fn sentinel_verify(&self, context: &str) {
-        if let Err(violation) = self.wfg.check_consistent() {
+        if let Err(violation) = self.graph().check_consistent() {
             self.sentinel.fail(context, &violation);
         }
         if let Err(violation) = self.check_invariants() {
@@ -653,7 +594,7 @@ impl System {
         // exclusive waiters is legitimately not a forest there.
         if self.sentinel.exclusive_only()
             && self.config().grant_policy == GrantPolicy::Barging
-            && !self.wfg.is_forest()
+            && !self.graph().is_forest()
         {
             self.sentinel
                 .fail(context, "exclusive-only waits-for graph is not a forest (Theorem 1)");
@@ -675,7 +616,7 @@ impl System {
     /// builds: only tests and `invariants` builds can reach it.
     #[cfg(any(test, feature = "invariants"))]
     pub fn graph_mut_unchecked(&mut self) -> &mut WaitsForGraph {
-        &mut self.wfg
+        &mut self.kernel.wfg
     }
 
     /// Plants the unsound-reuse mutant in every admitted Repair runtime:

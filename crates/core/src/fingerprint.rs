@@ -76,7 +76,6 @@ pub fn canonical_state_relabeled(
                 Phase::Running => 'R',
                 Phase::Blocked => 'B',
                 Phase::Committed => 'C',
-                Phase::Aborted => 'A',
             },
             u8::from(rt.shrinking),
         );

@@ -1,17 +1,14 @@
 //! The lock-service kernel: the paper's §2–§4 transitions over the
-//! database, the lock table and the transaction runtimes, defined once
-//! for both deterministic engines (DESIGN §4, "One kernel, three
-//! drivers").
+//! database, the lock table, the waits-for graph and the transaction
+//! runtimes, defined once (DESIGN §4, "One kernel, two users").
 //!
 //! Every method performs one transition and *returns what happened*, so
-//! a driver — [`crate::System`], `pr-dist`'s `DistributedSystem` — adds
-//! its own concerns around the call without the kernel knowing them. The
-//! kernel keeps table and runtimes coherent: a promoted request is
+//! [`crate::System`] adds its observation — metrics, events, audits, the
+//! sentinel — around the call without the kernel knowing about it. The
+//! kernel keeps table, graph and runtimes coherent: a promoted request is
 //! completed on its runtime before the promoting call returns, and a
-//! transaction is [`Phase::Blocked`] exactly while it has a queued
-//! request. It owns no concurrency graph (`pr-dist` keeps one per site):
-//! a transition that changes a wait queue takes the graph tracking the
-//! entity and re-points the arcs of the waiters still queued there.
+//! transaction is [`Phase::Blocked`] exactly while it has a queued request
+//! and arcs in the graph.
 
 use crate::config::SystemConfig;
 use crate::deadlock::{plan_resolution, DeadlockEvent, ResolutionPlan};
@@ -19,7 +16,7 @@ use crate::error::EngineError;
 use crate::runtime::{Phase, RollbackReceipt, TxnRuntime};
 use pr_graph::cycles::cycles_on_wait;
 use pr_graph::{CandidateRollback, WaitsForGraph};
-use pr_lock::{HeldLock, LockTable, RequestOutcome, WaitingRequest};
+use pr_lock::{HeldLock, LockTable, RequestOutcome};
 use pr_model::{EntityId, LockMode, Op, TransactionProgram, TxnId, Value};
 use pr_storage::GlobalStore;
 use std::collections::BTreeMap;
@@ -31,9 +28,11 @@ use std::sync::Arc;
 /// resolution-loop bug into a visible error instead of an infinite loop.
 pub const MAX_RESOLUTION_ROUNDS: usize = 1024;
 
-/// What releasing a lock did.
+/// What releasing a lock, or cancelling a queued request, did.
 #[derive(Debug)]
 pub struct Release {
+    /// The entity released.
+    pub entity: EntityId,
     /// Whether a final value was published to the database.
     pub published: bool,
     /// Waiters promoted by the release, already completed on their
@@ -41,12 +40,34 @@ pub struct Release {
     pub promoted: Vec<HeldLock>,
 }
 
-/// The database, the lock table and the transaction runtimes, with the
-/// transitions that keep them coherent.
+/// What [`Kernel::rollback`] did, in execution order.
+#[derive(Debug)]
+pub struct Rollback {
+    /// The victim's cancelled request (§4 step 1), if it was blocked.
+    pub cancelled: Option<Release>,
+    /// The runtime rollback (§4 steps 2–5).
+    pub receipt: RollbackReceipt,
+    /// One unpublished release per undone lock state, in the order of
+    /// `receipt.released`.
+    pub releases: Vec<Release>,
+}
+
+/// What [`Kernel::commit`] did.
+#[derive(Debug)]
+pub struct Commit {
+    /// One release per lock still held, in entity order.
+    pub releases: Vec<Release>,
+    /// The repair ledger `(ops_replayed, ops_reused)`, final at commit.
+    pub ledger: (u64, u64),
+}
+
+/// The database, the lock table, the waits-for graph and the transaction
+/// runtimes, with the transitions that keep them coherent.
 #[derive(Clone)]
 pub struct Kernel {
     store: GlobalStore,
     table: LockTable,
+    pub(crate) wfg: WaitsForGraph,
     pub(crate) txns: BTreeMap<TxnId, TxnRuntime>,
     config: SystemConfig,
 }
@@ -57,6 +78,7 @@ impl Kernel {
         Kernel {
             store,
             table: LockTable::with_policy(config.grant_policy),
+            wfg: WaitsForGraph::new(),
             txns: BTreeMap::new(),
             config,
         }
@@ -95,6 +117,11 @@ impl Kernel {
         &self.table
     }
 
+    /// The waits-for graph.
+    pub fn graph(&self) -> &WaitsForGraph {
+        &self.wfg
+    }
+
     /// The configuration.
     pub fn config(&self) -> &SystemConfig {
         &self.config
@@ -129,13 +156,6 @@ impl Kernel {
         self.txns.values().all(|rt| rt.phase == Phase::Committed)
     }
 
-    /// Whether every admitted transaction has terminated — committed or
-    /// cleanly aborted. This is the no-wedge invariant the chaos harness
-    /// asserts: no transaction may be left running or blocked forever.
-    pub fn all_settled(&self) -> bool {
-        self.txns.values().all(|rt| matches!(rt.phase, Phase::Committed | Phase::Aborted))
-    }
-
     fn runtime_mut(&mut self, id: TxnId) -> Result<&mut TxnRuntime, EngineError> {
         self.txns.get_mut(&id).ok_or(EngineError::NoSuchTxn(id))
     }
@@ -163,15 +183,14 @@ impl Kernel {
     /// re-points the arcs of the waiters still queued.
     fn finalize_promoted(
         &mut self,
-        graph: &mut WaitsForGraph,
         entity: EntityId,
         promoted: &[HeldLock],
     ) -> Result<(), EngineError> {
         for &h in promoted {
-            graph.clear_wait(h.txn);
+            self.wfg.clear_wait(h.txn);
             self.finalize_grant(h.txn, entity, h.mode)?;
         }
-        self.repoint_waiters(graph, entity);
+        self.repoint_waiters(entity);
         Ok(())
     }
 
@@ -187,11 +206,11 @@ impl Kernel {
     /// transactions, and under the fair queue a waiter's blocker set only
     /// ever shrinks (new requests join behind it, and a grant compatible
     /// with every queued waiter cannot be an incompatible holder of one).
-    pub fn repoint_waiters(&self, graph: &mut WaitsForGraph, entity: EntityId) {
+    fn repoint_waiters(&mut self, entity: EntityId) {
         for w in self.table.waiters_of(entity) {
             let blockers = self.table.blockers_of(w.txn, entity);
             debug_assert!(!blockers.is_empty(), "grantable waiter left in queue");
-            graph.set_wait(w.txn, entity, &blockers);
+            self.wfg.set_wait(w.txn, entity, &blockers);
         }
     }
 
@@ -199,35 +218,36 @@ impl Kernel {
     /// and the transaction advanced; a compatible request may be granted
     /// while others wait (e.g. a shared lock joining shared holders past a
     /// blocked exclusive waiter), and those waiters now wait on the new
-    /// holder as well, so their arcs in `graph` are re-pointed. Wait: the
-    /// transaction is blocked, but its own arcs are *not* registered —
-    /// when and where the wait becomes visible to detection is the
-    /// driver's decision.
+    /// holder as well, so their arcs are re-pointed. Wait: the transaction
+    /// is blocked and its arcs to the blockers enter the graph; whether to
+    /// run detection on them is the caller's decision.
     pub fn request(
         &mut self,
-        graph: &mut WaitsForGraph,
         id: TxnId,
         entity: EntityId,
         mode: LockMode,
     ) -> Result<RequestOutcome, EngineError> {
         let rt = self.txns.get(&id).ok_or(EngineError::NoSuchTxn(id))?;
         let outcome = self.table.request(id, entity, mode, rt.state, rt.lock_index())?;
-        if outcome == RequestOutcome::Granted {
-            self.finalize_grant(id, entity, mode)?;
-            self.repoint_waiters(graph, entity);
-        } else {
-            let rt = self.runtime_mut(id)?;
-            rt.phase = Phase::Blocked;
-            rt.blocked_on = Some(entity);
+        match &outcome {
+            RequestOutcome::Granted => {
+                self.finalize_grant(id, entity, mode)?;
+                self.repoint_waiters(entity);
+            }
+            RequestOutcome::Wait { holders, .. } => {
+                self.wfg.set_wait(id, entity, holders);
+                let rt = self.runtime_mut(id)?;
+                rt.phase = Phase::Blocked;
+                rt.blocked_on = Some(entity);
+            }
         }
         Ok(outcome)
     }
 
     /// Releases `txn`'s table lock on `entity` — after publishing `value`,
     /// if any — and completes the waiters that promotes.
-    fn release_with(
+    fn release(
         &mut self,
-        graph: &mut WaitsForGraph,
         txn: TxnId,
         entity: EntityId,
         value: Option<Value>,
@@ -236,62 +256,36 @@ impl Kernel {
             self.store.publish(entity, value)?;
         }
         let promoted = self.table.release(txn, entity)?;
-        self.finalize_promoted(graph, entity, &promoted)?;
-        Ok(Release { published: value.is_some(), promoted })
+        self.finalize_promoted(entity, &promoted)?;
+        Ok(Release { entity, published: value.is_some(), promoted })
     }
 
     /// Executes `id`'s `Unlock` of `entity`: publishes the final value of
     /// an exclusive hold, then releases.
-    pub fn unlock(
-        &mut self,
-        graph: &mut WaitsForGraph,
-        id: TxnId,
-        entity: EntityId,
-    ) -> Result<Release, EngineError> {
+    pub fn unlock(&mut self, id: TxnId, entity: EntityId) -> Result<Release, EngineError> {
         let value = self.runtime_mut(id)?.complete_unlock(entity);
-        self.release_with(graph, id, entity, value)
+        self.release(id, entity, value)
     }
 
-    /// Commit-time release of a lock `id`'s program never unlocked: as
-    /// [`Self::unlock`], but not an operation of the program.
-    pub fn commit_release(
-        &mut self,
-        graph: &mut WaitsForGraph,
-        id: TxnId,
-        entity: EntityId,
-    ) -> Result<Release, EngineError> {
-        let value = self.runtime_mut(id)?.commit_release(entity);
-        self.release_with(graph, id, entity, value)
-    }
-
-    /// Executes `id`'s `Commit` once its locks are released. Returns the
-    /// repair ledger `(ops_replayed, ops_reused)`.
-    pub fn finish_commit(&mut self, id: TxnId) -> Result<(u64, u64), EngineError> {
-        Ok(self.runtime_mut(id)?.finish_commit())
-    }
-
-    /// Releases a table lock whose lock state the runtime no longer has —
-    /// undone by a rollback, or dropped by an abort — *without*
-    /// publishing: the database still holds the pre-lock global value
-    /// (§4's deferred update).
-    pub fn release(
-        &mut self,
-        graph: &mut WaitsForGraph,
-        txn: TxnId,
-        entity: EntityId,
-    ) -> Result<Vec<HeldLock>, EngineError> {
-        Ok(self.release_with(graph, txn, entity, None)?.promoted)
+    /// Executes `id`'s `Commit`: releases every lock the program never
+    /// unlocked, publishing exclusive finals ("the system may
+    /// equivalently release any entities which a transaction has failed
+    /// to unlock at the time it terminates"), then commits.
+    pub fn commit(&mut self, id: TxnId) -> Result<Commit, EngineError> {
+        let held: Vec<EntityId> = self.runtime_mut(id)?.held.iter().copied().collect();
+        let mut releases = Vec::with_capacity(held.len());
+        for entity in held {
+            let value = self.runtime_mut(id)?.commit_release(entity);
+            releases.push(self.release(id, entity, value)?);
+        }
+        let ledger = self.runtime_mut(id)?.finish_commit();
+        Ok(Commit { releases, ledger })
     }
 
     /// Halts a blocked transaction (§4 step 1): cancels its pending
     /// request and returns it to `Running`, its `pc` still at the request.
-    /// Returns the contested entity and the waiters the cancellation
-    /// promoted, or `None` if `txn` was not blocked.
-    pub fn cancel_wait(
-        &mut self,
-        graph: &mut WaitsForGraph,
-        txn: TxnId,
-    ) -> Result<Option<(EntityId, Vec<HeldLock>)>, EngineError> {
+    /// `None` if `txn` was not blocked.
+    fn cancel_wait(&mut self, txn: TxnId) -> Result<Option<Release>, EngineError> {
         let rt = self.runtime_mut(txn)?;
         if rt.phase != Phase::Blocked {
             return Ok(None);
@@ -299,28 +293,32 @@ impl Kernel {
         let entity = rt.blocked_on.take().expect("blocked transactions record their entity");
         rt.phase = Phase::Running;
         let promoted = self.table.cancel_wait(txn, entity)?;
-        graph.clear_wait(txn);
-        self.finalize_promoted(graph, entity, &promoted)?;
-        Ok(Some((entity, promoted)))
+        self.wfg.clear_wait(txn);
+        self.finalize_promoted(entity, &promoted)?;
+        Ok(Some(Release { entity, published: false, promoted }))
     }
 
-    /// Rolls `rb.txn`'s runtime back (§4 steps 2–5). The table locks of
-    /// the receipt's `released` lock states are still held: the driver
-    /// [`Self::release`]s each.
-    pub fn rollback(&mut self, rb: &CandidateRollback) -> Result<RollbackReceipt, EngineError> {
-        Ok(self.runtime_mut(rb.txn)?.rollback(rb)?)
+    /// Executes one planned rollback, §4's whole procedure: cancels the
+    /// victim's pending request (step 1), rolls its runtime back (steps
+    /// 2–5), then releases the table lock of every undone lock state
+    /// *without* publishing — the database still holds the pre-lock
+    /// global values (§4's deferred update).
+    pub fn rollback(&mut self, rb: &CandidateRollback) -> Result<Rollback, EngineError> {
+        let cancelled = self.cancel_wait(rb.txn)?;
+        let receipt = self.runtime_mut(rb.txn)?.rollback(rb)?;
+        let mut releases = Vec::with_capacity(receipt.released.len());
+        for ls in &receipt.released {
+            releases.push(self.release(rb.txn, ls.entity, None)?);
+        }
+        Ok(Rollback { cancelled, receipt, releases })
     }
 
-    /// One detection round for the blocked transaction `causer` in
-    /// `graph`: if its wait closes cycles there, the deadlock and the plan
-    /// that resolves it (nothing is executed). Drivers loop — executing
-    /// the plan, then detecting again — because the cycle cap may hide
-    /// cycles and rollbacks reshape the graph.
-    pub fn detect(
-        &self,
-        graph: &mut WaitsForGraph,
-        causer: TxnId,
-    ) -> Option<(DeadlockEvent, ResolutionPlan)> {
+    /// One detection round for the blocked transaction `causer`: if its
+    /// wait closes cycles, the deadlock and the plan that resolves it
+    /// (nothing is executed). Callers loop — executing the plan, then
+    /// detecting again — because the cycle cap may hide cycles and
+    /// rollbacks reshape the graph.
+    pub fn detect(&mut self, causer: TxnId) -> Option<(DeadlockEvent, ResolutionPlan)> {
         let rt = self.txns.get(&causer)?;
         if rt.phase != Phase::Blocked {
             return None; // granted (or rolled back) during a previous round
@@ -335,9 +333,9 @@ impl Kernel {
         );
         let holders = self.table.blockers_of(causer, entity);
         // Detection runs on the graph without the causer's own arcs.
-        graph.clear_wait(causer);
-        let cycles = cycles_on_wait(graph, causer, entity, &holders, self.config.cycle_cap);
-        graph.set_wait(causer, entity, &holders);
+        self.wfg.clear_wait(causer);
+        let cycles = cycles_on_wait(&self.wfg, causer, entity, &holders, self.config.cycle_cap);
+        self.wfg.set_wait(causer, entity, &holders);
         if cycles.is_empty() {
             return None;
         }
@@ -346,69 +344,34 @@ impl Kernel {
         Some((event, plan))
     }
 
-    // ------------------------------------------------------------------
-    // Crash transitions (fault injection in `pr-dist`, DESIGN §9)
-    // ------------------------------------------------------------------
-
-    /// Evicts `entity`'s whole lock slot, as when the site holding it
-    /// crashes and its volatile lock table is lost. Nothing is promoted.
-    /// Evicted waiters return to `Running` and will simply re-issue their
-    /// request; evicted holders still believe they hold the lock, and the
-    /// caller decides each one's fate (roll it back past the lost lock
-    /// state, [`Self::reinstate`] the grant, or [`Self::abort`] it).
-    pub fn evict(&mut self, entity: EntityId) -> (Vec<HeldLock>, Vec<WaitingRequest>) {
-        let (holders, waiters) = self.table.evict_entity(entity);
-        for w in &waiters {
-            if let Some(rt) = self.txns.get_mut(&w.txn) {
-                rt.phase = Phase::Running;
-                rt.blocked_on = None;
-            }
-        }
-        (holders, waiters)
-    }
-
-    /// Re-asserts an evicted grant for a holder that cannot be rolled
-    /// back (its shrinking phase began).
-    pub fn reinstate(&mut self, entity: EntityId, held: HeldLock) -> Result<(), EngineError> {
-        self.table.reinstate(entity, held)?;
-        self.runtime_mut(held.txn)?.held.insert(entity);
-        Ok(())
-    }
-
-    /// Terminates `txn` without commit, once its pending request is
-    /// cancelled and its table locks are released: whatever it still
-    /// believes it holds died with a crashed site, and its uncommitted
-    /// local values die with the workspace.
-    pub fn abort(&mut self, txn: TxnId) -> Result<(), EngineError> {
-        let rt = self.runtime_mut(txn)?;
-        rt.held.clear();
-        rt.blocked_on = None;
-        rt.phase = Phase::Aborted;
-        Ok(())
-    }
-
-    /// Table/runtime coherence: lock-table consistency, every blocked
-    /// transaction queued where it says, settled transactions holding
-    /// nothing, and the table and the runtimes agreeing on who holds what.
+    /// Coherence of table, graph and runtimes: lock-table consistency,
+    /// every blocked transaction queued where it says and present in the
+    /// graph (and no other), committed transactions holding nothing,
+    /// intact workspaces, the table and the runtimes agreeing on who holds
+    /// what, and an acyclic graph.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.table.check_invariants()?;
         for rt in self.txns.values() {
-            match rt.phase {
-                Phase::Blocked => {
-                    let entity = rt
-                        .blocked_on
-                        .ok_or_else(|| format!("{}: blocked without entity", rt.id))?;
-                    if self.table.waiting_on(rt.id, entity).is_none() {
-                        return Err(format!("{}: blocked but not queued on {entity}", rt.id));
-                    }
+            let blocked = rt.phase == Phase::Blocked;
+            if blocked {
+                let entity =
+                    rt.blocked_on.ok_or_else(|| format!("{}: blocked without entity", rt.id))?;
+                if self.table.waiting_on(rt.id, entity).is_none() {
+                    return Err(format!("{}: blocked but not queued on {entity}", rt.id));
                 }
-                Phase::Committed | Phase::Aborted => {
-                    if !rt.held.is_empty() {
-                        return Err(format!("{}: settled but still holds locks", rt.id));
-                    }
-                }
-                Phase::Running => {}
             }
+            if blocked != self.wfg.is_waiting(rt.id) {
+                return Err(format!(
+                    "{}: {:?} but {} in the waits-for graph",
+                    rt.id,
+                    rt.phase,
+                    if blocked { "absent from" } else { "waiting" }
+                ));
+            }
+            if rt.phase == Phase::Committed && !rt.held.is_empty() {
+                return Err(format!("{}: committed but still holds locks", rt.id));
+            }
+            rt.workspace.check_integrity().map_err(|e| format!("{}: workspace: {e}", rt.id))?;
             for entity in &rt.held {
                 if self.table.held_by(rt.id, *entity).is_none() {
                     return Err(format!(
@@ -425,6 +388,102 @@ impl Kernel {
                 }
             }
         }
+        if self.wfg.has_cycle() {
+            return Err("waits-for graph contains an unresolved cycle".into());
+        }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pr_lock::GrantPolicy;
+    use pr_model::{Expr, LockIndex, ProgramBuilder};
+    use LockMode::{Exclusive as X, Shared as S};
+
+    const A: EntityId = EntityId::new(0);
+    const B: EntityId = EntityId::new(1);
+
+    fn t(i: u32) -> TxnId {
+        TxnId::new(i)
+    }
+
+    /// A kernel running `programs` as T1, T2, … under `policy`.
+    fn kernel(policy: GrantPolicy, programs: Vec<ProgramBuilder>) -> Kernel {
+        let config = SystemConfig::default().with_grant_policy(policy);
+        let mut k = Kernel::new(GlobalStore::with_entities(2, Value::new(100)), config);
+        for p in programs {
+            k.admit(p.build_unchecked()).unwrap();
+        }
+        k
+    }
+
+    /// Issues T`id`'s request; whether it was granted (else it waits).
+    fn granted(k: &mut Kernel, id: u32, entity: EntityId, mode: LockMode) -> bool {
+        k.request(t(id), entity, mode).unwrap() == RequestOutcome::Granted
+    }
+
+    /// A release as (entity, published, promoted transactions).
+    fn summary(r: &Release) -> (EntityId, bool, Vec<TxnId>) {
+        (r.entity, r.published, r.promoted.iter().map(|h| h.txn).collect())
+    }
+
+    #[test]
+    fn a_wait_leaves_its_arcs_in_the_graph() {
+        let p = || ProgramBuilder::new().lock_exclusive(A).unlock(A);
+        let mut k = kernel(GrantPolicy::Barging, vec![p(), p()]);
+        assert!(granted(&mut k, 1, A, X) && !granted(&mut k, 2, A, X));
+        assert_eq!(k.graph().wait_of(t(2)), Some((A, vec![t(1)])));
+        k.check_invariants().unwrap();
+    }
+
+    /// T1 writes `a`, then waits behind T2's shared hold on `b`; T3 queues
+    /// behind T1 for `b`, T4 for `a`. Rolling T1 back to lock state 0
+    /// cancels its request (promoting T3), then releases `a` without
+    /// publishing (promoting T4).
+    #[test]
+    fn rollback_of_a_blocked_victim_cancels_then_releases_unpublished() {
+        let programs = vec![
+            ProgramBuilder::new().lock_exclusive(A).write_const(A, 7).lock_exclusive(B),
+            ProgramBuilder::new().lock_shared(B).unlock(B),
+            ProgramBuilder::new().lock_shared(B).unlock(B),
+            ProgramBuilder::new().lock_exclusive(A).unlock(A),
+        ];
+        let mut k = kernel(GrantPolicy::FairQueue, programs);
+        assert!(granted(&mut k, 2, B, S) && granted(&mut k, 1, A, X));
+        k.exec_local(t(1), &Op::Write { entity: A, expr: Expr::lit(7) }).unwrap();
+        assert!(
+            !granted(&mut k, 1, B, X) && !granted(&mut k, 3, B, S) && !granted(&mut k, 4, A, X)
+        );
+        let rb = k.txn(t(1)).unwrap().candidate_to(LockIndex::ZERO, LockIndex::ZERO);
+        let done = k.rollback(&rb).unwrap();
+        assert_eq!(done.cancelled.as_ref().map(summary), Some((B, false, vec![t(3)])));
+        assert_eq!(done.receipt.target, LockIndex::ZERO);
+        let releases: Vec<_> = done.releases.iter().map(summary).collect();
+        assert_eq!(releases, vec![(A, false, vec![t(4)])]);
+        assert_eq!(k.ready(), vec![t(1), t(2), t(3), t(4)]);
+        assert_eq!(k.txn(t(4)).unwrap().lock_index(), LockIndex::new(1), "T4's grant completed");
+        assert_eq!(k.store().read(A).unwrap(), Value::new(100), "T1's write stayed local");
+        k.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn commit_publishes_exclusive_finals_and_promotes_waiters() {
+        let programs = vec![
+            ProgramBuilder::new().lock_exclusive(A).lock_shared(B).write_const(A, 7),
+            ProgramBuilder::new().lock_exclusive(A).unlock(A),
+        ];
+        let mut k = kernel(GrantPolicy::Barging, programs);
+        assert!(granted(&mut k, 1, A, X) && granted(&mut k, 1, B, S));
+        k.exec_local(t(1), &Op::Write { entity: A, expr: Expr::lit(7) }).unwrap();
+        assert!(!granted(&mut k, 2, A, X));
+        let commit = k.commit(t(1)).unwrap();
+        let releases: Vec<_> = commit.releases.iter().map(summary).collect();
+        assert_eq!(releases, vec![(A, true, vec![t(2)]), (B, false, vec![])]);
+        assert_eq!(commit.ledger, (0, 0));
+        assert_eq!(k.store().read(A).unwrap(), Value::new(7));
+        assert_eq!(k.ready(), vec![t(2)]);
+        k.check_invariants().unwrap();
     }
 }

@@ -8,8 +8,9 @@
 //!
 //! ## Architecture
 //!
-//! [`System`] owns the database ([`pr_storage::GlobalStore`]), the lock
-//! manager ([`pr_lock::LockTable`]), the concurrency graph
+//! [`System`] drives a [`kernel::Kernel`], which owns the database
+//! ([`pr_storage::GlobalStore`]), the lock manager
+//! ([`pr_lock::LockTable`]), the concurrency graph
 //! ([`pr_graph::WaitsForGraph`]) and one [`runtime::TxnRuntime`] per live
 //! transaction. A [`Scheduler`] chooses which ready transaction executes
 //! its next atomic operation; every blocked lock request triggers the §3
@@ -55,4 +56,4 @@ pub use fingerprint::{canonical_state, canonical_state_relabeled, fingerprint};
 pub use metrics::{HistogramSummary, LogHistogram, Metrics, ServerMetrics};
 pub use pr_lock::{derive_order, EntityOrder, GrantPolicy, PrecedenceCycle};
 pub use runtime::RuntimeView;
-pub use scheduler::{Recording, RoundRobin, Scheduler};
+pub use scheduler::{RoundRobin, Scheduler};

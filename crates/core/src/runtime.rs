@@ -50,10 +50,6 @@ pub enum Phase {
     Blocked,
     /// Finished; locks released.
     Committed,
-    /// Terminated without committing — its site crashed or an upper layer
-    /// aborted it. Locks are released, uncommitted local state is
-    /// discarded, and the transaction never runs again.
-    Aborted,
 }
 
 /// One granted lock request — the transaction-side record of a lock state.
@@ -133,8 +129,7 @@ impl Workspace {
     }
 
     /// Structural self-check of the underlying storage (stack ordering,
-    /// cached-value coherence). Used by the fault-injection invariant
-    /// sweeps after crash recovery.
+    /// cached-value coherence), run by [`crate::kernel::Kernel::check_invariants`].
     pub fn check_integrity(&self) -> Result<(), String> {
         match self {
             Workspace::Mcs(w) => w.check_integrity(),
@@ -648,7 +643,7 @@ impl TxnRuntime {
     /// The rollback that takes `entity` away from this transaction: to
     /// the deepest target `strategy` can reach at or below the lock state
     /// at which `entity` was locked. `None` if the transaction cannot be
-    /// rolled back (it is shrinking or settled) or has no claim on
+    /// rolled back (it is shrinking or committed) or has no claim on
     /// `entity`.
     pub fn rollback_candidate(
         &self,

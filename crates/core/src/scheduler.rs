@@ -77,57 +77,12 @@ impl Scheduler for Scripted {
     }
 }
 
-/// Wraps any scheduler and records every pick it makes, so a run can be
-/// replayed exactly with [`Scripted`]. This is the model checker's and the
-/// chaos harness's bridge from "a schedule explored/generated dynamically"
-/// to "a deterministic counterexample trace".
-#[derive(Clone, Debug)]
-pub struct Recording<S> {
-    inner: S,
-    picks: Vec<TxnId>,
-}
-
-impl<S: Scheduler> Recording<S> {
-    /// Wraps `inner`.
-    pub fn new(inner: S) -> Self {
-        Recording { inner, picks: Vec::new() }
-    }
-
-    /// The picks made so far, in order.
-    pub fn picks(&self) -> &[TxnId] {
-        &self.picks
-    }
-
-    /// Consumes the wrapper, returning the recorded schedule.
-    pub fn into_script(self) -> Vec<TxnId> {
-        self.picks
-    }
-}
-
-impl<S: Scheduler> Scheduler for Recording<S> {
-    fn pick(&mut self, ready: &[TxnId]) -> TxnId {
-        let pick = self.inner.pick(ready);
-        self.picks.push(pick);
-        pick
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn t(i: u32) -> TxnId {
         TxnId::new(i)
-    }
-
-    #[test]
-    fn recording_replays_identically() {
-        let mut rec = Recording::new(RoundRobin::new());
-        let ready = [t(1), t(2), t(3)];
-        let first: Vec<TxnId> = (0..5).map(|_| rec.pick(&ready)).collect();
-        let mut replay = Scripted::new(rec.into_script());
-        let second: Vec<TxnId> = (0..5).map(|_| replay.pick(&ready)).collect();
-        assert_eq!(first, second);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! on each deadlock, cross-strategy terminal-outcome equivalence, and the
 //! Figure 2 livelock/termination dichotomy. Any violated property is
 //! reported with a minimal witness schedule (and, with `--artifacts`,
-//! written out in the same artifact format the chaos soak uses); the
-//! witness replays deterministically with `--trace`.
+//! written out as an explore trace file: case, strategy, policy, plan,
+//! outcome, trace); the witness replays deterministically with `--trace`.
 
 use pr_core::config::{StrategyKind, SystemConfig, VictimPolicyKind};
 use pr_core::engine::System;
@@ -190,7 +190,7 @@ fn grid_system(
     sys
 }
 
-/// Writes one finding as an artifact in the chaos soak's format.
+/// Writes one finding as an explore trace file.
 fn write_artifact(
     dir: &std::path::Path,
     name: &str,

@@ -508,7 +508,7 @@ pub fn explore(base: &System, opts: &ExploreOptions) -> ExploreReport {
                 issues.push(("consistency-violation", err.to_string()));
             }
         }
-        if sys.ready().is_empty() && !sys.all_settled() {
+        if sys.ready().is_empty() && !sys.all_committed() {
             issues.push(("stuck", format!("blocked forever: {:?}", sys.blocked())));
         }
         issues
@@ -524,7 +524,7 @@ pub fn explore(base: &System, opts: &ExploreOptions) -> ExploreReport {
                 anchors.push((findings.len(), node, None));
                 findings.push(Finding { kind, detail, schedule: graph.path_to(node) });
             }
-            if sys.ready().is_empty() && sys.all_settled() {
+            if sys.ready().is_empty() && sys.all_committed() {
                 let committed: Vec<TxnId> = sys
                     .txn_ids()
                     .into_iter()

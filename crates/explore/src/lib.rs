@@ -1,9 +1,9 @@
 //! # pr-explore — exhaustive schedule-space exploration
 //!
 //! A bounded model checker for the partial-rollback engine. Where `pr-sim`
-//! samples schedules (random schedulers, chaos fault injection), this crate
-//! enumerates **every** interleaving of a small workload and checks
-//! properties that sampling can only make probable:
+//! samples schedules with seeded random schedulers, this crate enumerates
+//! **every** interleaving of a small workload and checks properties that
+//! sampling can only make probable:
 //!
 //! * **§3.1 victim optimality** — on every exclusive-lock deadlock along
 //!   every schedule, the engine's victim cost equals the brute-force

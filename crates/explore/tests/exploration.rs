@@ -123,7 +123,7 @@ fn repair_is_outcome_equivalent_and_reconciles_over_the_grid() {
             for &t in &outcome.schedule {
                 sys.step(t).expect("witness schedule replays");
             }
-            assert!(sys.all_settled(), "{}: witness replay did not settle", case.name);
+            assert!(sys.all_committed(), "{}: witness replay did not settle", case.name);
             let m = sys.metrics();
             assert_eq!(m.repairs, m.rollbacks(), "{}: one repair per rollback", case.name);
             assert_eq!(
@@ -172,7 +172,7 @@ fn repair_reuses_unaffected_suffix_ops_on_the_grid_shapes() {
             }
         }
         sys.run(&mut pr_core::scheduler::RoundRobin::new()).expect("drains");
-        assert!(sys.all_settled());
+        assert!(sys.all_committed());
         let snapshot: Vec<(u32, i64)> =
             sys.store().iter().map(|(e, v)| (e.raw(), v.raw())).collect();
         (snapshot, sys.metrics().clone())
@@ -268,7 +268,7 @@ fn random_sampling_never_escapes_the_explored_outcome_set() {
                 let pick = ready[(rng() % ready.len() as u64) as usize];
                 sys.step(pick).expect("random schedule step succeeds");
             }
-            assert!(sys.all_settled(), "{}: random run did not settle", case.name);
+            assert!(sys.all_committed(), "{}: random run did not settle", case.name);
             let committed: Vec<TxnId> = sys.txn_ids();
             let snapshot: Vec<(u32, i64)> =
                 sys.store().iter().map(|(e, v)| (e.raw(), v.raw())).collect();

@@ -415,24 +415,10 @@ impl LockTable {
         self.entities.keys().copied().collect()
     }
 
-    /// Forcibly evicts `entity`'s whole lock slot — holders and waiters
-    /// alike — returning both so crash recovery can decide each party's
-    /// fate (partial rollback past the lost lock state for survivors,
-    /// re-request for waiters). Nothing is promoted: the entity's site is
-    /// down, so there is no lock to grant. Idempotent — an absent entity
-    /// yields two empty vectors.
-    pub fn evict_entity(&mut self, entity: EntityId) -> (Vec<HeldLock>, Vec<WaitingRequest>) {
-        match self.entities.remove(&entity) {
-            Some(slot) => (slot.holders, slot.queue.into_iter().collect()),
-            None => (Vec::new(), Vec::new()),
-        }
-    }
-
-    /// Re-installs a previously evicted grant — the lock re-assertion step
-    /// of crash recovery, where a surviving holder that cannot be rolled
-    /// back (its shrinking phase began) re-registers its grant from its own
-    /// records. Fails if the holder is already registered or the grant
-    /// would conflict with a holder installed since the eviction.
+    /// Installs a grant made outside the table — pr-par's inflation, which
+    /// moves a lock word's fast-path holders into the table with their
+    /// §4 metadata. Fails if the holder is already registered or the grant
+    /// would conflict with a current holder.
     pub fn reinstate(&mut self, entity: EntityId, held: HeldLock) -> Result<(), LockError> {
         let slot = self.entities.entry(entity).or_default();
         if slot.holders.iter().any(|h| h.txn == held.txn) {
@@ -769,25 +755,6 @@ mod tests {
         assert_eq!(run(GrantPolicy::Barging), None, "barging must starve the writer");
         let granted_at = run(GrantPolicy::FairQueue).expect("fair queue must grant the writer");
         assert!(granted_at <= 1, "writer granted in round {granted_at}, expected ≤ 1");
-    }
-
-    #[test]
-    fn evict_entity_returns_holders_and_waiters_without_promotion() {
-        let mut tbl = LockTable::new();
-        req(&mut tbl, 1, 0, LockMode::Exclusive).unwrap();
-        req(&mut tbl, 2, 0, LockMode::Exclusive).unwrap();
-        req(&mut tbl, 1, 1, LockMode::Shared).unwrap();
-        assert_eq!(tbl.entities(), vec![e(0), e(1)]);
-        let (holders, waiters) = tbl.evict_entity(e(0));
-        assert_eq!(holders.iter().map(|h| h.txn).collect::<Vec<_>>(), vec![t(1)]);
-        assert_eq!(waiters.iter().map(|w| w.txn).collect::<Vec<_>>(), vec![t(2)]);
-        // The slot is gone entirely; nobody was promoted into it.
-        assert_eq!(tbl.holders_of(e(0)), Vec::new());
-        assert_eq!(tbl.active_entities(), 1);
-        tbl.check_invariants().unwrap();
-        // Idempotent on a missing entity.
-        let (h2, w2) = tbl.evict_entity(e(0));
-        assert!(h2.is_empty() && w2.is_empty());
     }
 
     /// FIFO order must survive a mid-queue abort: with holder X1 and

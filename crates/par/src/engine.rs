@@ -179,7 +179,7 @@ impl Core<'_> {
             match g.rt.phase {
                 Phase::Committed => return Ok(()),
                 Phase::Running => {}
-                Phase::Blocked | Phase::Aborted => {
+                Phase::Blocked => {
                     return Err(ParError::Inconsistent(format!(
                         "{id} re-entered the step loop in phase {:?}",
                         g.rt.phase

@@ -22,7 +22,7 @@ usage: pr-server [OPTIONS]
   --init V             initial entity value (default 100)
   --threads N          engine worker threads per batch (default 8)
   --shards N           lock-table shards (default 0 = auto)
-  --strategy NAME      rollback strategy: total | mcs | sdg (default mcs)
+  --strategy NAME      rollback strategy: total | mcs | sdg | repair | bounded-K (default mcs)
   --victim NAME        victim policy: min-cost | partial-order | youngest | causer
   --policy NAME        grant policy: barging | fair-queue (default fair-queue)
   --batch-max N        group-commit flush threshold (default 256)
@@ -62,12 +62,9 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 config.shards = value("--shards")?.parse().map_err(|_| "--shards needs a count")?
             }
             "--strategy" => {
-                system.strategy = match value("--strategy")? {
-                    "total" => StrategyKind::Total,
-                    "mcs" => StrategyKind::Mcs,
-                    "sdg" => StrategyKind::Sdg,
-                    other => return Err(format!("unknown strategy {other:?}")),
-                }
+                let name = value("--strategy")?;
+                system.strategy = StrategyKind::parse(name)
+                    .ok_or_else(|| format!("unknown strategy {name:?}"))?;
             }
             "--victim" => {
                 system.victim = match value("--victim")? {
@@ -178,23 +175,31 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn parsed(args: &[&str]) -> Result<(usize, GrantPolicy), String> {
+    fn parsed(args: &[&str]) -> Result<(usize, GrantPolicy, StrategyKind), String> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        parse_options(&args).map(|o| (o.config.threads, o.config.system.grant_policy))
+        parse_options(&args).map(|o| {
+            let system = &o.config.system;
+            (o.config.threads, system.grant_policy, system.strategy)
+        })
     }
 
     #[test]
     fn parse_options_accepts_sized_servers_and_rejects_empty_ones() {
-        assert_eq!(parsed(&[]), Ok((8, GrantPolicy::FairQueue)));
-        assert_eq!(
-            parsed(&["--threads", "2", "--policy", "barging"]),
-            Ok((2, GrantPolicy::Barging))
-        );
+        let (fair, mcs) = (GrantPolicy::FairQueue, StrategyKind::Mcs);
+        let accepted: [(&[&str], _); 3] = [
+            (&[], (8, fair, mcs)),
+            (&["--threads", "2", "--policy", "barging"], (2, GrantPolicy::Barging, mcs)),
+            (&["--strategy", "repair"], (8, fair, StrategyKind::Repair)),
+        ];
+        for (args, want) in accepted {
+            assert_eq!(parsed(args), Ok(want), "{args:?}");
+        }
         let ordered = parsed(&["--policy", "ordered"]).unwrap_err();
         assert!(ordered.contains("deterministic engine and the explorer only"), "{ordered}");
-        let rejected: [(&[&str], &str); 3] = [
+        let rejected: [(&[&str], &str); 4] = [
             (&["--threads", "0"], "--threads needs at least 1"),
             (&["--policy", "fair"], "unknown grant policy \"fair\""),
+            (&["--strategy", "bogus"], "unknown strategy \"bogus\""),
             (&["--bogus"], "unknown argument \"--bogus\""),
         ];
         for (args, why) in rejected {

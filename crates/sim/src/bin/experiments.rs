@@ -208,26 +208,6 @@ fn main() {
     }
     emit(&t, "r1-restructure", csv);
 
-    let rows = exp::distributed_comparison(4, seeds);
-    let mut t = Table::new([
-        "scheme",
-        "strategy",
-        "messages/commit",
-        "states lost/commit",
-        "rollbacks/commit",
-    ])
-    .with_title("D1 — distributed systems: detection vs prevention (§3.3), 4 sites");
-    for r in &rows {
-        t.row([
-            r.scheme.to_string(),
-            r.strategy.clone(),
-            f2(r.messages_per_commit),
-            f2(r.lost_per_commit),
-            f2(r.rollbacks_per_commit),
-        ]);
-    }
-    emit(&t, "d1-distributed", csv);
-
     // Make the policy enum variants appear used in release builds.
     let _ = VictimPolicyKind::ALL;
 }

@@ -6,12 +6,9 @@
 
 use crate::generator::{Clustering, GeneratorConfig, ProgramGenerator};
 use crate::runner::{run_workload, store_with, SchedulerKind};
-use pr_core::scheduler::RoundRobin;
 use pr_core::{StrategyKind, SystemConfig, VictimPolicyKind};
-use pr_dist::{CrossSiteScheme, DistConfig, DistributedSystem};
 use pr_graph::{cutset, CandidateRollback};
 use pr_model::{LockIndex, StateIndex, TxnId};
-use pr_storage::GlobalStore;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -498,71 +495,6 @@ pub fn cutset_comparison(sizes: &[(usize, usize)], seeds: u64) -> Vec<CutsetRow>
     rows
 }
 
-/// One row of the D1 distributed comparison.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct DistRow {
-    /// Cross-site scheme.
-    pub scheme: &'static str,
-    /// Rollback strategy.
-    pub strategy: String,
-    /// Inter-site messages per committed transaction.
-    pub messages_per_commit: f64,
-    /// States lost per committed transaction.
-    pub lost_per_commit: f64,
-    /// Rollbacks of any cause per committed transaction.
-    pub rollbacks_per_commit: f64,
-}
-
-/// **D1 — distributed systems (§3.3).** Global detection pays coordinator
-/// traffic for optimal victims; the prevention schemes (wound-wait,
-/// site-ordering) save messages but roll transactions back on conflicts
-/// that were not deadlocks. Partial rollback reduces the damage under
-/// *every* scheme — the paper's point that distribution "in no way
-/// invalidate\[s\] the advantages" of partial rollback.
-pub fn distributed_comparison(sites: u16, seeds: u64) -> Vec<DistRow> {
-    let mut rows = Vec::new();
-    for scheme in CrossSiteScheme::ALL {
-        for strategy in [StrategyKind::Total, StrategyKind::Mcs] {
-            let mut messages = 0.0;
-            let mut lost = 0.0;
-            let mut rollbacks = 0.0;
-            let mut commits = 0.0;
-            for seed in 0..seeds {
-                let gen_cfg = GeneratorConfig {
-                    num_entities: u32::from(sites) * 4,
-                    min_locks: 2,
-                    max_locks: 4,
-                    pad_between: 3,
-                    ..Default::default()
-                };
-                let mut g = ProgramGenerator::new(gen_cfg, seed);
-                let programs = g.generate_workload(DEFAULT_TXNS);
-                let store =
-                    GlobalStore::with_entities(u32::from(sites) * 4, pr_model::Value::new(100));
-                let mut sys =
-                    DistributedSystem::new(store, DistConfig::new(sites, scheme, strategy));
-                for p in &programs {
-                    sys.admit(p.clone()).expect("valid program");
-                }
-                sys.run(&mut RoundRobin::new()).expect("distributed system drains");
-                let m = sys.metrics();
-                messages += m.messages as f64;
-                lost += m.states_lost as f64;
-                rollbacks += m.rollbacks() as f64;
-                commits += m.commits as f64;
-            }
-            rows.push(DistRow {
-                scheme: scheme.name(),
-                strategy: strategy.name(),
-                messages_per_commit: messages / commits,
-                lost_per_commit: lost / commits,
-                rollbacks_per_commit: rollbacks / commits,
-            });
-        }
-    }
-    rows
-}
-
 /// One row of the R1 restructuring comparison.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RestructureRow {
@@ -727,40 +659,6 @@ mod tests {
         assert!(three.well_defined > orig.well_defined);
         assert_eq!(three.overshoot, 0.0, "three-phase transactions never overshoot");
         assert!(clustered.overshoot <= orig.overshoot);
-    }
-
-    #[test]
-    fn distributed_shapes_hold() {
-        let rows = distributed_comparison(4, 2);
-        let get = |scheme: &str, strategy: &str| {
-            rows.iter().find(|r| r.scheme == scheme && r.strategy == strategy).unwrap().clone()
-        };
-        // Prevention rolls back more often than detection.
-        let gd = get("global-detection", "mcs");
-        let ww = get("wound-wait", "mcs");
-        assert!(ww.rollbacks_per_commit >= gd.rollbacks_per_commit);
-        // Partial rollback loses no more than total where rollbacks are
-        // genuine deadlock resolutions; under the prevention schemes the
-        // dominant cost is scheme-mandated full releases, so partial
-        // rollback only has to stay in the same ballpark.
-        let total = get("global-detection", "total");
-        let mcs = get("global-detection", "mcs");
-        assert!(
-            mcs.lost_per_commit <= total.lost_per_commit + 1e-9,
-            "global-detection: {} vs {}",
-            mcs.lost_per_commit,
-            total.lost_per_commit
-        );
-        for scheme in ["wound-wait", "site-ordered"] {
-            let total = get(scheme, "total");
-            let mcs = get(scheme, "mcs");
-            assert!(
-                mcs.lost_per_commit <= total.lost_per_commit * 1.15 + 1e-9,
-                "{scheme}: {} vs {}",
-                mcs.lost_per_commit,
-                total.lost_per_commit
-            );
-        }
     }
 
     #[test]

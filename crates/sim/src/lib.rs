@@ -24,7 +24,6 @@
 //! * [`stress`] — open/closed-loop high-contention drivers with
 //!   Zipf-skewed access and transaction-latency histograms.
 
-pub mod chaos;
 pub mod experiments;
 pub mod generator;
 pub mod oracle;
@@ -33,7 +32,6 @@ pub mod runner;
 pub mod scenarios;
 pub mod stress;
 
-pub use chaos::{chaos_sweep, fault_rate_grid, run_chaos, ChaosConfig, ChaosReport, ChaosVerdict};
 pub use generator::{Clustering, GeneratorConfig, ProgramGenerator};
 pub use oracle::{
     check_accounting, check_conflict_serializable, check_outcome, check_server_history,

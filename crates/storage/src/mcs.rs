@@ -217,7 +217,7 @@ impl McsWorkspace {
         self.entity_stacks.get(&entity).and_then(|s| s.value_at(target))
     }
 
-    /// Structural self-check used by the crash-recovery invariant sweep:
+    /// Structural self-check run by the engine's invariant check:
     /// every stack is internally consistent, the cached variable values
     /// mirror their stack tops, any copy budget is respected, and the peak
     /// counters dominate the current counts.

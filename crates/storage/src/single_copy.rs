@@ -212,7 +212,7 @@ impl SingleCopyWorkspace {
         Ok(released)
     }
 
-    /// Structural self-check used by the crash-recovery invariant sweep:
+    /// Structural self-check run by the engine's invariant check:
     /// write bookkeeping is internally ordered, unwritten copies still
     /// match their captured global value, cached variable values mirror
     /// their copies, and the peak counter dominates the current count.

@@ -144,8 +144,8 @@ impl VersionStack {
 
     /// Structural self-check: the base element carries the stack's own
     /// index and lock indices are strictly increasing above it. Violations
-    /// indicate engine bookkeeping bugs (used by the crash-recovery
-    /// invariant sweep).
+    /// indicate engine bookkeeping bugs (run by the engine's invariant
+    /// check).
     pub fn check_integrity(&self) -> Result<(), String> {
         if self.base.lock_index != self.stack_index {
             return Err(format!(

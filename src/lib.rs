@@ -60,13 +60,11 @@
 //! | [`par`] | the multi-threaded sharded-lock-table executor and its stamped access history |
 //! | [`sim`] | workload generators, experiment sweeps, the paper's figures, the differential serializability oracle |
 //! | [`server`] | the networked front end: wire protocol, group-commit batching, the `pr-server`/`pr-load` CLIs |
-//! | [`dist`] | the §3.3 multi-site extension, a driver over the `pr-core` kernel: schemes, message accounting |
 //! | [`analyze`] | static workload lint: deadlock-cycle detection, rollback-cost diagnostics, the `pr-lint` CLI |
 //! | [`explore`] | bounded model checker: exhaustive schedule enumeration with brute-force optimality oracles, the `explore` CLI |
 
 pub use pr_analyze as analyze;
 pub use pr_core as core;
-pub use pr_dist as dist;
 pub use pr_explore as explore;
 pub use pr_graph as graph;
 pub use pr_lock as lock;

@@ -5,7 +5,7 @@
 //! A counting global allocator (this file is its own test binary, so
 //! nothing else is affected) runs one transaction of
 //! `LX(a); Read; Compute(var + 1) × N; Write(var + δ); Commit` through each
-//! of the three engines at two program lengths and compares the number of
+//! of the two engines at two program lengths and compares the number of
 //! allocations: if any step allocated, the longer program would allocate
 //! thousands more.
 //!
@@ -16,8 +16,6 @@
 
 #![cfg(not(feature = "invariants"))]
 
-use partial_rollback::core::runtime::Phase;
-use partial_rollback::dist::{CrossSiteScheme, DistConfig, DistributedSystem};
 use partial_rollback::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,16 +81,6 @@ fn through_system(strategy: StrategyKind, p: &TransactionProgram) {
     assert_eq!(sys.store().read(EntityId::new(0)).unwrap(), Value::new(97));
 }
 
-fn through_one_site(strategy: StrategyKind, p: &TransactionProgram) {
-    let dist_config = DistConfig::new(1, CrossSiteScheme::GlobalDetection, strategy);
-    let mut dist = DistributedSystem::new(store(), dist_config);
-    let id = dist.admit(p.clone()).expect("admit");
-    while dist.txn(id).expect("admitted").phase != Phase::Committed {
-        dist.step(id).expect("step");
-    }
-    assert_eq!(dist.store().read(EntityId::new(0)).unwrap(), Value::new(97));
-}
-
 fn through_threads(strategy: StrategyKind, p: &TransactionProgram) {
     let par_config = ParConfig { threads: 1, shards: 0, system: config(strategy), fast_path: true };
     let outcome = run_parallel(std::slice::from_ref(p), store(), &par_config).expect("run");
@@ -114,11 +102,8 @@ fn no_engine_allocates_per_operation() {
     assert_eq!(allocations_in(|| drop(long.clone())), 0, "cloning a program allocates nothing");
 
     type Engine = fn(StrategyKind, &TransactionProgram);
-    let engines: [(&str, Engine); 3] = [
-        ("System::step", through_system),
-        ("one-site DistributedSystem::step", through_one_site),
-        ("run_parallel", through_threads),
-    ];
+    let engines: [(&str, Engine); 2] =
+        [("System::step", through_system), ("run_parallel", through_threads)];
     for (name, engine) in engines {
         for strategy in StrategyKind::ALL {
             engine(strategy, &short); // warm-up: lazy one-time initialisation

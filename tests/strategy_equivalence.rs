@@ -9,10 +9,9 @@
 //! transaction set and leave identical final entity values, even though
 //! the interleavings, victim choices, and rollback depths all differ.
 
-use partial_rollback::dist::{CrossSiteScheme, DistConfig, DistributedSystem};
 use partial_rollback::prelude::*;
 use partial_rollback::sim::generator::{GeneratorConfig, ProgramGenerator};
-use partial_rollback::sim::runner::{run_workload, store_with, RandomScheduler, SchedulerKind};
+use partial_rollback::sim::runner::{run_workload, store_with, SchedulerKind};
 use proptest::prelude::*;
 
 const STRATEGIES: [StrategyKind; 4] = StrategyKind::ALL;
@@ -96,49 +95,6 @@ proptest! {
         }
         for snapshot in &snapshots[1..] {
             prop_assert_eq!(&snapshots[0], snapshot);
-        }
-    }
-
-    /// One kernel, two drivers: a single-site `DistributedSystem` under
-    /// global detection with no faults is the deterministic engine with
-    /// nothing added. Same workload, same seeded scheduler ⇒ the same
-    /// commits, final values, states lost and deadlock count under every
-    /// strategy, and not one message.
-    #[test]
-    fn one_site_distributed_system_is_the_deterministic_engine(
-        workload_seed in 0u64..5_000,
-        sched_seed in 0u64..1_000,
-        skew_centi in prop_oneof![Just(0u16), Just(60u16)],
-    ) {
-        let config = GeneratorConfig {
-            num_entities: 24,
-            skew_centi,
-            ..GeneratorConfig::default()
-        };
-        let programs = ProgramGenerator::new(config, workload_seed).generate_workload(10);
-        for strategy in STRATEGIES {
-            let core = run_workload(
-                &programs,
-                store_with(24, 100),
-                SystemConfig::new(strategy, VictimPolicyKind::PartialOrder),
-                SchedulerKind::Random { seed: sched_seed },
-            )
-            .expect("engine error");
-            prop_assert!(core.completed, "{:?} hit the step limit", strategy);
-
-            let dist_config = DistConfig::new(1, CrossSiteScheme::GlobalDetection, strategy);
-            let mut dist = DistributedSystem::new(store_with(24, 100), dist_config);
-            for p in &programs {
-                dist.admit(p.clone()).expect("valid program");
-            }
-            dist.run(&mut RandomScheduler::new(sched_seed)).expect("engine error");
-
-            let (m, d) = (&core.metrics, dist.metrics());
-            prop_assert_eq!(d.commits, m.commits, "{:?}: commits", strategy);
-            prop_assert_eq!(&dist.store().snapshot(), &core.snapshot, "{:?}: snapshot", strategy);
-            prop_assert_eq!(d.states_lost, m.states_lost, "{:?}: states lost", strategy);
-            prop_assert_eq!(d.detected_deadlocks, m.deadlocks, "{:?}: deadlocks", strategy);
-            prop_assert_eq!(d.messages, 0, "{:?}: one site exchanges no messages", strategy);
         }
     }
 }
