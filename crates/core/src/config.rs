@@ -2,10 +2,9 @@
 //! limits.
 
 use pr_lock::GrantPolicy;
-use serde::{Deserialize, Serialize};
 
 /// Which §4 rollback implementation the system runs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StrategyKind {
     /// Total removal and restart — the baseline the paper improves on.
     /// Single-copy workspace; every rollback goes to lock state 0.
@@ -71,7 +70,7 @@ impl StrategyKind {
 }
 
 /// How the victim(s) of a deadlock are chosen (§3.1).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum VictimPolicyKind {
     /// Minimise total rollback cost with full freedom — the §3.1 optimum.
     /// Exercising it without restriction risks *potentially infinite
@@ -112,10 +111,16 @@ impl VictimPolicyKind {
             VictimPolicyKind::ConflictCauser => "causer",
         }
     }
+
+    /// Parses a policy name as [`Self::name`] spells it, so every bin
+    /// accepts exactly the names its tables and CSVs print.
+    pub fn parse(name: &str) -> Option<VictimPolicyKind> {
+        Self::ALL.into_iter().find(|p| p.name() == name)
+    }
 }
 
 /// Full engine configuration.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SystemConfig {
     /// Rollback implementation.
     pub strategy: StrategyKind,
@@ -205,6 +210,15 @@ mod tests {
         assert_eq!(StrategyKind::parse("restart"), None);
         assert_eq!(StrategyKind::parse("bounded-"), None);
         assert_eq!(StrategyKind::parse(""), None);
+    }
+
+    #[test]
+    fn victim_policy_parse_round_trips_every_name() {
+        for p in VictimPolicyKind::ALL {
+            assert_eq!(VictimPolicyKind::parse(p.name()), Some(p));
+        }
+        assert_eq!(VictimPolicyKind::parse("conflict-causer"), None);
+        assert_eq!(VictimPolicyKind::parse(""), None);
     }
 
     #[test]

@@ -6,11 +6,10 @@ use crate::victim;
 use pr_graph::{cutset, CandidateRollback, Cycle};
 use pr_lock::LockTable;
 use pr_model::{EntityId, LockMode, TxnId};
-use serde::{Deserialize, Serialize};
 
 /// A detected deadlock: the request that would close cycle(s) in the
 /// concurrency graph.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct DeadlockEvent {
     /// The transaction whose lock request caused the deadlock.
     pub causer: TxnId,
@@ -22,7 +21,7 @@ pub struct DeadlockEvent {
 }
 
 /// The rollbacks chosen to break a deadlock.
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ResolutionPlan {
     /// Planned rollbacks, one per victim.
     pub rollbacks: Vec<CandidateRollback>,
@@ -39,7 +38,7 @@ pub struct ResolutionPlan {
 /// model checker in particular — replay the solver inputs recorded here to
 /// verify §3.1 victim-cost optimality and to measure the §3.2 cut
 /// heuristic's gap from the exact optimum.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ResolutionAudit {
     /// The deadlock as detected.
     pub event: DeadlockEvent,

@@ -5,11 +5,10 @@
 //! bounded when on, so a runaway workload cannot exhaust memory.
 
 use pr_model::{EntityId, LockIndex, LockMode, TxnId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One engine event.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Event {
     /// A transaction was admitted.
     Admitted {
@@ -118,11 +117,6 @@ impl EventLog {
         self.capacity = capacity;
     }
 
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records `event` at logical time `step` (no-op while disabled).
     pub fn record(&mut self, step: u64, event: Event) {
         if !self.enabled {
@@ -171,7 +165,6 @@ mod tests {
         let mut log = EventLog::new();
         log.record(1, ev(1));
         assert!(log.events().is_empty());
-        assert!(!log.is_enabled());
     }
 
     #[test]

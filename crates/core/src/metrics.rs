@@ -6,7 +6,6 @@
 use crate::config::StrategyKind;
 use crate::runtime::RollbackReceipt;
 use pr_model::{EntityId, LockIndex, TxnId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -15,7 +14,7 @@ use std::fmt::Write as _;
 /// are O(1), storage is O(log max), and quantiles are read back as the
 /// upper bound of the containing bucket (clamped to the observed max) —
 /// exact enough for p50/p95/p99 in engine steps without storing samples.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LogHistogram {
     buckets: Vec<u64>,
     count: u64,
@@ -135,7 +134,7 @@ impl LogHistogram {
 }
 
 /// Counters accumulated by a [`crate::System`] over its lifetime.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Scheduler steps taken (including steps that ended in a wait).
     pub steps: u64,
@@ -320,7 +319,7 @@ impl Metrics {
 }
 
 /// Summary statistics of one [`LogHistogram`], for reports.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct HistogramSummary {
     /// Samples recorded.
     pub count: u64,

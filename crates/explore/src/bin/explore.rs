@@ -26,13 +26,13 @@ usage: explore [OPTIONS]
   --grid N          explore the N-transaction two-entity shape grid (default 3)
   --case NAME       restrict the grid to one case, e.g. XXab+XXba+SXab
   --policy NAME     victim policy: min-cost | partial-order | youngest |
-                    conflict-causer (default partial-order)
+                    causer (default partial-order)
   --grant NAME      lock-grant policy: barging | fair-queue | ordered
                     (default barging; ordered derives and installs each
                     case's acquisition order — uncertifiable cases fall
                     back to partial rollback)
-  --strategy NAME   mcs | sdg | total | repair | all (default all; 'all'
-                    also cross-checks terminal-outcome equivalence)
+  --strategy NAME   mcs | sdg | total | repair | bounded-K | all (default
+                    all; 'all' also cross-checks terminal-outcome equivalence)
   --figure2         explore the Figure 2 prefix under min-cost (livelock
                     expected) and partial-order (termination proof) instead
                     of the grid
@@ -91,13 +91,9 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--case" => o.case = Some(value("--case")?.to_string()),
             "--policy" => {
-                o.policy = match value("--policy")? {
-                    "min-cost" => VictimPolicyKind::MinCost,
-                    "partial-order" => VictimPolicyKind::PartialOrder,
-                    "youngest" => VictimPolicyKind::Youngest,
-                    "conflict-causer" => VictimPolicyKind::ConflictCauser,
-                    other => return Err(format!("unknown policy {other:?}")),
-                };
+                let name = value("--policy")?;
+                o.policy = VictimPolicyKind::parse(name)
+                    .ok_or_else(|| format!("unknown policy {name:?}"))?;
             }
             "--strategy" => {
                 o.strategies = match value("--strategy")? {
@@ -150,25 +146,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
 
 fn parse_num<T: std::str::FromStr>(v: &str, name: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("{name}: bad number {v:?}"))
-}
-
-fn strategy_name(s: StrategyKind) -> &'static str {
-    match s {
-        StrategyKind::Total => "total",
-        StrategyKind::Mcs => "mcs",
-        StrategyKind::Sdg => "sdg",
-        StrategyKind::Repair => "repair",
-        _ => "other",
-    }
-}
-
-fn policy_name(p: VictimPolicyKind) -> &'static str {
-    match p {
-        VictimPolicyKind::MinCost => "min-cost",
-        VictimPolicyKind::PartialOrder => "partial-order",
-        VictimPolicyKind::Youngest => "youngest",
-        VictimPolicyKind::ConflictCauser => "conflict-causer",
-    }
 }
 
 fn grid_system(
@@ -248,8 +225,8 @@ fn run_one(
     println!(
         "{name} [{}/{}]: {} states, {} transitions, {} terminal outcomes, {} deadlocks, \
          {}{}{}",
-        strategy_name(strategy),
-        policy_name(o.policy),
+        strategy.name(),
+        o.policy.name(),
         report.states,
         report.transitions,
         report.terminals.len(),
@@ -272,9 +249,9 @@ fn run_one(
             let trace = replay_lines(base, &f.schedule);
             write_artifact(
                 dir,
-                &format!("{name}-{}-{}", strategy_name(strategy), f.kind),
-                strategy_name(strategy),
-                policy_name(o.policy),
+                &format!("{name}-{}-{}", strategy.name(), f.kind),
+                &strategy.name(),
+                o.policy.name(),
                 &plan,
                 &format!("{}: {}", f.kind, f.detail),
                 &trace,
@@ -303,7 +280,7 @@ fn print_table(records: &[RunRecord]) {
     for r in records {
         t.row([
             r.name.clone(),
-            strategy_name(r.strategy).to_string(),
+            r.strategy.name(),
             r.report.states.to_string(),
             r.report.transitions.to_string(),
             r.report.terminals.len().to_string(),
@@ -442,8 +419,8 @@ fn main() -> ExitCode {
         println!(
             "replay {} [{}/{}]: {}",
             case.name,
-            strategy_name(strategy),
-            policy_name(o.policy),
+            strategy.name(),
+            o.policy.name(),
             schedule_string(schedule)
         );
         for line in replay_lines(&base, schedule) {
@@ -470,9 +447,9 @@ fn main() -> ExitCode {
                         "FAIL {}: terminal outcomes differ between {} ({} outcomes) and \
                          {} ({} outcomes)",
                         case.name,
-                        strategy_name(*s0),
+                        s0.name(),
                         first.len(),
-                        strategy_name(*s),
+                        s.name(),
                         set.len()
                     );
                 }
@@ -506,5 +483,37 @@ fn copy_options(o: &Options) -> Options {
         trace: o.trace.clone(),
         artifacts: o.artifacts.clone(),
         table: o.table,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parsed(args: &[&str]) -> Result<(usize, VictimPolicyKind, Vec<StrategyKind>), String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_options(&args).map(|o| (o.grid, o.policy, o.strategies))
+    }
+
+    #[test]
+    fn parse_options_accepts_printed_names_and_rejects_bad_input() {
+        let (order, all) = (VictimPolicyKind::PartialOrder, StrategyKind::ALL.to_vec());
+        let accepted: [(&[&str], _); 3] = [
+            (&[], (3, order, all.clone())),
+            (&["--policy", "causer"], (3, VictimPolicyKind::ConflictCauser, all)),
+            (&["--strategy", "bounded-2"], (3, order, vec![StrategyKind::Bounded(2)])),
+        ];
+        for (args, want) in accepted {
+            assert_eq!(parsed(args), Ok(want), "{args:?}");
+        }
+        let rejected: [(&[&str], &str); 4] = [
+            (&["--policy", "conflict-causer"], "unknown policy \"conflict-causer\""),
+            (&["--grid", "0"], "--grid supports 1..=4 transactions"),
+            (&["--identical", "6"], "--identical supports 1..=5 transactions"),
+            (&["--bogus"], "unknown argument \"--bogus\""),
+        ];
+        for (args, why) in rejected {
+            assert_eq!(parsed(args), Err(why.to_string()), "{args:?}");
+        }
     }
 }

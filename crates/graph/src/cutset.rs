@@ -19,11 +19,10 @@
 //! back.
 
 use pr_model::{LockIndex, StateIndex, TxnId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A possible rollback of one transaction that would break one cycle.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CandidateRollback {
     /// The transaction to roll back.
     pub txn: TxnId,
@@ -48,7 +47,7 @@ pub struct CandidateRollback {
 }
 
 /// A chosen set of rollbacks covering every cycle.
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct CutSolution {
     /// One planned rollback per victim (deepest target needed).
     pub rollbacks: Vec<CandidateRollback>,

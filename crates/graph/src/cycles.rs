@@ -11,12 +11,11 @@
 
 use crate::waits_for::WaitsForGraph;
 use pr_model::{EntityId, TxnId};
-use serde::{Deserialize, Serialize};
 
 /// One transaction's role in a cycle: to break this cycle by rolling back
 /// this transaction, it must release `holds` — the entity labelling its
 /// outgoing arc in the cycle.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CycleMember {
     /// Transaction on the cycle.
     pub txn: TxnId,
@@ -28,7 +27,7 @@ pub struct CycleMember {
 
 /// A deadlock cycle, listed in cycle order starting from the requester
 /// that caused it.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Cycle {
     /// Members in cycle order; `members[0].txn` is the requester.
     pub members: Vec<CycleMember>,

@@ -11,7 +11,6 @@
 //! dependency graph is clearly very low").
 
 use pr_model::LockIndex;
-use serde::{Deserialize, Serialize};
 
 /// Incrementally maintained state-dependency graph.
 ///
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(!g.is_well_defined(LockIndex::new(2)));
 /// assert_eq!(g.latest_well_defined_at_or_below(LockIndex::new(2)), LockIndex::ZERO);
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct StateDependencyGraph {
     /// Write edges `(u, w)` with `u < w` (non-spanning edges are dropped).
     edges: Vec<(u32, u32)>,

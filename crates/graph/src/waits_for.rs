@@ -11,7 +11,6 @@
 //! than a forest.
 
 use pr_model::{EntityId, TxnId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The labelled concurrency graph.
@@ -28,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// assert!(g.reaches_any(t1, &[t3]));
 /// assert!(g.is_forest(), "exclusive-only waits form a forest (Theorem 1)");
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct WaitsForGraph {
     /// `out[holder]` = arcs holder → waiter (waiter waits for holder).
     out: BTreeMap<TxnId, BTreeSet<TxnId>>,
@@ -69,45 +68,6 @@ impl WaitsForGraph {
                 }
             }
         }
-    }
-
-    /// Removes one arc `holder → waiter` — used when `holder` releases the
-    /// entity but `waiter` still waits on other holders (shared case).
-    pub fn remove_arc(&mut self, holder: TxnId, waiter: TxnId) {
-        if let Some(set) = self.out.get_mut(&holder) {
-            set.remove(&waiter);
-            if set.is_empty() {
-                self.out.remove(&holder);
-            }
-        }
-        let mut now_empty = false;
-        if let Some((_, holders)) = self.wait.get_mut(&waiter) {
-            holders.remove(&holder);
-            now_empty = holders.is_empty();
-        }
-        if now_empty {
-            self.wait.remove(&waiter);
-        }
-    }
-
-    /// Removes a transaction entirely (commit or total restart): its wait
-    /// and every arc it participates in as a holder. Returns the waiters
-    /// that were waiting on it (the engine re-evaluates their requests).
-    pub fn remove_txn(&mut self, txn: TxnId) -> Vec<TxnId> {
-        self.clear_wait(txn);
-        let waiters: Vec<TxnId> =
-            self.out.remove(&txn).map(|s| s.into_iter().collect()).unwrap_or_default();
-        for w in &waiters {
-            let mut now_empty = false;
-            if let Some((_, holders)) = self.wait.get_mut(w) {
-                holders.remove(&txn);
-                now_empty = holders.is_empty();
-            }
-            if now_empty {
-                self.wait.remove(w);
-            }
-        }
-        waiters
     }
 
     /// The entity and holders `txn` currently waits for, if any.
@@ -245,59 +205,6 @@ impl WaitsForGraph {
         set.into_iter().collect()
     }
 
-    /// Renders the graph in Graphviz DOT format, with arcs labelled by
-    /// the contested entity — paste into `dot -Tsvg` to visualise a
-    /// deadlock exactly as the paper draws its figures.
-    pub fn render_dot(&self) -> String {
-        let mut out = String::from("digraph waits_for {\n  rankdir=LR;\n");
-        for v in self.vertices() {
-            out.push_str(&format!("  \"{v}\";\n"));
-        }
-        for (waiter, (entity, holders)) in &self.wait {
-            for holder in holders {
-                out.push_str(&format!("  \"{holder}\" -> \"{waiter}\" [label=\"{entity}\"];\n"));
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-
-    /// A simple directed path from `from` to `to` along holder → waiter
-    /// arcs, if one exists — the diagnostic companion to
-    /// [`Self::reaches_any`].
-    pub fn find_path(&self, from: TxnId, to: TxnId) -> Option<Vec<TxnId>> {
-        let mut prev: BTreeMap<TxnId, TxnId> = BTreeMap::new();
-        let mut queue = VecDeque::from([from]);
-        let mut seen = BTreeSet::from([from]);
-        while let Some(v) = queue.pop_front() {
-            if v == to && v != from {
-                break;
-            }
-            for s in self.successors(v) {
-                if seen.insert(s) {
-                    prev.insert(s, v);
-                    if s == to {
-                        queue.clear();
-                        queue.push_back(s);
-                        break;
-                    }
-                    queue.push_back(s);
-                }
-            }
-        }
-        if !prev.contains_key(&to) && from != to {
-            return None;
-        }
-        let mut path = vec![to];
-        let mut cur = to;
-        while cur != from {
-            cur = *prev.get(&cur)?;
-            path.push(cur);
-        }
-        path.reverse();
-        Some(path)
-    }
-
     /// Structural self-check (feature `invariants`): the `out` arc map and
     /// the `wait` request map must describe the same set of arcs, every
     /// set must be non-empty, and no transaction may wait on itself. Any
@@ -417,29 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_arc_keeps_other_holders() {
-        let mut g = WaitsForGraph::new();
-        g.set_wait(t(3), e(0), &[t(1), t(2)]);
-        g.remove_arc(t(1), t(3));
-        assert_eq!(g.wait_of(t(3)), Some((e(0), vec![t(2)])));
-        g.remove_arc(t(2), t(3));
-        assert!(!g.is_waiting(t(3)));
-    }
-
-    #[test]
-    fn remove_txn_reports_affected_waiters() {
-        let mut g = WaitsForGraph::new();
-        g.set_wait(t(2), e(0), &[t(1)]);
-        g.set_wait(t(3), e(1), &[t(1)]);
-        g.set_wait(t(1), e(2), &[t(4)]);
-        let affected = g.remove_txn(t(1));
-        assert_eq!(affected, vec![t(2), t(3)]);
-        assert!(!g.is_waiting(t(1)));
-        assert!(!g.is_waiting(t(2)), "waiter with no holders left is not waiting");
-        assert_eq!(g.arc_count(), 0);
-    }
-
-    #[test]
     fn reaches_any_follows_holder_to_waiter_arcs() {
         let mut g = WaitsForGraph::new();
         // T2 waits for T1, T3 waits for T2: arcs T1→T2, T2→T3.
@@ -504,16 +388,6 @@ mod tests {
         assert_eq!(g.render(), "T1 -b-> T2");
     }
 
-    #[test]
-    fn dot_rendering_contains_labelled_arcs() {
-        let mut g = WaitsForGraph::new();
-        g.set_wait(t(2), e(1), &[t(1)]);
-        let dot = g.render_dot();
-        assert!(dot.starts_with("digraph waits_for {"));
-        assert!(dot.contains("\"T1\" -> \"T2\" [label=\"b\"];"));
-        assert!(dot.trim_end().ends_with('}'));
-    }
-
     #[cfg(feature = "invariants")]
     #[test]
     fn consistency_check_accepts_normal_mutations_and_catches_forgery() {
@@ -521,22 +395,12 @@ mod tests {
         g.set_wait(t(2), e(0), &[t(1)]);
         g.set_wait(t(3), e(1), &[t(1), t(2)]);
         assert_eq!(g.check_consistent(), Ok(()));
-        g.remove_arc(t(1), t(3));
+        g.set_wait(t(3), e(1), &[t(2)]);
         g.clear_wait(t(2));
         assert_eq!(g.check_consistent(), Ok(()));
         // A forged arc has no matching wait record — the check must name it.
         g.forge_arc_unchecked(t(5), t(2));
         let err = g.check_consistent().unwrap_err();
         assert!(err.contains("T5 -> T2"), "{err}");
-    }
-
-    #[test]
-    fn find_path_follows_arcs() {
-        let mut g = WaitsForGraph::new();
-        g.set_wait(t(2), e(0), &[t(1)]); // T1 → T2
-        g.set_wait(t(3), e(1), &[t(2)]); // T2 → T3
-        assert_eq!(g.find_path(t(1), t(3)), Some(vec![t(1), t(2), t(3)]));
-        assert_eq!(g.find_path(t(3), t(1)), None);
-        assert_eq!(g.find_path(t(1), t(2)), Some(vec![t(1), t(2)]));
     }
 }

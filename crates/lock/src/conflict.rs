@@ -11,10 +11,9 @@
 //! forest: one wait response can create arcs to *many* holders at once.
 
 use pr_model::LockMode;
-use serde::{Deserialize, Serialize};
 
 /// The two conflict classes of §3.2.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ConflictType {
     /// Shared request vs. exclusive holder. Exactly one holder is waited
     /// on, so the wait adds a single arc.

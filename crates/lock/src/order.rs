@@ -20,12 +20,11 @@
 //! construction rather than special-cased.
 
 use pr_model::{EntityId, TransactionProgram};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A total acquisition order over entities, installable into the engine
 /// as a deadlock-freedom certificate's runtime form.
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct EntityOrder {
     order: Vec<EntityId>,
     rank: BTreeMap<EntityId, u32>,

@@ -3,7 +3,6 @@
 use crate::conflict::{classify_conflict, ConflictType};
 use crate::error::LockError;
 use pr_model::{EntityId, LockIndex, LockMode, StateIndex, TxnId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Grant policy: what happens to a *compatible* request while incompatible
@@ -20,7 +19,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// carries a certified total entity acquisition order (see
 /// [`crate::order`]), letting it skip deadlock-detection bookkeeping for
 /// requests the certificate vouches for.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum GrantPolicy {
     /// Paper-faithful (§2): a request compatible with the holders is
     /// granted immediately, even past blocked incompatible waiters.
@@ -76,7 +75,7 @@ impl GrantPolicy {
 /// from which the transaction issued the request ("the last state … in
 /// which T does not hold a lock on A") and the lock index of the lock state
 /// the request created.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct HeldLock {
     /// Holder.
     pub txn: TxnId,
@@ -93,7 +92,7 @@ pub struct HeldLock {
 /// A pending request, carrying the same metadata so it can be promoted to
 /// a [`HeldLock`] unchanged when granted (a blocked transaction does not
 /// advance, so the values stay correct while it waits).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct WaitingRequest {
     /// Requester.
     pub txn: TxnId,
@@ -135,7 +134,7 @@ pub enum RequestOutcome {
     },
 }
 
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 struct EntityLock {
     holders: Vec<HeldLock>,
     queue: VecDeque<WaitingRequest>,
@@ -204,15 +203,11 @@ impl EntityLock {
 /// let promoted = table.release(t1, a).unwrap();
 /// assert_eq!(promoted[0].txn, t2);
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct LockTable {
     entities: BTreeMap<EntityId, EntityLock>,
     /// Grant policy (fixed at construction).
     policy: GrantPolicy,
-    /// Grants performed, for metrics.
-    grants: u64,
-    /// Wait responses issued, for metrics.
-    waits: u64,
 }
 
 impl LockTable {
@@ -268,13 +263,11 @@ impl LockTable {
         }
         if blockers.is_empty() {
             slot.holders.push(HeldLock { txn, mode, requested_from_state, lock_state });
-            self.grants += 1;
             Ok(RequestOutcome::Granted)
         } else {
             let conflict =
                 classify_conflict(mode, &blocker_modes).expect("blockers imply a conflict");
             slot.queue.push_back(WaitingRequest { txn, mode, requested_from_state, lock_state });
-            self.waits += 1;
             Ok(RequestOutcome::Wait { holders: blockers, conflict })
         }
     }
@@ -290,7 +283,6 @@ impl LockTable {
             return Err(LockError::NotHeld { txn, entity });
         }
         let granted = Self::drain_grantable(slot, self.policy);
-        self.grants += granted.len() as u64;
         if self.entities.get(&entity).is_some_and(EntityLock::is_idle) {
             self.entities.remove(&entity);
         }
@@ -314,7 +306,6 @@ impl LockTable {
             return Err(LockError::NotWaiting { txn, entity });
         }
         let granted = Self::drain_grantable(slot, self.policy);
-        self.grants += granted.len() as u64;
         if self.entities.get(&entity).is_some_and(EntityLock::is_idle) {
             self.entities.remove(&entity);
         }
@@ -429,16 +420,6 @@ impl LockTable {
         }
         slot.holders.push(held);
         Ok(())
-    }
-
-    /// Total grants issued so far.
-    pub fn grant_count(&self) -> u64 {
-        self.grants
-    }
-
-    /// Total wait responses issued so far.
-    pub fn wait_count(&self) -> u64 {
-        self.waits
     }
 
     /// Internal invariant check for tests: no transaction both holds and
@@ -637,16 +618,6 @@ mod tests {
         let granted = tbl.release(t(1), e(0)).unwrap();
         assert_eq!(granted[0].requested_from_state, StateIndex::new(8));
         assert_eq!(granted[0].lock_state, LockIndex::new(3));
-    }
-
-    #[test]
-    fn counters_track_grants_and_waits() {
-        let mut tbl = LockTable::new();
-        req(&mut tbl, 1, 0, LockMode::Exclusive).unwrap();
-        req(&mut tbl, 2, 0, LockMode::Exclusive).unwrap();
-        tbl.release(t(1), e(0)).unwrap();
-        assert_eq!(tbl.grant_count(), 2);
-        assert_eq!(tbl.wait_count(), 1);
     }
 
     #[test]

@@ -29,13 +29,12 @@
 use crate::ids::{EntityId, VarId};
 use crate::op::Op;
 use crate::program::TransactionProgram;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A write-dependency edge `{u, w}` of the state-dependency graph: a write
 /// at lock index `w` to an entity/variable with restorability index `u`.
 /// The edge renders lock states `q` with `u < q < w` undefined.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct WriteEdge {
     /// Index of restorability of the written entity or variable.
     pub u: u32,
@@ -58,7 +57,7 @@ impl WriteEdge {
 }
 
 /// Result of statically analysing one program.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ProgramAnalysis {
     /// Number of lock requests = number of non-trivial lock states.
     /// Rollback targets range over lock indices `0..num_lock_states`.

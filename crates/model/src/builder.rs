@@ -24,8 +24,6 @@ use crate::error::ModelError;
 use crate::ids::{EntityId, VarId};
 use crate::op::{Expr, Op};
 use crate::program::TransactionProgram;
-use crate::validate;
-use crate::value::Value;
 
 /// Builder for [`TransactionProgram`]s.
 ///
@@ -35,26 +33,12 @@ use crate::value::Value;
 #[derive(Clone, Debug, Default)]
 pub struct ProgramBuilder {
     ops: Vec<Op>,
-    initial_vars: Vec<Value>,
 }
 
 impl ProgramBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Declares local variable `var` with an explicit initial value.
-    ///
-    /// Variables referenced without a declaration default to
-    /// [`Value::ZERO`].
-    #[must_use]
-    pub fn init_var(mut self, var: VarId, value: Value) -> Self {
-        if self.initial_vars.len() <= var.index() {
-            self.initial_vars.resize(var.index() + 1, Value::ZERO);
-        }
-        self.initial_vars[var.index()] = value;
-        self
     }
 
     /// Appends `LS(entity)`.
@@ -140,15 +124,7 @@ impl ProgramBuilder {
         if !matches!(self.ops.last(), Some(Op::Commit)) {
             self.ops.push(Op::Commit);
         }
-        let probe = TransactionProgram::from_parts(self.ops, self.initial_vars);
-        let needed = probe.max_var_referenced().map_or(0, |v| v.index() + 1);
-        let mut vars = probe.initial_vars().to_vec();
-        if vars.len() < needed {
-            vars.resize(needed, Value::ZERO);
-        }
-        let program = TransactionProgram::from_parts(probe.ops().to_vec(), vars);
-        validate::validate(&program)?;
-        Ok(program)
+        TransactionProgram::try_from(self.ops)
     }
 
     /// Finishes the program, panicking on validation failure. Convenient in
@@ -174,17 +150,6 @@ mod tests {
             .unwrap();
         assert!(matches!(p.ops().last(), Some(Op::Commit)));
         assert_eq!(p.num_vars(), 3);
-    }
-
-    #[test]
-    fn explicit_initial_values_survive() {
-        let p = ProgramBuilder::new()
-            .init_var(VarId::new(1), Value::new(100))
-            .lock_exclusive(EntityId::new(0))
-            .write(EntityId::new(0), Expr::var(VarId::new(1)))
-            .build()
-            .unwrap();
-        assert_eq!(p.initial_vars(), &[Value::ZERO, Value::new(100)]);
     }
 
     #[test]

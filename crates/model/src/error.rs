@@ -1,14 +1,13 @@
 //! Model-level errors and program violations.
 
 use crate::ids::{EntityId, VarId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One way a program can violate the §2 protocol rules.
 ///
 /// Every variant carries the program counter of the offending operation so
 /// generators and tests can pinpoint it.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Violation {
     /// A lock request after the first unlock — violates two-phase ("no
     /// further lock requests be executed after the unlock", §2).

@@ -14,11 +14,10 @@
 //! Keeping the two as distinct newtypes prevents an entire class of
 //! off-by-one-unit bugs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a global data entity (the lockable unit of §2).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EntityId(pub u32);
 
 impl EntityId {
@@ -54,7 +53,7 @@ impl fmt::Display for EntityId {
 }
 
 /// Identifier of a transaction (an execution instance of a program, §2).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxnId(pub u32);
 
 impl TxnId {
@@ -84,7 +83,7 @@ impl fmt::Display for TxnId {
 }
 
 /// Identifier of a variable local to one transaction.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VarId(pub u16);
 
 impl VarId {
@@ -123,7 +122,7 @@ impl fmt::Display for VarId {
 /// transaction has executed to reach it (§2).
 ///
 /// Rollback cost (§3.1) is `StateIndex − StateIndex`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct StateIndex(pub u32);
 
 impl StateIndex {
@@ -179,7 +178,7 @@ impl fmt::Display for StateIndex {
 /// lock states preceding the operation, so an operation executed after the
 /// `k`-th lock request was granted and before the `(k+1)`-th was issued has
 /// lock index `k + 1`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LockIndex(pub u32);
 
 impl LockIndex {

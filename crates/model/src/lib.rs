@@ -16,8 +16,8 @@
 //!   restorability indices, write edges, well-defined lock states, the write
 //!   clustering metric of §5, and three-phase structure detection.
 //!
-//! The crate is dependency-light (only `serde`) and is the foundation every
-//! other crate in the workspace builds on.
+//! The crate has no dependencies and is the foundation every other crate
+//! in the workspace builds on.
 
 pub mod analysis;
 pub mod builder;

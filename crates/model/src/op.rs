@@ -9,11 +9,10 @@
 
 use crate::ids::{EntityId, VarId};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Lock modes of §2: exclusive for read/write access, shared for read-only.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum LockMode {
     /// Shared lock (`LS`): many readers may hold it simultaneously.
     Shared,
@@ -27,12 +26,6 @@ impl LockMode {
     #[inline]
     pub fn compatible_with(self, other: LockMode) -> bool {
         matches!((self, other), (LockMode::Shared, LockMode::Shared))
-    }
-
-    /// Whether this mode permits writing the entity.
-    #[inline]
-    pub fn allows_write(self) -> bool {
-        matches!(self, LockMode::Exclusive)
     }
 }
 
@@ -50,7 +43,7 @@ impl fmt::Display for LockMode {
 /// Expressions give programs real data semantics, so the test oracles can
 /// observe whether a rollback restored *values* correctly — not merely lock
 /// bookkeeping.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Expr {
     /// A literal value.
     Const(Value),
@@ -72,7 +65,7 @@ pub enum Expr {
 /// Build operands with `Operand::from(expr)` (as [`Expr::add`] and friends
 /// do): it stores leaves inline, so `Nested` never wraps a leaf and
 /// structurally equal expressions compare equal.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// A literal value.
     Const(Value),
@@ -222,7 +215,7 @@ impl Expr {
 /// One atomic operation of a transaction (§2).
 ///
 /// Executing any `Op` advances the transaction's state index by one.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Op {
     /// `LS(A)` — request a shared lock on entity `A`.
     LockShared(EntityId),
@@ -282,15 +275,6 @@ impl Op {
         }
     }
 
-    /// The entity unlocked, if this is an unlock.
-    #[inline]
-    pub fn unlock_target(&self) -> Option<EntityId> {
-        match self {
-            Op::Unlock(e) => Some(*e),
-            _ => None,
-        }
-    }
-
     /// The entity touched by this operation, if any.
     pub fn entity(&self) -> Option<EntityId> {
         match self {
@@ -301,12 +285,6 @@ impl Op {
             | Op::Write { entity: e, .. } => Some(*e),
             Op::Assign { .. } | Op::Compute(_) | Op::Commit => None,
         }
-    }
-
-    /// Whether this operation writes a global entity.
-    #[inline]
-    pub fn is_global_write(&self) -> bool {
-        matches!(self, Op::Write { .. })
     }
 
     /// Whether this operation writes a local variable (reads into locals
@@ -348,8 +326,6 @@ mod tests {
         assert!(!Shared.compatible_with(Exclusive));
         assert!(!Exclusive.compatible_with(Shared));
         assert!(!Exclusive.compatible_with(Exclusive));
-        assert!(Exclusive.allows_write());
-        assert!(!Shared.allows_write());
     }
 
     #[test]
@@ -543,7 +519,6 @@ mod tests {
         assert!(!un.is_lock_request());
         assert_eq!(ls.lock_request(), Some((EntityId::new(1), LockMode::Shared)));
         assert_eq!(lx.lock_request(), Some((EntityId::new(2), LockMode::Exclusive)));
-        assert_eq!(un.unlock_target(), Some(EntityId::new(1)));
         assert_eq!(
             Op::Read { entity: EntityId::new(3), into: VarId::new(0) }.entity(),
             Some(EntityId::new(3))
@@ -559,7 +534,6 @@ mod tests {
         assert_eq!(r.written_var(), Some(VarId::new(1)));
         assert_eq!(a.written_var(), Some(VarId::new(2)));
         assert_eq!(w.written_var(), None);
-        assert!(w.is_global_write());
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //! property partial rollback depends on.
 
 use crate::error::ModelError;
-use crate::ids::{EntityId, LockIndex, VarId};
+use crate::ids::{EntityId, VarId};
 use crate::op::{LockMode, Op};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -21,7 +20,7 @@ use std::sync::Arc;
 /// operations and initial values instead of copying them, so every layer
 /// that hands a program on (batching, admission, the explorer's forks)
 /// pays two reference-count bumps however long the program is.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TransactionProgram {
     ops: Arc<[Op]>,
     initial_vars: Arc<[Value]>,
@@ -85,31 +84,6 @@ impl TransactionProgram {
             .collect()
     }
 
-    /// The lock index of the operation at `pc`: the number of lock requests
-    /// at program counters strictly less than *or equal to* positions
-    /// preceding `pc`.
-    ///
-    /// Per §4, an operation executed after the `k`-th lock request (0-based)
-    /// and before the `(k+1)`-th has lock index `k + 1`: `k + 1` lock states
-    /// precede it.
-    pub fn lock_index_of_pc(&self, pc: usize) -> LockIndex {
-        let n = self.ops[..pc.min(self.ops.len())].iter().filter(|op| op.is_lock_request()).count();
-        LockIndex::new(n as u32)
-    }
-
-    /// Program counter of the `k`-th lock request (0-based), if it exists.
-    ///
-    /// Rolling back to lock state `k` resets the program counter here: the
-    /// transaction resumes by re-issuing that lock request.
-    pub fn pc_of_lock_request(&self, k: LockIndex) -> Option<usize> {
-        self.ops
-            .iter()
-            .enumerate()
-            .filter(|(_, op)| op.is_lock_request())
-            .nth(k.index())
-            .map(|(pc, _)| pc)
-    }
-
     /// Total number of lock requests in the program.
     pub fn num_lock_requests(&self) -> usize {
         self.ops.iter().filter(|op| op.is_lock_request()).count()
@@ -126,35 +100,6 @@ impl TransactionProgram {
             }
         }
         seen
-    }
-
-    /// Entities the program writes (deduplicated, program order).
-    pub fn written_entities(&self) -> Vec<EntityId> {
-        let mut seen = Vec::new();
-        for op in self.ops.iter() {
-            if let Op::Write { entity, .. } = op {
-                if !seen.contains(entity) {
-                    seen.push(*entity);
-                }
-            }
-        }
-        seen
-    }
-
-    /// The strongest lock mode the program ever requests for `entity`.
-    pub fn lock_mode_for(&self, entity: EntityId) -> Option<LockMode> {
-        let mut mode = None;
-        for op in self.ops.iter() {
-            if let Some((e, m)) = op.lock_request() {
-                if e == entity {
-                    mode = match (mode, m) {
-                        (Some(LockMode::Exclusive), _) => Some(LockMode::Exclusive),
-                        (_, m) => Some(m),
-                    };
-                }
-            }
-        }
-        mode
     }
 
     /// Largest local-variable index referenced anywhere, if any. Used by the
@@ -258,35 +203,9 @@ mod tests {
     }
 
     #[test]
-    fn lock_index_of_pc_counts_preceding_requests_inclusive() {
-        let p = sample();
-        // pc 0 is the first lock request itself: zero lock states precede it
-        // at issue time... but lock_index_of_pc counts requests *before* pc.
-        assert_eq!(p.lock_index_of_pc(0), LockIndex::new(0));
-        // The read at pc 1 runs after request 0 was granted: lock index 1.
-        assert_eq!(p.lock_index_of_pc(1), LockIndex::new(1));
-        assert_eq!(p.lock_index_of_pc(3), LockIndex::new(1));
-        // pc 4 is the second request; ops after it have lock index 2.
-        assert_eq!(p.lock_index_of_pc(4), LockIndex::new(1));
-        assert_eq!(p.lock_index_of_pc(5), LockIndex::new(2));
-    }
-
-    #[test]
-    fn pc_of_lock_request_inverts_lock_indices() {
-        let p = sample();
-        assert_eq!(p.pc_of_lock_request(LockIndex::new(0)), Some(0));
-        assert_eq!(p.pc_of_lock_request(LockIndex::new(1)), Some(4));
-        assert_eq!(p.pc_of_lock_request(LockIndex::new(2)), None);
-    }
-
-    #[test]
     fn footprints() {
         let p = sample();
         assert_eq!(p.locked_entities(), vec![EntityId::new(0), EntityId::new(1)]);
-        assert_eq!(p.written_entities(), vec![EntityId::new(0)]);
-        assert_eq!(p.lock_mode_for(EntityId::new(0)), Some(LockMode::Exclusive));
-        assert_eq!(p.lock_mode_for(EntityId::new(1)), Some(LockMode::Shared));
-        assert_eq!(p.lock_mode_for(EntityId::new(9)), None);
         assert_eq!(p.max_var_referenced(), Some(VarId::new(1)));
     }
 

@@ -6,14 +6,13 @@
 //! need, and equality of values is what the rollback-correctness oracles
 //! compare.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
 /// A value held by a global entity or a local variable.
 ///
 /// All arithmetic wraps, so no workload can panic the engine via overflow.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Value(pub i64);
 
 impl Value {

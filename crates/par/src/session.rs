@@ -14,7 +14,7 @@
 //!
 //! * **transaction ids** are offset by the number of transactions already
 //!   admitted, so every transaction the session ever ran has a unique
-//!   global [`TxnId`] in admission order;
+//!   global [`TxnId`](pr_model::TxnId) in admission order;
 //! * **grant stamps** continue from the previous batch's high-water mark,
 //!   so the stamp clock is strictly monotone across the session. Batches
 //!   execute serially against the shared slab (batch *k* reaches
@@ -31,7 +31,7 @@
 use crate::engine::run_batch;
 use crate::outcome::{ParConfig, ParError, ParOutcome};
 use crate::word::{EntitySlab, FastPathStats};
-use pr_model::{EntityId, TransactionProgram, TxnId};
+use pr_model::{EntityId, TransactionProgram};
 use pr_storage::{GlobalStore, Snapshot};
 
 /// A long-lived executor session: a persistent entity slab plus the
@@ -95,11 +95,6 @@ impl Session {
         }
     }
 
-    /// The global id the next admitted transaction will receive.
-    pub fn next_txn(&self) -> TxnId {
-        TxnId::new(self.admitted + 1)
-    }
-
     /// Executes one batch to quiescence. On success every transaction in
     /// `programs` committed; `per_txn` and `accesses` carry the global
     /// transaction ids (offset by [`Self::admitted`] at entry) and stamps
@@ -137,11 +132,6 @@ impl Session {
         self.slab.snapshot()
     }
 
-    /// Cumulative lock-word fast-path counters.
-    pub fn fast_stats(&self) -> FastPathStats {
-        self.slab.stats()
-    }
-
     /// Re-asserts slab quiescence (every lock word fully zero). True
     /// between batches on any healthy session; servers call this at
     /// shutdown as the final drain check.
@@ -160,7 +150,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pr_model::{Expr, Op, Value, VarId};
+    use pr_model::{Expr, Op, TxnId, Value, VarId};
 
     fn e(i: u32) -> EntityId {
         EntityId::new(i)
@@ -207,7 +197,7 @@ mod tests {
         let first_ids: Vec<u32> = first.per_txn.iter().map(|t| t.id.raw()).collect();
         assert_eq!(first_ids, vec![1, 2]);
         assert_eq!(second.per_txn[0].id, TxnId::new(3));
-        assert_eq!(s.next_txn(), TxnId::new(4));
+        assert_eq!(s.admitted(), 3);
         // Stamps from the second batch lie strictly above the first's.
         let max_first = first.accesses.iter().map(|a| a.stamp).max().unwrap();
         let min_second = second.accesses.iter().map(|a| a.stamp).min().unwrap();

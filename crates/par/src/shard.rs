@@ -9,10 +9,9 @@
 //! promoted waiter reads the granted entity's value under the same mutex
 //! that ordered the previous holder's publish before its release).
 //!
-//! When two shards must be held at once the locks are taken in ascending
-//! shard-index order — [`Shards::with_pair`] is the primitive, and
-//! [`Shards::lock_all`] generalises it to every shard for whole-table
-//! invariant checks (and debug-asserts the ascending order it relies on).
+//! A caller holds either one shard ([`Shards::guard`]) or every shard
+//! ([`Shards::lock_all`], for whole-table invariant checks), and
+//! `lock_all` takes them in ascending shard-index order (debug-asserted).
 //! Callers never lock shards in ad-hoc orders, which is what makes the
 //! per-shard mutexes deadlock-free.
 
@@ -76,38 +75,10 @@ impl Shards {
         self.shards[self.shard_of(entity)].lock().expect("shard mutex poisoned")
     }
 
-    /// Runs `f` with both entities' shards locked, taking the two locks
-    /// in ascending shard-index order regardless of argument order (the
-    /// ordered two-shard protocol). When both entities share a shard the
-    /// single guard is passed twice as `(guard, None)`.
-    pub fn with_pair<R>(
-        &self,
-        a: EntityId,
-        b: EntityId,
-        f: impl FnOnce(&mut Shard, Option<&mut Shard>) -> R,
-    ) -> R {
-        let (sa, sb) = (self.shard_of(a), self.shard_of(b));
-        if sa == sb {
-            let mut g = self.shards[sa].lock().expect("shard mutex poisoned");
-            f(&mut g, None)
-        } else {
-            let (lo, hi) = (sa.min(sb), sa.max(sb));
-            let mut first = self.shards[lo].lock().expect("shard mutex poisoned");
-            let mut second = self.shards[hi].lock().expect("shard mutex poisoned");
-            // Hand the guards back in (a, b) argument order.
-            if sa < sb {
-                f(&mut first, Some(&mut second))
-            } else {
-                f(&mut second, Some(&mut first))
-            }
-        }
-    }
-
-    /// Locks every shard in ascending index order and returns the guards —
-    /// the whole-table generalisation of [`Shards::with_pair`]'s ordered
-    /// protocol. The ascending order is what makes a concurrent
-    /// `lock_all` vs `guard`/`with_pair` mix deadlock-free, so debug
-    /// builds assert it on every acquisition.
+    /// Locks every shard in ascending index order and returns the guards.
+    /// The ascending order is what makes concurrent `lock_all` calls
+    /// deadlock-free against each other and against single `guard`s, so
+    /// debug builds assert it on every acquisition.
     pub fn lock_all(&self) -> Vec<MutexGuard<'_, Shard>> {
         let mut guards = Vec::with_capacity(self.shards.len());
         let mut last: Option<usize> = None;
@@ -186,34 +157,9 @@ mod tests {
         shards.check_invariants().unwrap();
     }
 
-    /// The ordered two-shard protocol must not deadlock when two threads
-    /// lock the same pair of shards in opposite argument order.
-    #[test]
-    fn with_pair_opposite_orders_do_not_deadlock() {
-        let shards = Shards::new(8, GrantPolicy::Barging);
-        // Find two entities on different shards.
-        let a = e(0);
-        let b = (1..64).map(e).find(|&x| shards.shard_of(x) != shards.shard_of(a)).unwrap();
-        let shards = &shards;
-        std::thread::scope(|scope| {
-            for round in 0..2 {
-                scope.spawn(move || {
-                    for _ in 0..2000 {
-                        let (x, y) = if round == 0 { (a, b) } else { (b, a) };
-                        shards.with_pair(x, y, |sx, sy| {
-                            assert!(!sx.table.is_active(x));
-                            assert!(!sy.expect("distinct shards").table.is_active(y));
-                        });
-                    }
-                });
-            }
-        });
-    }
-
-    /// A thread sweeping `lock_all` repeatedly while others hammer
-    /// single-shard `guard`s (and ordered pairs) must always terminate:
-    /// `lock_all`'s ascending acquisitions cannot close a cycle against
-    /// single acquisitions or ascending pairs.
+    /// A thread sweeping `lock_all` repeatedly while another hammers
+    /// single-shard `guard`s must always terminate: `lock_all`'s ascending
+    /// acquisitions cannot close a cycle against single acquisitions.
     #[test]
     fn concurrent_lock_all_vs_guard_cannot_deadlock() {
         let shards = Shards::new(4, GrantPolicy::Barging);
@@ -224,13 +170,6 @@ mod tests {
                     let guards = shards.lock_all();
                     assert_eq!(guards.len(), 4);
                     drop(guards);
-                }
-            });
-            scope.spawn(move || {
-                for i in 0..4000u32 {
-                    // Deliberately descending entity ids: with_pair must
-                    // still take the shard locks in ascending order.
-                    shards.with_pair(e(63 - (i % 64)), e(i % 64), |_, _| {});
                 }
             });
             scope.spawn(move || {

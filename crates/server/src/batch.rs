@@ -130,11 +130,6 @@ impl<T> Batcher<T> {
         drop(s);
         self.cond.notify_all();
     }
-
-    /// Whether [`Batcher::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("batcher mutex poisoned").closed
-    }
 }
 
 #[cfg(test)]

@@ -21,13 +21,11 @@ usage: pr-server [OPTIONS]
   --entities N         entity universe size (default 256)
   --init V             initial entity value (default 100)
   --threads N          engine worker threads per batch (default 8)
-  --shards N           lock-table shards (default 0 = auto)
   --strategy NAME      rollback strategy: total | mcs | sdg | repair | bounded-K (default mcs)
   --victim NAME        victim policy: min-cost | partial-order | youngest | causer
   --policy NAME        grant policy: barging | fair-queue (default fair-queue)
   --batch-max N        group-commit flush threshold (default 256)
   --batch-deadline-us N  group-commit deadline in microseconds (default 2000)
-  --no-fast-path       force every lock through the shard-mutex path
   --wal DIR            write-ahead redo log directory (durability on)
   --recover DIR        replay DIR's durable prefix before serving (implies --wal DIR)
   --wal-flush POLICY   fsync policy: per-batch | every-N | off (default per-batch)";
@@ -58,22 +56,15 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 config.threads =
                     value("--threads")?.parse().map_err(|_| "--threads needs a count")?
             }
-            "--shards" => {
-                config.shards = value("--shards")?.parse().map_err(|_| "--shards needs a count")?
-            }
             "--strategy" => {
                 let name = value("--strategy")?;
                 system.strategy = StrategyKind::parse(name)
                     .ok_or_else(|| format!("unknown strategy {name:?}"))?;
             }
             "--victim" => {
-                system.victim = match value("--victim")? {
-                    "min-cost" => VictimPolicyKind::MinCost,
-                    "partial-order" => VictimPolicyKind::PartialOrder,
-                    "youngest" => VictimPolicyKind::Youngest,
-                    "causer" => VictimPolicyKind::ConflictCauser,
-                    other => return Err(format!("unknown victim policy {other:?}")),
-                }
+                let name = value("--victim")?;
+                system.victim = VictimPolicyKind::parse(name)
+                    .ok_or_else(|| format!("unknown victim policy {name:?}"))?;
             }
             "--policy" => {
                 let name = value("--policy")?;
@@ -89,7 +80,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .map_err(|_| "--batch-deadline-us needs microseconds")?;
                 config.batch_deadline = Duration::from_micros(us);
             }
-            "--no-fast-path" => config.fast_path = false,
             "--wal" => config.durability.dir = Some(value("--wal")?.into()),
             "--recover" => {
                 config.durability.dir = Some(value("--recover")?.into());

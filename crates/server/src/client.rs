@@ -93,12 +93,6 @@ impl Client {
         }
     }
 
-    /// Splits into independently owned read/write halves (the load
-    /// driver's reader thread takes one).
-    pub fn try_clone_stream(&self) -> std::io::Result<TcpStream> {
-        self.stream.try_clone()
-    }
-
     /// Bounds every blocking read — the malformed-frame probe uses this
     /// so a server that wrongly hangs turns into a visible timeout.
     pub fn set_read_timeout(&self, timeout: Option<std::time::Duration>) -> std::io::Result<()> {

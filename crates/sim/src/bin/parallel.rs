@@ -30,8 +30,7 @@ usage: parallel --soak N [OPTIONS]
   --txns N           transactions per run (default 64)
   --strategy NAME    restrict the soak to one strategy:
                      total | mcs | sdg | repair | bounded-K
-                     (default: rotate through all four)
-  --no-fast-path     force every request through the shard-mutex path";
+                     (default: rotate through all four)";
 
 const STRATEGIES: [StrategyKind; 4] = StrategyKind::ALL;
 const POLICIES: [GrantPolicy; 2] = [GrantPolicy::Barging, GrantPolicy::FairQueue];
@@ -41,7 +40,6 @@ struct Options {
     threads: usize,
     txns: usize,
     strategy: Option<StrategyKind>,
-    fast_path: bool,
 }
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
@@ -51,7 +49,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         threads: 8,
         txns: 64,
         strategy: None,
-        fast_path: true,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -77,7 +74,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                         .ok_or_else(|| format!("unknown strategy {name:?}"))?,
                 );
             }
-            "--no-fast-path" => o.fast_path = false,
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
@@ -125,7 +121,7 @@ fn run_soak(o: &Options) -> ExitCode {
         let mut generator = ProgramGenerator::new(workload_config(zipf, pad), seed);
         let programs = generator.generate_workload(o.txns);
         let par_config =
-            ParConfig { threads: o.threads, shards: 0, system: config, fast_path: o.fast_path };
+            ParConfig { threads: o.threads, shards: 0, system: config, fast_path: true };
         let outcome = match run_parallel(&programs, store_with(64, 100), &par_config) {
             Ok(outcome) => outcome,
             Err(e) => {
@@ -172,7 +168,7 @@ fn run_soak(o: &Options) -> ExitCode {
         eprintln!("parallel: soak resolved no deadlocks — resolver not exercised");
         return ExitCode::FAILURE;
     }
-    if o.fast_path && fast_grants == 0 {
+    if fast_grants == 0 {
         eprintln!("parallel: soak recorded no fast-path grants — fast path not exercised");
         return ExitCode::FAILURE;
     }

@@ -11,7 +11,6 @@ use pr_graph::{cutset, CandidateRollback};
 use pr_model::{LockIndex, StateIndex, TxnId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Number of transactions per run unless a sweep varies it.
 const DEFAULT_TXNS: usize = 16;
@@ -25,7 +24,7 @@ fn base_config(strategy: StrategyKind, victim: VictimPolicyKind) -> SystemConfig
 }
 
 /// One row of the Q1 lost-progress sweep.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LostProgressRow {
     /// Database size (entities) — smaller means hotter.
     pub num_entities: u32,
@@ -90,7 +89,7 @@ pub fn lost_progress_sweep(entity_counts: &[u32], seeds: u64) -> Vec<LostProgres
 }
 
 /// One row of the Q2 strategy trade-off comparison.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TradeoffRow {
     /// Rollback strategy.
     pub strategy: String,
@@ -152,7 +151,7 @@ pub fn strategy_tradeoff(seeds: u64) -> Vec<TradeoffRow> {
 }
 
 /// One row of the F2/Q-policy comparison.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PolicyRow {
     /// Victim policy.
     pub policy: &'static str,
@@ -210,7 +209,7 @@ pub fn policy_comparison(seeds: u64) -> Vec<PolicyRow> {
 }
 
 /// One row of the Q4 clustering sweep.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClusteringRow {
     /// Write placement.
     pub clustering: String,
@@ -276,7 +275,7 @@ pub fn clustering_sweep(seeds: u64) -> Vec<ClusteringRow> {
 }
 
 /// One row of the Q5 concurrency sweep.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ConcurrencyRow {
     /// Concurrent transactions.
     pub txns: usize,
@@ -328,7 +327,7 @@ pub fn concurrency_sweep(txn_counts: &[usize], seeds: u64) -> Vec<ConcurrencyRow
 }
 
 /// One row of the E1 bounded-copies sweep.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BudgetRow {
     /// Strategy label (sdg, bounded-k, mcs).
     pub strategy: String,
@@ -390,7 +389,7 @@ pub fn budget_sweep(budgets: &[u32], seeds: u64) -> Vec<BudgetRow> {
 }
 
 /// One row of the Q3 cut-set solver comparison.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CutsetRow {
     /// Cycles in the synthetic instance.
     pub cycles: usize,
@@ -496,7 +495,7 @@ pub fn cutset_comparison(sizes: &[(usize, usize)], seeds: u64) -> Vec<CutsetRow>
 }
 
 /// One row of the R1 restructuring comparison.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RestructureRow {
     /// Program form: original / clustered / three-phase.
     pub form: &'static str,

@@ -9,10 +9,9 @@
 use pr_model::{EntityId, Expr, Op, TransactionProgram, Value, VarId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Write placement (§5 / Figure 5).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Clustering {
     /// Every write to an entity happens immediately after the entity is
     /// locked — no lock states lie between a write and its entity's lock
@@ -34,7 +33,7 @@ pub enum Clustering {
 }
 
 /// Knobs for the program generator.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct GeneratorConfig {
     /// Number of distinct entities in the database.
     pub num_entities: u32,

@@ -63,20 +63,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as a GitHub-flavoured markdown table.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        if let Some(t) = &self.title {
-            out.push_str(&format!("**{t}**\n\n"));
-        }
-        out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
-        out.push_str(&format!("|{}\n", self.headers.iter().map(|_| "---|").collect::<String>()));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
 }
 
 impl fmt::Display for Table {
@@ -139,14 +125,6 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.contains("\"x,y\""));
         assert!(csv.contains("\"say \"\"hi\"\"\""));
-    }
-
-    #[test]
-    fn markdown_shape() {
-        let md = sample().to_markdown();
-        assert!(md.starts_with("**demo**"));
-        assert!(md.contains("| name | value |"));
-        assert!(md.contains("|---|---|"));
     }
 
     #[test]

@@ -6,7 +6,6 @@ use pr_model::{TransactionProgram, TxnId, Value};
 use pr_storage::{GlobalStore, Snapshot};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A seeded uniformly random scheduler — the adversary-free interleaving
 /// used by the quantitative experiments.
@@ -29,7 +28,7 @@ impl Scheduler for RandomScheduler {
 }
 
 /// Scheduler selection for [`run_workload`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SchedulerKind {
     /// Deterministic round-robin.
     RoundRobin,
@@ -41,7 +40,7 @@ pub enum SchedulerKind {
 }
 
 /// Outcome of one workload run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RunReport {
     /// Engine metrics at completion.
     pub metrics: Metrics,
@@ -50,17 +49,6 @@ pub struct RunReport {
     pub completed: bool,
     /// Final database snapshot.
     pub snapshot: Snapshot,
-}
-
-impl RunReport {
-    /// Throughput proxy: committed transactions per executed operation.
-    pub fn commit_efficiency(&self) -> f64 {
-        if self.metrics.ops_executed == 0 {
-            0.0
-        } else {
-            self.metrics.commits as f64 / self.metrics.ops_executed as f64
-        }
-    }
 }
 
 /// Runs `programs` concurrently over `store` and returns the report.
@@ -196,7 +184,6 @@ mod tests {
                 .unwrap();
         assert!(report.completed);
         assert_eq!(report.metrics.commits, 12);
-        assert!(report.commit_efficiency() > 0.0);
     }
 
     #[test]

@@ -21,11 +21,10 @@ use pr_core::{
 use pr_model::TxnId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// How new transactions arrive.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Arrival {
     /// Closed loop: a fixed population of `concurrency` live transactions;
     /// every commit admits a replacement until `total_txns` have entered.
@@ -40,7 +39,7 @@ pub enum Arrival {
 }
 
 /// Knobs for one stress run.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct StressConfig {
     /// Transactions to admit over the whole run.
     pub total_txns: usize,
@@ -155,7 +154,7 @@ pub fn long_vs_oltp(strategy: StrategyKind, seed: u64) -> StressConfig {
 }
 
 /// Outcome of one stress run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StressReport {
     /// Transactions committed.
     pub commits: u64,

@@ -7,8 +7,6 @@
 
 use crate::error::StorageError;
 use crate::snapshot::Snapshot;
-use bytes::Bytes;
-use parking_lot::RwLock;
 use pr_model::{EntityId, Value};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -49,22 +47,11 @@ impl fmt::Debug for Constraint {
     }
 }
 
-#[derive(Clone, Debug)]
-struct StoredEntity {
-    value: Value,
-    /// Optional opaque payload so storage-overhead experiments can measure
-    /// bytes, not just copy counts. Copied into workspaces alongside the
-    /// value.
-    payload: Option<Bytes>,
-}
-
 /// The database: a map from entity id to current (global) value.
 #[derive(Clone, Default)]
 pub struct GlobalStore {
-    entities: BTreeMap<EntityId, StoredEntity>,
+    entities: BTreeMap<EntityId, Value>,
     constraints: Vec<Constraint>,
-    /// Monotone count of committed (published) writes, for metrics.
-    publishes: u64,
 }
 
 impl GlobalStore {
@@ -87,53 +74,26 @@ impl GlobalStore {
         if self.entities.contains_key(&id) {
             return Err(StorageError::EntityExists(id));
         }
-        self.entities.insert(id, StoredEntity { value, payload: None });
-        Ok(())
-    }
-
-    /// Adds a new entity carrying an opaque payload of `payload_len` bytes.
-    pub fn create_with_payload(
-        &mut self,
-        id: EntityId,
-        value: Value,
-        payload_len: usize,
-    ) -> Result<(), StorageError> {
-        self.create(id, value)?;
-        let bytes = Bytes::from(vec![0u8; payload_len]);
-        self.entities.get_mut(&id).expect("just inserted").payload = Some(bytes);
+        self.entities.insert(id, value);
         Ok(())
     }
 
     /// Ensures `id` exists, creating it with [`Value::ZERO`] if necessary.
     pub fn ensure(&mut self, id: EntityId) {
-        self.entities.entry(id).or_insert(StoredEntity { value: Value::ZERO, payload: None });
+        self.entities.entry(id).or_insert(Value::ZERO);
     }
 
     /// Current global value of an entity.
     pub fn read(&self, id: EntityId) -> Result<Value, StorageError> {
-        self.entities.get(&id).map(|e| e.value).ok_or(StorageError::NoSuchEntity(id))
-    }
-
-    /// The entity's payload, if it carries one. The returned [`Bytes`] is a
-    /// cheap reference-counted handle; cloning it models copying the record
-    /// into a workspace without actually duplicating memory.
-    pub fn payload(&self, id: EntityId) -> Option<Bytes> {
-        self.entities.get(&id).and_then(|e| e.payload.clone())
+        self.entities.get(&id).copied().ok_or(StorageError::NoSuchEntity(id))
     }
 
     /// Publishes a new global value — the unlock-time copy-back of §4
     /// ("the final value of the latest such copy becomes the new global
     /// value when T_i unlocks A").
     pub fn publish(&mut self, id: EntityId, value: Value) -> Result<(), StorageError> {
-        let ent = self.entities.get_mut(&id).ok_or(StorageError::NoSuchEntity(id))?;
-        ent.value = value;
-        self.publishes += 1;
+        *self.entities.get_mut(&id).ok_or(StorageError::NoSuchEntity(id))? = value;
         Ok(())
-    }
-
-    /// Number of publish operations performed, for metrics.
-    pub fn publish_count(&self) -> u64 {
-        self.publishes
     }
 
     /// Number of entities.
@@ -148,7 +108,7 @@ impl GlobalStore {
 
     /// Iterates over `(id, value)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (EntityId, Value)> + '_ {
-        self.entities.iter().map(|(id, e)| (*id, e.value))
+        self.entities.iter().map(|(id, v)| (*id, *v))
     }
 
     /// Sum of all entity values — convenient for conservation constraints.
@@ -180,60 +140,16 @@ impl GlobalStore {
     /// engine itself never rewinds the database).
     pub fn restore(&mut self, snap: &Snapshot) {
         for (id, value) in snap.iter() {
-            if let Some(e) = self.entities.get_mut(&id) {
-                e.value = value;
+            if let Some(v) = self.entities.get_mut(&id) {
+                *v = value;
             }
         }
-    }
-
-    /// Splits the store into `shards` stores, routing each entity by
-    /// `route` (which must return an index `< shards`). Used by the
-    /// parallel engine to co-locate every entity's global value with its
-    /// lock-table shard, so a grant and the read of the granted entity's
-    /// value happen under one shard mutex. Whole-store constraints cannot
-    /// be partitioned and are dropped — cross-shard consistency is the
-    /// caller's oracle's job (it reassembles a full [`Snapshot`] first).
-    pub fn partition_by(
-        self,
-        shards: usize,
-        route: impl Fn(EntityId) -> usize,
-    ) -> Vec<GlobalStore> {
-        let mut out: Vec<GlobalStore> = (0..shards).map(|_| GlobalStore::new()).collect();
-        for (id, ent) in self.entities {
-            let s = route(id);
-            assert!(s < shards, "route({id}) = {s} out of range for {shards} shards");
-            out[s].entities.insert(id, ent);
-        }
-        out
     }
 }
 
 impl fmt::Debug for GlobalStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.iter().map(|(id, v)| (id, v.raw()))).finish()
-    }
-}
-
-/// A thread-safe handle to a [`GlobalStore`], for the multi-threaded stress
-/// harness. The engine proper is deterministic and single-threaded; this
-/// wrapper exists so the same store type can back the `crossbeam` tests.
-#[derive(Clone, Default)]
-pub struct SharedGlobalStore(Arc<RwLock<GlobalStore>>);
-
-impl SharedGlobalStore {
-    /// Wraps a store.
-    pub fn new(store: GlobalStore) -> Self {
-        SharedGlobalStore(Arc::new(RwLock::new(store)))
-    }
-
-    /// Runs `f` with shared read access.
-    pub fn with_read<R>(&self, f: impl FnOnce(&GlobalStore) -> R) -> R {
-        f(&self.0.read())
-    }
-
-    /// Runs `f` with exclusive write access.
-    pub fn with_write<R>(&self, f: impl FnOnce(&mut GlobalStore) -> R) -> R {
-        f(&mut self.0.write())
     }
 }
 
@@ -252,7 +168,6 @@ mod tests {
         assert_eq!(s.read(e(0)).unwrap(), Value::new(10));
         s.publish(e(0), Value::new(20)).unwrap();
         assert_eq!(s.read(e(0)).unwrap(), Value::new(20));
-        assert_eq!(s.publish_count(), 1);
     }
 
     #[test]
@@ -299,45 +214,5 @@ mod tests {
         assert_ne!(s.read(e(1)).unwrap(), Value::new(1));
         s.restore(&snap);
         assert_eq!(s.read(e(1)).unwrap(), Value::new(1));
-    }
-
-    #[test]
-    fn payloads_are_cheap_handles() {
-        let mut s = GlobalStore::new();
-        s.create_with_payload(e(0), Value::ZERO, 4096).unwrap();
-        let p1 = s.payload(e(0)).unwrap();
-        let p2 = s.payload(e(0)).unwrap();
-        assert_eq!(p1.len(), 4096);
-        assert_eq!(p1, p2);
-        assert!(s.payload(e(1)).is_none());
-    }
-
-    #[test]
-    fn partition_routes_entities_and_snapshots_reassemble() {
-        let mut s = GlobalStore::new();
-        for i in 0..6 {
-            s.create(e(i), Value::new(i64::from(i) * 10)).unwrap();
-        }
-        let full = s.snapshot();
-        let shards = s.partition_by(3, |id| id.raw() as usize % 3);
-        assert_eq!(shards.len(), 3);
-        assert_eq!(shards[0].read(e(0)).unwrap(), Value::new(0));
-        assert_eq!(shards[1].read(e(4)).unwrap(), Value::new(40));
-        assert_eq!(shards[2].read(e(5)).unwrap(), Value::new(50));
-        assert!(shards[0].read(e(1)).is_err());
-        let mut merged = Snapshot::default();
-        for shard in &shards {
-            merged.merge(shard.snapshot());
-        }
-        assert_eq!(merged, full);
-    }
-
-    #[test]
-    fn shared_store_allows_concurrent_reads() {
-        let shared = SharedGlobalStore::new(GlobalStore::with_entities(4, Value::new(2)));
-        let total = shared.with_read(|s| s.total());
-        assert_eq!(total, Value::new(8));
-        shared.with_write(|s| s.publish(e(0), Value::new(10)).unwrap());
-        assert_eq!(shared.with_read(|s| s.total()), Value::new(16));
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! Implements the storage machinery §4 of the paper requires:
 //!
-//! * [`GlobalStore`] — the database itself: global entities with values,
-//!   optional byte payloads (to make storage-overhead measurements concrete),
+//! * [`GlobalStore`] — the database itself: global entities with values
 //!   and integrity-constraint hooks. Under the paper's deferred-update model
 //!   the global value of a locked entity "does not change until the
 //!   transaction unlocks it", so rollback never has to undo the database —
@@ -37,7 +36,7 @@ pub mod version_stack;
 pub mod wal;
 
 pub use error::StorageError;
-pub use global::{Constraint, GlobalStore, SharedGlobalStore};
+pub use global::{Constraint, GlobalStore};
 pub use mcs::{CopyCounts, McsWorkspace};
 pub use single_copy::SingleCopyWorkspace;
 pub use snapshot::Snapshot;
@@ -57,7 +56,6 @@ const _: () = {
     assert_send_sync::<VersionStack>();
     assert_send_sync::<McsWorkspace>();
     assert_send_sync::<SingleCopyWorkspace>();
-    assert_send_sync::<SharedGlobalStore>();
     assert_send_sync::<StorageError>();
     assert_send_sync::<BatchRecord>();
     assert_send_sync::<WalError>();

@@ -10,11 +10,10 @@
 use crate::error::StorageError;
 use crate::version_stack::VersionStack;
 use pr_model::{EntityId, LockIndex, Value, VarId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Copy counts in the Theorem 3 sense (elements beyond each stack's base).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CopyCounts {
     /// Copies of global entities held in stacks.
     pub entity_copies: usize,
@@ -52,7 +51,7 @@ impl CopyCounts {
 /// ws.rollback_to(LockIndex::new(1));
 /// assert_eq!(ws.read_entity(a), Some(Value::new(11)));
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct McsWorkspace {
     entity_stacks: BTreeMap<EntityId, VersionStack>,
     var_stacks: Vec<VersionStack>,

@@ -12,10 +12,9 @@
 
 use crate::error::StorageError;
 use pr_model::{EntityId, LockIndex, Value, VarId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 struct EntityCopy {
     /// Lock index of the lock state at which the entity was locked.
     lock_state: LockIndex,
@@ -30,7 +29,7 @@ struct EntityCopy {
     last_write: Option<LockIndex>,
 }
 
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 struct VarCopy {
     initial: Value,
     current: Value,
@@ -41,7 +40,7 @@ struct VarCopy {
 /// A write event's coordinates in the state-dependency graph: the written
 /// object's index of restorability `u` and the write's lock index `w`.
 /// Lock states `q` with `u < q < w` become undefined (Theorem 4).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct RecordedWrite {
     /// Index of restorability of the written entity/variable.
     pub u: LockIndex,
@@ -51,7 +50,7 @@ pub struct RecordedWrite {
 
 /// A transaction workspace holding exactly one local copy per exclusively
 /// locked entity.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SingleCopyWorkspace {
     entities: BTreeMap<EntityId, EntityCopy>,
     vars: Vec<VarCopy>,

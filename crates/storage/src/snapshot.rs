@@ -1,7 +1,6 @@
 //! Whole-database snapshots for test oracles.
 
 use pr_model::{EntityId, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// An immutable capture of every entity's value at one instant.
@@ -9,7 +8,7 @@ use std::collections::BTreeMap;
 /// Used by the serializability oracle: a concurrent run is accepted iff its
 /// final snapshot equals the final snapshot of *some* serial order of the
 /// same transactions (§1's correctness criterion).
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Snapshot {
     values: BTreeMap<EntityId, Value>,
 }

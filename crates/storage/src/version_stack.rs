@@ -22,11 +22,10 @@
 //! roll back past their first write.
 
 use pr_model::{LockIndex, Value};
-use serde::{Deserialize, Serialize};
 
 /// One element of a version stack: a value and the lock index of the write
 /// (or initial load) that produced it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct StackElement {
     /// The stored value.
     pub value: Value,
@@ -35,7 +34,7 @@ pub struct StackElement {
 }
 
 /// A per-entity (or per-local-variable) version stack.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct VersionStack {
     /// The stack's own index: the lock index of the lock state it is
     /// associated with (0 for local variables).

@@ -12,11 +12,10 @@
 //! were never fsynced (the page-cache-loss model).
 
 use super::WalError;
-use parking_lot::Mutex;
 use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// An append-only log file.
 pub trait LogFile: Send {
@@ -202,17 +201,17 @@ impl MemDir {
 
     /// Whether the failpoint has fired.
     pub fn crashed(&self) -> bool {
-        self.disk.lock().crashed
+        self.disk.lock().expect("mem disk mutex poisoned").crashed
     }
 
     /// Total bytes persisted across all files.
     pub fn persisted_bytes(&self) -> u64 {
-        self.disk.lock().appended
+        self.disk.lock().expect("mem disk mutex poisoned").appended
     }
 
     /// Number of `sync` calls that reached the disk.
     pub fn sync_count(&self) -> u64 {
-        self.disk.lock().syncs
+        self.disk.lock().expect("mem disk mutex poisoned").syncs
     }
 
     /// The post-crash disk image a restarted process would see: a plain
@@ -222,7 +221,7 @@ impl MemDir {
     /// persisted byte survives (the kernel happened to flush). Both are
     /// legal crash outcomes and recovery must cope with either.
     pub fn surviving(&self, lose_unsynced: bool) -> MemDir {
-        let disk = self.disk.lock();
+        let disk = self.disk.lock().expect("mem disk mutex poisoned");
         let files = disk
             .files
             .iter()
@@ -255,7 +254,7 @@ struct MemFileHandle {
 
 impl LogFile for MemFileHandle {
     fn append(&mut self, bytes: &[u8]) -> Result<(), WalError> {
-        let mut disk = self.disk.lock();
+        let mut disk = self.disk.lock().expect("mem disk mutex poisoned");
         if disk.crashed {
             return Err(WalError::Crashed);
         }
@@ -276,7 +275,7 @@ impl LogFile for MemFileHandle {
     }
 
     fn sync(&mut self) -> Result<(), WalError> {
-        let mut disk = self.disk.lock();
+        let mut disk = self.disk.lock().expect("mem disk mutex poisoned");
         if disk.crashed {
             return Err(WalError::Crashed);
         }
@@ -289,7 +288,7 @@ impl LogFile for MemFileHandle {
 
 impl LogDir for MemDir {
     fn create(&self, name: &str) -> Result<Box<dyn LogFile>, WalError> {
-        let mut disk = self.disk.lock();
+        let mut disk = self.disk.lock().expect("mem disk mutex poisoned");
         if disk.crashed {
             return Err(WalError::Crashed);
         }
@@ -312,7 +311,7 @@ impl LogDir for MemDir {
     }
 
     fn list(&self) -> Result<Vec<String>, WalError> {
-        let disk = self.disk.lock();
+        let disk = self.disk.lock().expect("mem disk mutex poisoned");
         if disk.crashed {
             return Err(WalError::Crashed);
         }
@@ -322,7 +321,7 @@ impl LogDir for MemDir {
     }
 
     fn read(&self, name: &str) -> Result<Vec<u8>, WalError> {
-        let disk = self.disk.lock();
+        let disk = self.disk.lock().expect("mem disk mutex poisoned");
         if disk.crashed {
             return Err(WalError::Crashed);
         }
@@ -332,7 +331,7 @@ impl LogDir for MemDir {
     }
 
     fn truncate(&self, name: &str, len: u64) -> Result<(), WalError> {
-        let mut disk = self.disk.lock();
+        let mut disk = self.disk.lock().expect("mem disk mutex poisoned");
         if disk.crashed {
             return Err(WalError::Crashed);
         }
@@ -346,7 +345,7 @@ impl LogDir for MemDir {
     }
 
     fn remove(&self, name: &str) -> Result<(), WalError> {
-        let mut disk = self.disk.lock();
+        let mut disk = self.disk.lock().expect("mem disk mutex poisoned");
         if disk.crashed {
             return Err(WalError::Crashed);
         }

@@ -1,16 +1,14 @@
-//! Stress tests: scale, determinism under parallel drivers, and the
-//! thread-safe store wrapper.
+//! Stress tests: scale, a deadlock storm, and determinism under parallel
+//! drivers.
 //!
 //! The engine itself is deliberately single-threaded and deterministic
 //! (concurrency in the paper's model is interleaving); these tests drive
 //! many engines in parallel OS threads via `std::thread::scope` to shake
-//! out any accidental shared state, and hammer the `SharedGlobalStore`
-//! wrapper.
+//! out any accidental shared state.
 
 use partial_rollback::prelude::*;
 use partial_rollback::sim::generator::{GeneratorConfig, ProgramGenerator};
 use partial_rollback::sim::runner::{run_workload, store_with, SchedulerKind};
-use partial_rollback::storage::SharedGlobalStore;
 
 #[test]
 fn large_workload_drains_quickly() {
@@ -63,34 +61,6 @@ fn parallel_engines_agree_with_serial_reruns() {
         assert_eq!(s.metrics, p.metrics);
         assert_eq!(s.snapshot, p.snapshot);
     }
-}
-
-#[test]
-fn shared_store_survives_concurrent_readers_and_writers() {
-    let shared = SharedGlobalStore::new(GlobalStore::with_entities(16, Value::new(1_000)));
-    std::thread::scope(|scope| {
-        for t in 0..4 {
-            let store = shared.clone();
-            scope.spawn(move || {
-                for i in 0..1_000 {
-                    let id = EntityId::new((t * 4 + i % 4) as u32 % 16);
-                    if i % 3 == 0 {
-                        store.with_write(|s| {
-                            let v = s.read(id).unwrap();
-                            s.publish(id, v + Value::new(1)).unwrap();
-                        });
-                    } else {
-                        store.with_read(|s| {
-                            let _ = s.read(id).unwrap();
-                        });
-                    }
-                }
-            });
-        }
-    });
-    // Each of 4 threads performed ⌈1000/3⌉ = 334 increments.
-    let total = shared.with_read(|s| s.total());
-    assert_eq!(total, Value::new(16_000 + 4 * 334));
 }
 
 #[test]
