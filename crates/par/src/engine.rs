@@ -4,13 +4,22 @@
 //!
 //! ## Execution model
 //!
-//! `threads` workers drain the admission queue; each claims a
-//! transaction, holds its slot mutex, and executes its operations exactly
-//! as the deterministic engine does — same runtime calls, same lock-table
-//! semantics, same §4 rollback procedure — so the two engines are
-//! behaviourally interchangeable and the differential oracle can compare
-//! them. In-flight transactions never exceed the worker count, so every
-//! lock holder and waiter always has a live thread behind it.
+//! A [`Session`] owns `threads − 1` helper threads for its whole
+//! lifetime; the thread that calls [`Session::execute`] is worker 0. Each
+//! batch gets a fresh core — slots, shards, waits-for graph, history —
+//! over the session's persistent [`EntitySlab`], and `min(threads, n)`
+//! workers run it: the caller plus that many helpers less one, woken for
+//! this batch. A worker starts
+//! claiming transactions as soon as it wakes; there is no start barrier.
+//! Each claims a transaction, holds its slot mutex, and executes its
+//! operations exactly as the deterministic engine does — same runtime
+//! calls, same lock-table semantics, same §4 rollback procedure — so the
+//! two engines are behaviourally interchangeable and the differential
+//! oracle can compare them. In-flight transactions never exceed the worker
+//! count, so every lock holder and waiter always has a live thread behind
+//! it. [`run_parallel`] is a one-batch session. A worker that panics fails
+//! the batch with [`ParError::Panicked`] and stops its siblings, rather
+//! than leaving them waiting on a transaction nobody runs.
 //!
 //! ## The grant fast path
 //!
@@ -52,6 +61,8 @@
 
 use crate::history::{AccessHistory, CommittedAccess};
 use crate::outcome::{ParConfig, ParError, ParOutcome, TxnStats};
+use crate::pool::{Job, Pool};
+use crate::session::Session;
 use crate::shard::Shards;
 use crate::slot::{SlotState, TxnSlot};
 use crate::wfg::EpochGraph;
@@ -98,12 +109,12 @@ enum Round {
     Busy,
 }
 
-struct Core<'s> {
+/// One batch's shared state, handed to every worker of the batch.
+struct Core {
     shards: Shards,
-    /// Borrowed, not owned: in session mode (see [`crate::session`]) the
-    /// slab outlives each batch and carries entity values — and the
-    /// fast-path counters — across batches.
-    slab: &'s EntitySlab,
+    /// Shared with the session: the slab outlives each batch and carries
+    /// entity values — and the fast-path counters — across batches.
+    slab: Arc<EntitySlab>,
     slots: Vec<TxnSlot>,
     wfg: EpochGraph,
     history: AccessHistory,
@@ -113,12 +124,40 @@ struct Core<'s> {
     error: Mutex<Option<ParError>>,
     next: AtomicUsize,
     /// Global id of the transaction before this batch's first: slot `i`
-    /// runs transaction `txn_base + i + 1`. Zero for plain
-    /// [`run_parallel`] runs.
+    /// runs transaction `txn_base + i + 1`.
     txn_base: u32,
+    /// Time origin of the worker spans below.
+    epoch: Instant,
+    /// `(begin, end)` of every worker that committed at least one
+    /// transaction, measured from `epoch`.
+    spans: Mutex<Vec<(Duration, Duration)>>,
 }
 
-impl Core<'_> {
+impl Job for Core {
+    /// Timing excludes workers that never claimed a transaction: on an
+    /// oversubscribed box a helper can wake long after its siblings drained
+    /// the whole batch, and its empty span would measure scheduler wake
+    /// latency, not execution.
+    fn work(&self) {
+        let begin = self.epoch.elapsed();
+        let mut local = Metrics::default();
+        let mut acc = Vec::new();
+        self.worker(&mut local, &mut acc);
+        self.history.commit(acc);
+        let worked = local.commits > 0;
+        self.shared.lock().expect("metrics mutex poisoned").merge(&local);
+        if worked {
+            let end = self.epoch.elapsed();
+            self.spans.lock().expect("span mutex poisoned").push((begin, end));
+        }
+    }
+
+    fn panicked(&self, message: String) {
+        self.fail(ParError::Panicked(message));
+    }
+}
+
+impl Core {
     fn slot_of(&self, txn: TxnId) -> &TxnSlot {
         &self.slots[(txn.raw() - 1 - self.txn_base) as usize]
     }
@@ -141,7 +180,7 @@ impl Core<'_> {
 
     /// Worker main loop: claim transactions until the queue drains or the
     /// run aborts. Committed accesses accumulate in `acc` (merged into
-    /// the global history once, when the worker exits).
+    /// the global history once, when the worker's share is done).
     fn worker(&self, local: &mut Metrics, acc: &mut Vec<CommittedAccess>) {
         loop {
             if self.aborted() {
@@ -574,8 +613,9 @@ impl Core<'_> {
     }
 }
 
-/// Runs `programs` to completion on `config.threads` worker threads over
-/// the lock-word slab + sharded lock table seeded from `store`.
+/// Runs `programs` to completion on `config.threads` workers over the
+/// lock-word slab + sharded lock table seeded from `store`: a one-batch
+/// [`Session`].
 ///
 /// On success every transaction has committed; the outcome carries the
 /// final snapshot, the stamped access history for the serializability
@@ -591,30 +631,30 @@ pub fn run_parallel(
             store.ensure(e);
         }
     }
-    let slab = EntitySlab::from_store(&store);
-    run_batch(programs, &slab, config, 0, 0).map(|(outcome, _)| outcome)
+    let mut session = Session::new(&store, config.clone());
+    let outcome = session.execute(programs)?;
+    session.finish()?;
+    Ok(outcome)
 }
 
-/// Runs one batch of `programs` over a caller-owned slab — the engine
-/// behind both [`run_parallel`] (fresh slab, bases zero) and session mode
-/// ([`crate::session::Session`], which carries the slab, a transaction-id
-/// base, and a stamp base across batches so externally submitted
-/// transactions get globally unique ids and a single monotone stamp
-/// clock).
+/// Runs one batch of `programs` on `pool` over the session's slab, with
+/// transaction ids and grant stamps continuing from `txn_base` and
+/// `stamp_base`, so externally submitted transactions get globally unique
+/// ids and a single monotone stamp clock across batches.
 ///
 /// The caller guarantees every locked entity exists in the slab, and that
 /// the slab is quiescent (no holders, no queue flags) — true after any
 /// successful prior batch. Returns the outcome plus the stamp high-water
 /// mark, the next batch's stamp base.
 pub(crate) fn run_batch(
+    pool: &Pool,
     programs: &[TransactionProgram],
-    slab: &EntitySlab,
+    slab: &Arc<EntitySlab>,
     config: &ParConfig,
     txn_base: u32,
     stamp_base: u64,
 ) -> Result<(ParOutcome, u64), ParError> {
-    let n = programs.len();
-    let threads = config.threads.max(1).min(n.max(1));
+    let workers = config.threads.max(1).min(programs.len().max(1));
     let shard_count = config.effective_shards();
     let slots: Vec<TxnSlot> = programs
         .iter()
@@ -628,9 +668,9 @@ pub(crate) fn run_batch(
             ))
         })
         .collect();
-    let core = Core {
+    let core = Arc::new(Core {
         shards: Shards::new(shard_count, config.system.grant_policy),
-        slab,
+        slab: Arc::clone(slab),
         slots,
         wfg: EpochGraph::new(),
         history: AccessHistory::with_base(stamp_base),
@@ -640,45 +680,21 @@ pub(crate) fn run_batch(
         error: Mutex::new(None),
         next: AtomicUsize::new(0),
         txn_base,
-    };
-    // Steady-state timing: workers hold at a barrier until all are
-    // spawned, then each records its own active span against a shared
-    // epoch; `elapsed` runs from the first working span's begin to the
-    // last working span's end. Timing inside the workers excludes thread
-    // start-up (which would otherwise dominate small runs and make
-    // scaling curves meaningless on a small box), and workers that never
-    // claimed a transaction are excluded: on an oversubscribed box a
-    // worker can wake long after its siblings drained the whole workload,
-    // and its empty span would measure scheduler wake latency, not
-    // execution.
-    let ready = std::sync::Barrier::new(threads);
-    let epoch = Instant::now();
-    let spans: Mutex<Vec<(Duration, Duration)>> = Mutex::new(Vec::with_capacity(threads));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                ready.wait();
-                let begin = epoch.elapsed();
-                let mut local = Metrics::default();
-                let mut acc = Vec::new();
-                core.worker(&mut local, &mut acc);
-                core.history.commit(acc);
-                let worked = local.commits > 0;
-                core.shared.lock().expect("metrics mutex poisoned").merge(&local);
-                if worked {
-                    let end = epoch.elapsed();
-                    spans.lock().expect("span mutex poisoned").push((begin, end));
-                }
-            });
-        }
+        epoch: Instant::now(),
+        spans: Mutex::new(Vec::with_capacity(workers)),
     });
-    let spans = spans.into_inner().expect("span mutex poisoned");
+    pool.run(&core, workers);
+    let core = Arc::try_unwrap(core)
+        .map_err(|_| ParError::Inconsistent("a worker outlived its batch".into()))?;
+    if let Some(e) = core.error.into_inner().expect("error mutex poisoned") {
+        return Err(e);
+    }
+    // `elapsed` runs from the first working span's begin to the last
+    // working span's end.
+    let spans = core.spans.into_inner().expect("span mutex poisoned");
     let begin = spans.iter().map(|s| s.0).min().unwrap_or_default();
     let end = spans.iter().map(|s| s.1).max().unwrap_or_default();
     let elapsed = end.saturating_sub(begin);
-    if let Some(e) = core.error.lock().expect("error mutex poisoned").take() {
-        return Err(e);
-    }
     // Quiescent-point validation: lock tables coherent, lock words fully
     // released, waits-for graph drained, everyone committed.
     core.shards.check_invariants().map_err(ParError::Inconsistent)?;
@@ -710,18 +726,17 @@ pub(crate) fn run_batch(
     if let Some(t) = per_txn.iter().find(|t| !t.committed) {
         return Err(ParError::Inconsistent(format!("{} never committed", t.id)));
     }
-    let Core { shared, history, .. } = core;
-    let stamp_high_water = history.high_water();
+    let stamp_high_water = core.history.high_water();
     Ok((
         ParOutcome {
-            metrics: shared.into_inner().expect("metrics mutex poisoned"),
+            metrics: core.shared.into_inner().expect("metrics mutex poisoned"),
             per_txn,
-            accesses: history.into_accesses(),
+            accesses: core.history.into_accesses(),
             snapshot,
             elapsed,
-            threads,
+            threads: workers,
             shards: shard_count,
-            fast: slab.stats(),
+            fast: core.slab.stats(),
         },
         stamp_high_water,
     ))

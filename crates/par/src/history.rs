@@ -16,7 +16,7 @@
 //!
 //! The log mutex is off the hot path entirely: each worker buffers its
 //! committed accesses locally and calls [`AccessHistory::commit`] once,
-//! when it exits — the stamp counter (a lock-free fetch-add) is the only
+//! when its share of the batch is done — the stamp counter (a lock-free fetch-add) is the only
 //! history state touched while transactions run. Sorting happens once,
 //! in [`AccessHistory::into_accesses`], never per oracle check.
 
@@ -74,8 +74,8 @@ impl AccessHistory {
         self.next.load(Ordering::Relaxed)
     }
 
-    /// Appends a batch of committed accesses — called once per worker at
-    /// exit with its whole buffered log, not per transaction.
+    /// Appends a batch of committed accesses — called once per worker and
+    /// batch with its whole buffered log, not per transaction.
     pub fn commit(&self, accesses: Vec<CommittedAccess>) {
         self.log.lock().expect("history mutex poisoned").extend(accesses);
     }

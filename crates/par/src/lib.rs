@@ -33,12 +33,14 @@
 //!   try-lock resolver that executes partial rollbacks across threads;
 //! * [`history`] — grant-stamped access records for the oracle;
 //! * [`session`] — the long-lived submission API (persistent slab,
-//!   global txn ids and stamp clock) servers batch through;
+//!   worker threads spawned once per session, global txn ids and stamp
+//!   clock) servers batch through;
 //! * [`outcome`] — configuration, errors, and result types.
 
 pub mod engine;
 pub mod history;
 pub mod outcome;
+mod pool;
 pub mod session;
 pub mod shard;
 pub mod slot;

@@ -12,8 +12,10 @@ use std::time::Duration;
 /// Configuration for one parallel run.
 #[derive(Clone, Debug)]
 pub struct ParConfig {
-    /// Worker threads (each runs whole transactions; in-flight
-    /// transactions never exceed this). Clamped to at least 1.
+    /// Workers (each runs whole transactions; in-flight transactions never
+    /// exceed this), clamped to at least 1. The thread that executes a
+    /// batch is one of them: a session spawns `threads − 1` helper
+    /// threads.
     pub threads: usize,
     /// Lock-table shards; 0 selects `4 × threads` (rounded up to a power
     /// of two either way).
@@ -71,11 +73,12 @@ pub struct ParOutcome {
     /// Committed lock-state accesses sorted by grant stamp — input to the
     /// serializability oracle.
     pub accesses: Vec<CommittedAccess>,
-    /// Final database state, reassembled across shards.
+    /// Final database state: every entity's published value.
     pub snapshot: Snapshot,
-    /// Wall-clock execution time (worker start to last join).
+    /// Wall-clock execution time: from the first start to the last finish
+    /// among the workers that committed a transaction.
     pub elapsed: Duration,
-    /// Threads actually used.
+    /// Workers actually used (the calling thread included).
     pub threads: usize,
     /// Shards actually used.
     pub shards: usize,
@@ -135,6 +138,9 @@ pub enum ParError {
     /// Post-run validation failed (lock-table or waits-for-graph
     /// invariant broken at quiescence).
     Inconsistent(String),
+    /// A worker panicked (the message is the panic's); the batch was
+    /// aborted.
+    Panicked(String),
 }
 
 impl fmt::Display for ParError {
@@ -155,6 +161,7 @@ impl fmt::Display for ParError {
                 write!(f, "{entity} is not in the session's entity universe")
             }
             ParError::Inconsistent(msg) => write!(f, "post-run inconsistency: {msg}"),
+            ParError::Panicked(msg) => write!(f, "worker panicked: {msg}"),
         }
     }
 }

@@ -5,9 +5,12 @@
 //! run ends at quiescence. A *server* front end has none of those
 //! luxuries — transactions arrive over the wire for as long as clients
 //! keep submitting. A [`Session`] bridges the two worlds: it owns the
-//! [`EntitySlab`] (the database) for its whole lifetime and executes
-//! successive **batches** through the same worker machinery, each batch
-//! running start-barrier to quiescence exactly like a standalone run.
+//! [`EntitySlab`] (the database) and a pool of `threads − 1` helper
+//! threads for its whole lifetime, and executes successive **batches** on
+//! them, each running to quiescence. The thread that calls
+//! [`Session::execute`] is worker 0; helpers are spawned once, woken per
+//! batch, and joined when the session is finished or dropped. A one-batch
+//! session is exactly a standalone run.
 //!
 //! Two counters make the concatenated multi-batch history a single valid
 //! input to the serializability oracle:
@@ -30,25 +33,36 @@
 
 use crate::engine::run_batch;
 use crate::outcome::{ParConfig, ParError, ParOutcome};
+use crate::pool::Pool;
 use crate::word::{EntitySlab, FastPathStats};
 use pr_model::{EntityId, TransactionProgram};
 use pr_storage::{GlobalStore, Snapshot};
+use std::sync::Arc;
 
-/// A long-lived executor session: a persistent entity slab plus the
-/// global transaction-id and stamp counters. See the module docs.
+/// A long-lived executor session: a persistent entity slab, its worker
+/// threads, and the global transaction-id and stamp counters. See the
+/// module docs.
 pub struct Session {
-    slab: EntitySlab,
+    slab: Arc<EntitySlab>,
     config: ParConfig,
     admitted: u32,
     stamp: u64,
     batches: u64,
+    pool: Pool,
 }
 
+/// Servers open a session on one thread and run it on another.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Session>();
+};
+
 impl Session {
-    /// Opens a session over the entities (and initial values) of `store`.
-    /// The entity universe is fixed from here on.
+    /// Opens a session over the entities (and initial values) of `store`
+    /// and starts its `threads − 1` helper threads. The entity universe is
+    /// fixed from here on.
     pub fn new(store: &GlobalStore, config: ParConfig) -> Session {
-        Session { slab: EntitySlab::from_store(store), config, admitted: 0, stamp: 0, batches: 0 }
+        Session::resume(store, config, 0, 0)
     }
 
     /// Opens a session that *continues* a previous one: `store` carries the
@@ -57,7 +71,15 @@ impl Session {
     /// extend the pre-crash history monotonically — the concatenation is
     /// one valid oracle input, exactly as if the process had never died.
     pub fn resume(store: &GlobalStore, config: ParConfig, admitted: u32, stamp: u64) -> Session {
-        Session { slab: EntitySlab::from_store(store), config, admitted, stamp, batches: 0 }
+        let pool = Pool::new(config.threads);
+        Session {
+            slab: Arc::new(EntitySlab::from_store(store)),
+            config,
+            admitted,
+            stamp,
+            batches: 0,
+            pool,
+        }
     }
 
     /// The configuration every batch runs under.
@@ -95,13 +117,15 @@ impl Session {
         }
     }
 
-    /// Executes one batch to quiescence. On success every transaction in
-    /// `programs` committed; `per_txn` and `accesses` carry the global
-    /// transaction ids (offset by [`Self::admitted`] at entry) and stamps
-    /// continuing the session clock. On error the batch's effects on the
-    /// slab are undefined and the session must not be reused — the caller
-    /// should surface the error and tear down (an engine error here is an
-    /// invariant violation, not a workload property).
+    /// Executes one batch to quiescence on `min(threads, n)` workers: the
+    /// calling thread plus that many helpers less one. On success every
+    /// transaction in `programs` committed; `per_txn` and `accesses` carry
+    /// the global transaction ids (offset by [`Self::admitted`] at entry)
+    /// and stamps continuing the session clock. On error the batch's
+    /// effects on the slab are undefined and the session must not be
+    /// reused — the caller should surface the error and tear down (an
+    /// engine error here is an invariant violation, not a workload
+    /// property).
     ///
     /// `fast` in the returned outcome reports the slab's *cumulative*
     /// fast-path counters, not this batch's alone — the counters live in
@@ -119,7 +143,7 @@ impl Session {
                 ParError::Inconsistent("session transaction-id space exhausted".into())
             })?;
         let (outcome, stamp) =
-            run_batch(programs, &self.slab, &self.config, self.admitted, self.stamp)?;
+            run_batch(&self.pool, programs, &self.slab, &self.config, self.admitted, self.stamp)?;
         self.admitted = n;
         self.stamp = stamp;
         self.batches += 1;
@@ -139,8 +163,9 @@ impl Session {
         self.slab.check_quiescent()
     }
 
-    /// Consumes the session, asserting quiescence one last time. Returns
-    /// the cumulative fast-path counters.
+    /// Consumes the session, asserting quiescence one last time, and joins
+    /// its helper threads (as a plain drop does). Returns the cumulative
+    /// fast-path counters.
     pub fn finish(self) -> Result<FastPathStats, ParError> {
         self.slab.check_quiescent().map_err(ParError::Inconsistent)?;
         Ok(self.slab.stats())

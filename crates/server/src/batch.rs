@@ -4,8 +4,9 @@
 //! **batches**. A batch flushes when it reaches `batch_max` items or when
 //! `deadline` has elapsed since its first item arrived — the classic
 //! group-commit trade: a bounded latency contribution buys the engine
-//! larger batches, which amortise worker-thread startup and give the
-//! resolver real concurrency to work with.
+//! larger batches, which amortise the per-batch quiescent validation,
+//! snapshot and fsync, and give the resolver real concurrency to work
+//! with.
 //!
 //! The structure is a plain `Mutex<Vec<T>>` + `Condvar` pair. Both sides
 //! are cheap: a push is a lock, a `Vec::push`, and a notify; the executor

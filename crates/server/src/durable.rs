@@ -146,8 +146,18 @@ impl Journal {
         snapshot: &Snapshot,
         accesses: &[CommittedAccess],
     ) -> Result<bool, WalError> {
-        let deltas: Vec<(EntityId, Value)> =
-            snapshot.iter().filter(|&(id, v)| self.last.get(id) != Some(v)).collect();
+        // Both snapshots iterate in id order: one lockstep walk finds every
+        // entry that is new or changed since the previous batch.
+        let deltas: Vec<(EntityId, Value)> = {
+            let mut last = self.last.iter().peekable();
+            snapshot
+                .iter()
+                .filter(|&(id, v)| {
+                    while last.next_if(|&(prev, _)| prev < id).is_some() {}
+                    last.peek() != Some(&(id, v))
+                })
+                .collect()
+        };
         let record = BatchRecord {
             batch_id: self.next_batch_id,
             txn_base,
@@ -181,5 +191,40 @@ impl Journal {
     /// Writer counters, for `ServerMetrics`.
     pub fn stats(&self) -> WalStats {
         self.wal.stats()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pr_storage::wal::MemDir;
+
+    fn snap(pairs: &[(u32, i64)]) -> Snapshot {
+        Snapshot::from_pairs(pairs.iter().map(|&(e, v)| (EntityId::new(e), Value::new(v))))
+    }
+
+    #[test]
+    fn deltas_are_the_new_or_changed_entries_since_the_previous_batch() {
+        let dir = MemDir::new();
+        let config = DurabilityConfig::default();
+        let mut journal =
+            Journal::open(Arc::new(dir.clone()), &config, snap(&[(0, 1), (1, 2), (3, 4)]), 0)
+                .unwrap();
+        // Entity 1 changed, 2 is new, 0 and 3 are unchanged, 5 is new
+        // past the baseline's last id.
+        journal
+            .log_batch(0, &[7], 1, &snap(&[(0, 1), (1, 5), (2, 7), (3, 4), (5, 0)]), &[])
+            .unwrap();
+        // Against the previous batch, not the baseline: only 3 moved.
+        journal
+            .log_batch(1, &[8], 2, &snap(&[(0, 1), (1, 5), (2, 7), (3, 9), (5, 0)]), &[])
+            .unwrap();
+        let deltas: Vec<Vec<(u32, i64)>> = replay(&dir)
+            .unwrap()
+            .batches
+            .iter()
+            .map(|b| b.deltas.iter().map(|&(e, v)| (e.raw(), v.raw())).collect())
+            .collect();
+        assert_eq!(deltas, vec![vec![(1, 5), (2, 7), (5, 0)], vec![(3, 9)]]);
     }
 }

@@ -208,6 +208,14 @@ impl Server {
             _ => None,
         };
         let recovery = recovered.as_ref().map(|r| r.summary.clone());
+        // Set here, not by the executor thread, so no STATS reply can
+        // predate them.
+        let mut metrics = ServerMetrics::default();
+        if let Some(r) = &recovery {
+            metrics.batches_recovered = r.batches;
+            metrics.txns_recovered = r.txns;
+            metrics.commits = r.txns;
+        }
 
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
@@ -223,7 +231,7 @@ impl Server {
             submissions: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             aborted_on_shutdown: AtomicU64::new(0),
-            batch_metrics: Mutex::new(ServerMetrics::default()),
+            batch_metrics: Mutex::new(metrics),
         });
 
         let accept = {
@@ -421,12 +429,6 @@ fn executor_loop(
         Some(rec) => {
             let session =
                 Session::resume(&rec.store, par_config, rec.summary.txn_hwm, rec.summary.stamp_hwm);
-            {
-                let mut m = shared.batch_metrics.lock().expect("metrics poisoned");
-                m.batches_recovered = rec.summary.batches;
-                m.txns_recovered = rec.summary.txns;
-                m.commits = rec.summary.txns;
-            }
             let history: Vec<RetainedAccess> =
                 rec.accesses.iter().map(RetainedAccess::pack).collect();
             (rec.store, history, rec.summary.txns, rec.summary.last_batch_id, session)
