@@ -193,6 +193,12 @@ pub struct Metrics {
     /// (committed transactions only). In a clean pure-Repair run,
     /// `ops_replayed + ops_reused == states_lost`.
     pub ops_reused: u64,
+    /// Parks that ended on the poll timeout rather than on a wake
+    /// (parallel engine only; the deterministic engine never parks).
+    pub poll_timeouts: u64,
+    /// Microseconds a resolver spent blocked capturing a cycle's slots,
+    /// one sample per capture (parallel engine only).
+    pub capture_wait: LogHistogram,
 }
 
 impl Metrics {
@@ -289,6 +295,8 @@ impl Metrics {
             repair_suffix,
             ops_replayed,
             ops_reused,
+            poll_timeouts,
+            capture_wait,
         } = other;
         self.steps += steps;
         self.ops_executed += ops_executed;
@@ -315,6 +323,8 @@ impl Metrics {
         self.repair_suffix.merge(repair_suffix);
         self.ops_replayed += ops_replayed;
         self.ops_reused += ops_reused;
+        self.poll_timeouts += poll_timeouts;
+        self.capture_wait.merge(capture_wait);
     }
 }
 
@@ -553,23 +563,28 @@ mod tests {
             states_lost: 7,
             certified_waits: 4,
             peak_copies: 3,
+            poll_timeouts: 2,
             ..Default::default()
         };
         a.record_preemption(TxnId::new(1));
         a.note_queue_depth(EntityId::new(0), 4);
         a.grant_latency.record(8);
+        a.capture_wait.record(40);
         let mut b = Metrics {
             steps: 3,
             commits: 1,
             states_lost: 2,
             certified_waits: 6,
             peak_copies: 9,
+            poll_timeouts: 5,
             ..Default::default()
         };
         b.record_preemption(TxnId::new(1));
         b.record_preemption(TxnId::new(2));
         b.note_queue_depth(EntityId::new(0), 2);
         b.grant_latency.record(16);
+        b.capture_wait.record(0);
+        b.capture_wait.record(300);
         a.merge(&b);
         assert_eq!(a.steps, 8);
         assert_eq!(a.commits, 3);
@@ -581,6 +596,10 @@ mod tests {
         assert_eq!(a.queue_depth_high_water[&EntityId::new(0)], 4);
         assert_eq!(a.grant_latency.count(), 2);
         assert_eq!(a.grant_latency.sum(), 24);
+        assert_eq!(a.poll_timeouts, 7);
+        assert_eq!(a.capture_wait.count(), 3);
+        assert_eq!(a.capture_wait.sum(), 340);
+        assert_eq!(a.capture_wait.max(), 300);
     }
 
     #[test]

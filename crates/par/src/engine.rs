@@ -47,24 +47,28 @@
 //!
 //! ## Resolution
 //!
-//! The worker whose wait closed a cycle resolves it: it try-locks every
-//! member's slot (ascending id, full back-off on failure — try-locks
-//! cannot deadlock), re-validates the detection epoch, plans victims with
-//! the same `plan_resolution` the deterministic engine uses (over a
-//! borrowed [`RuntimeView`](pr_core::RuntimeView) assembled from the held
-//! guards), and executes the rollbacks. Holding every member's slot
-//! freezes the cycle: member promotions would need a member's release,
-//! which only the members' own (captured) threads or this resolver could
-//! perform. Competing resolvers back off with `busy_backoff` — bounded
-//! exponential with id-skewed jitter — so dense waits-for graphs cannot
-//! degenerate into a try-lock retry storm.
+//! The worker whose wait closed a cycle resolves it. It blocking-locks
+//! every member's slot, its own included, in ascending id order
+//! ([`capture`]; see [`crate::slot`] for why that cannot deadlock). It
+//! keeps its own guard only when its id is the lowest. Holding them all,
+//! it checks it is still blocked, re-detects, and plans only if the fresh
+//! cycles' members are all captured; otherwise it releases everything and
+//! retries at once with the fresh members. It then re-validates the
+//! detection epoch, plans victims with the same `plan_resolution` the
+//! deterministic engine uses (over a borrowed
+//! [`RuntimeView`](pr_core::RuntimeView) assembled from the held guards),
+//! and executes the rollbacks. Holding every member's slot freezes the
+//! cycle: member promotions would need a member's release, which only the
+//! members' own (captured) threads or this resolver could perform. A
+//! competing resolver simply waits its turn on the lowest contested slot;
+//! no resolver sleeps.
 
 use crate::history::{AccessHistory, CommittedAccess};
 use crate::outcome::{ParConfig, ParError, ParOutcome, TxnStats};
 use crate::pool::{Job, Pool};
 use crate::session::Session;
 use crate::shard::Shards;
-use crate::slot::{SlotState, TxnSlot};
+use crate::slot::{capture, SlotState, TxnSlot};
 use crate::wfg::EpochGraph;
 use crate::word::{EntitySlab, FastPath};
 use pr_core::deadlock::{plan_resolution, DeadlockEvent};
@@ -88,26 +92,6 @@ const POLL: Duration = Duration::from_millis(2);
 /// stuck (~10 s) — converts any liveness bug into a failed run instead
 /// of a hang.
 const STUCK_POLLS: u32 = 5_000;
-
-/// Bounded exponential backoff for resolver slot contention: 50 µs
-/// doubling per failed attempt to a 1.6 ms cap, plus an id-skewed jitter
-/// term so symmetric resolvers cannot retry in lockstep. The cap keeps
-/// the worst-case pause well under the watchdog while the growth starves
-/// out the try-lock retry storms that collapsed dense skewed graphs.
-fn busy_backoff(attempt: u32, id: TxnId) -> Duration {
-    Duration::from_micros((50u64 << attempt.min(5)) + u64::from(id.raw() % 8) * 50)
-}
-
-/// Outcome of one resolution attempt.
-enum Round {
-    /// A plan was executed; at least one victim rolled back.
-    Resolved,
-    /// The epoch moved between detection and slot capture — the cycle
-    /// may no longer exist; re-detect.
-    Stale,
-    /// A member's slot was held elsewhere; back off and re-detect.
-    Busy,
-}
 
 /// One batch's shared state, handed to every worker of the batch.
 struct Core {
@@ -328,7 +312,7 @@ impl Core {
             return Ok(g);
         }
         let cap = self.config.system.cycle_cap;
-        let (mut cycles, mut epoch);
+        let mut cycles;
         {
             let mut shard = self.shards.guard(entity);
             // Queue-flag handoff: the table becomes authoritative (and
@@ -351,16 +335,14 @@ impl Core {
                     g.rt.blocked_on = Some(entity);
                     g.blocked_since = Some(Instant::now());
                     let depth = shard.table.queue_depth(entity);
-                    let (c, e) = self.wfg.register_and_detect(id, entity, &holders, cap);
+                    cycles = self.wfg.register_and_detect(id, entity, &holders, cap);
                     drop(shard);
                     local.waits += 1;
                     local.note_queue_depth(entity, depth);
-                    (cycles, epoch) = (c, e);
                 }
             }
         }
         let mut idle_polls: u32 = 0;
-        let mut busy_attempts: u32 = 0;
         loop {
             if self.aborted() {
                 return Ok(g);
@@ -383,37 +365,20 @@ impl Core {
                 }
             }
             if !cycles.is_empty() {
-                match self.try_resolve(&mut g, id, entity, &cycles, epoch, local)? {
-                    Round::Resolved => {
-                        idle_polls = 0;
-                        busy_attempts = 0;
-                        (cycles, epoch) = self.refreshed(id, cap);
-                        continue;
-                    }
-                    Round::Stale => {
-                        busy_attempts = 0;
-                        (cycles, epoch) = self.refreshed(id, cap);
-                        continue;
-                    }
-                    Round::Busy => {
-                        // Another resolver holds overlapping slots; get
-                        // fully out of its way (it may need ours), backing
-                        // off harder each consecutive collision.
-                        drop(g);
-                        std::thread::sleep(busy_backoff(busy_attempts, id));
-                        busy_attempts = busy_attempts.saturating_add(1);
-                        g = slot.lock();
-                        (cycles, epoch) = self.refreshed(id, cap);
-                        continue;
-                    }
+                let resolved;
+                (g, resolved) = self.resolve(g, id, entity, &cycles, local)?;
+                if resolved {
+                    idle_polls = 0;
                 }
+                cycles = self.refreshed(id, cap);
+                continue;
             }
             let (g2, woken) = slot.park(g, POLL);
             g = g2;
             if woken {
                 idle_polls = 0;
-                busy_attempts = 0;
             } else {
+                local.poll_timeouts += 1;
                 idle_polls += 1;
                 if idle_polls >= STUCK_POLLS {
                     return Err(ParError::Stuck { txn: id });
@@ -422,52 +387,64 @@ impl Core {
             // Re-detect on every wake — a wake means a release, promotion,
             // or re-pointed arc changed our neighbourhood (event-driven
             // re-detection) — and on every timeout as the watchdog net.
-            (cycles, epoch) = self.refreshed(id, cap);
+            cycles = self.refreshed(id, cap);
         }
     }
 
     /// Current cycles through `id`'s registered wait, or empty if it no
     /// longer waits.
-    fn refreshed(&self, id: TxnId, cap: usize) -> (Vec<Cycle>, u64) {
-        self.wfg.redetect(id, cap).unwrap_or((Vec::new(), 0))
+    fn refreshed(&self, id: TxnId, cap: usize) -> Vec<Cycle> {
+        self.wfg.redetect(id, cap).map(|(cycles, _)| cycles).unwrap_or_default()
     }
 
-    /// One resolution attempt for cycles detected at `epoch`.
-    fn try_resolve(
-        &self,
-        g: &mut SlotState,
+    /// Resolves the deadlock `cycles` report for `id`, blocked on
+    /// `entity` (see the module docs). Returns `id`'s guard and whether a
+    /// plan ran; `false` sends the caller straight back to re-detect —
+    /// and so to retry with the fresh members — or to park.
+    fn resolve<'a>(
+        &'a self,
+        g: MutexGuard<'a, SlotState>,
         id: TxnId,
         entity: EntityId,
         cycles: &[Cycle],
-        epoch: u64,
         local: &mut Metrics,
-    ) -> Result<Round, ParError> {
-        let mut members: BTreeSet<TxnId> = cycles.iter().flat_map(|c| c.txns()).collect();
-        members.remove(&id);
-        let mut held: Vec<(TxnId, MutexGuard<'_, SlotState>)> = Vec::with_capacity(members.len());
-        for &m in &members {
-            match self.slot_of(m).try_lock() {
-                Some(og) => held.push((m, og)),
-                None => return Ok(Round::Busy),
-            }
+    ) -> Result<(MutexGuard<'a, SlotState>, bool), ParError> {
+        let members: BTreeSet<TxnId> = cycles.iter().flat_map(Cycle::txns).chain([id]).collect();
+        let mut held = Vec::with_capacity(members.len());
+        // Our own guard may stay only if it comes first in id order;
+        // otherwise it is dropped here and re-taken in turn.
+        if members.first() == Some(&id) {
+            held.push((id, g));
+        } else {
+            drop(g);
         }
-        // Any arc change since detection invalidates the cycles. With the
-        // epoch unchanged and every member's slot in hand, the cycle is
-        // frozen: promotions/cancellations of members would need a
-        // member's own thread or another resolver, all excluded now.
-        if self.wfg.epoch() != epoch {
-            return Ok(Round::Stale);
+        let since = Instant::now();
+        capture(members.iter().skip(held.len()).map(|&m| (m, self.slot_of(m))), &mut held);
+        local.capture_wait.record(since.elapsed().as_micros() as u64);
+        let at = held.iter().position(|(m, _)| *m == id).expect("own slot is captured");
+        // Rolled back by another resolver while our slot was released.
+        if held[at].1.rt.phase != Phase::Blocked {
+            return Ok((held.swap_remove(at).1, false));
         }
-        if held.iter().any(|(_, og)| og.rt.phase != Phase::Blocked) {
-            return Ok(Round::Stale);
+        let (fresh, epoch) =
+            self.wfg.redetect(id, self.config.system.cycle_cap).unwrap_or_default();
+        let fresh_members: BTreeSet<TxnId> = fresh.iter().flat_map(Cycle::txns).collect();
+        // Plan only on cycles that still stand and whose members are all
+        // held. With the epoch unchanged since re-detection and every
+        // member's slot in hand, the cycle is frozen.
+        let blocked =
+            |m: &TxnId| held.iter().any(|(t, og)| t == m && og.rt.phase == Phase::Blocked);
+        if fresh.is_empty()
+            || !fresh_members.is_subset(&members)
+            || self.wfg.epoch() != epoch
+            || !fresh_members.iter().all(blocked)
+        {
+            return Ok((held.swap_remove(at).1, false));
         }
         let plan = {
-            let mut view: BTreeMap<TxnId, &TxnRuntime> = BTreeMap::new();
-            view.insert(id, &g.rt);
-            for (m, og) in &held {
-                view.insert(*m, &og.rt);
-            }
-            let event = DeadlockEvent { causer: id, entity, cycles: cycles.to_vec() };
+            let view: BTreeMap<TxnId, &TxnRuntime> =
+                held.iter().map(|(m, og)| (*m, &og.rt)).collect();
+            let event = DeadlockEvent { causer: id, entity, cycles: fresh };
             plan_resolution(&event, &self.config.system, &view)
         };
         if plan.rollbacks.is_empty() {
@@ -484,36 +461,32 @@ impl Core {
         let mut to_wake: BTreeSet<TxnId> = BTreeSet::new();
         let mut actual_cost: u64 = 0;
         for rb in &plan.rollbacks {
-            actual_cost += self.execute_rollback(*rb, g, id, &mut held, &mut to_wake, local)?;
+            actual_cost += self.execute_rollback(*rb, &mut held, &mut to_wake, local)?;
         }
         // Recorded from executed costs so the resolution-cost histogram
         // sums exactly to the states-lost counter (and to the per-victim
         // runtime totals), with no drift from raced-in grants.
         local.resolution_cost.record(actual_cost);
         to_wake.remove(&id); // we are awake, running this very loop
+        let g = held.swap_remove(at).1;
         drop(held);
         self.wake_all(to_wake);
-        Ok(Round::Resolved)
+        Ok((g, true))
     }
 
     /// Executes one planned rollback. Returns the states actually lost.
     fn execute_rollback(
         &self,
         rb: CandidateRollback,
-        g: &mut SlotState,
-        self_id: TxnId,
         held: &mut [(TxnId, MutexGuard<'_, SlotState>)],
         to_wake: &mut BTreeSet<TxnId>,
         local: &mut Metrics,
     ) -> Result<u64, ParError> {
         let victim = rb.txn;
-        let vs: &mut SlotState = if victim == self_id {
-            g
-        } else {
+        let vs: &mut SlotState =
             held.iter_mut().find(|(m, _)| *m == victim).map(|(_, og)| &mut **og).ok_or_else(
                 || ParError::Inconsistent(format!("victim {victim} not captured by resolver")),
-            )?
-        };
+            )?;
         // Step 1: halt the victim — cancel its pending request. An
         // earlier rollback in this same plan may have promoted it
         // already; mirror the deterministic engine (which finalizes
@@ -554,11 +527,9 @@ impl Core {
             // table grant; release_lock handles both, never publishing.
             to_wake.extend(self.release_lock(victim, ls.entity, None)?);
         }
-        if victim != self_id {
-            // The victim's thread is parked in its own op_lock loop; wake
-            // it so it resumes from the reset pc.
-            to_wake.insert(victim);
-        }
+        // The victim's thread is parked in its own op_lock loop; wake it
+        // so it resumes from the reset pc (the resolver drops itself).
+        to_wake.insert(victim);
         Ok(u64::from(receipt.cost))
     }
 
@@ -932,19 +903,5 @@ mod tests {
         let out = run_parallel(&[], GlobalStore::new(), &config(4, StrategyKind::Total)).unwrap();
         assert_eq!(out.commits(), 0);
         assert!(out.accesses.is_empty());
-    }
-
-    #[test]
-    fn busy_backoff_grows_to_a_bounded_cap_with_id_jitter() {
-        let t1 = TxnId::new(1);
-        // Monotone growth...
-        for a in 0..5 {
-            assert!(busy_backoff(a + 1, t1) > busy_backoff(a, t1));
-        }
-        // ...to a hard cap: attempts past 5 stop growing.
-        assert_eq!(busy_backoff(5, t1), busy_backoff(50, t1));
-        assert!(busy_backoff(50, t1) <= Duration::from_micros(1600 + 7 * 50));
-        // Distinct ids get distinct jitter offsets (mod 8).
-        assert_ne!(busy_backoff(0, TxnId::new(1)), busy_backoff(0, TxnId::new(2)));
     }
 }

@@ -30,7 +30,8 @@
 //!   and the crate's lock-ordering rules;
 //! * [`wfg`] — the epoch-stamped concurrent waits-for graph;
 //! * [`engine`] — the worker loop, blocked-wait state machine, and the
-//!   try-lock resolver that executes partial rollbacks across threads;
+//!   resolver that captures a cycle's slots in id order and executes its
+//!   partial rollbacks across threads;
 //! * [`history`] — grant-stamped access records for the oracle;
 //! * [`session`] — the long-lived submission API (persistent slab,
 //!   worker threads spawned once per session, global txn ids and stamp

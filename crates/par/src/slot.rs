@@ -3,23 +3,29 @@
 //!
 //! Every transaction gets one [`TxnSlot`]. The owning worker thread holds
 //! the slot mutex for the whole time it executes the transaction's
-//! operations, releasing it only to park, to back off during resolver
-//! contention, or between transactions.
+//! operations, releasing it only to park, to capture a cycle's slots in
+//! id order, or between transactions.
 //!
 //! Lock-ordering rules (the crate's deadlock-freedom argument):
 //!
-//! 1. A thread blocking-acquires a slot mutex only while holding **no
-//!    other slot or shard mutex**: workers acquire their own slot between
-//!    transactions and after parking.
-//! 2. Resolvers acquire *other* transactions' slots with `try_lock` only,
-//!    backing off completely on failure — a try-lock can never deadlock.
-//! 3. Shard mutexes and the waits-for-graph mutex are acquired strictly
-//!    below slot mutexes (slot → shard → graph) and never the other way.
+//! 1. A thread blocking-acquires slot mutexes only while it holds **no
+//!    shard or graph mutex**, and only in **ascending transaction-id
+//!    order** ([`capture`], debug-asserted): a worker takes its own slot
+//!    holding nothing, and a resolver that holds a slot takes only slots
+//!    of higher ids — dropping its own first unless its id is the
+//!    cycle's lowest.
+//! 2. Shard mutexes and the waits-for-graph mutex are acquired strictly
+//!    below slot mutexes (slot → shard → graph) and never the other way;
+//!    that is the only order between kinds.
+//! 3. Shard and graph holders never wait on a slot.
+//!
+//! So every mutex wait follows one total order — slots by id, then
+//! shards, then the graph — and no cycle of waits can form.
 //!
 //! ## Wakes are never lost
 //!
 //! The old protocol (condvar + a `wake` flag inside the slot mutex,
-//! delivered via best-effort `try_lock`) silently **dropped** a wake
+//! delivered via a best-effort try-lock) silently **dropped** a wake
 //! whenever the target's slot was busy — e.g. while the target was itself
 //! mid-resolution — costing a full 2 ms poll each time. Under Zipf-skewed
 //! contention those serial handoff chains were the 8-thread collapse
@@ -40,10 +46,10 @@
 //! fallback.
 
 use pr_core::runtime::TxnRuntime;
-use pr_model::EntityId;
+use pr_model::{EntityId, TxnId};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, TryLockError};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread::Thread;
 use std::time::Instant;
 
@@ -90,19 +96,9 @@ impl TxnSlot {
     }
 
     /// Blocking-acquires the slot. Per the ordering rules, callers must
-    /// hold no other slot or shard mutex.
+    /// hold no shard or graph mutex, and no slot of a higher id.
     pub fn lock(&self) -> MutexGuard<'_, SlotState> {
         self.state.lock().expect("slot mutex poisoned")
-    }
-
-    /// Try-acquires the slot (resolver path). `None` means some other
-    /// thread — the owner or another resolver — holds it; back off.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, SlotState>> {
-        match self.state.try_lock() {
-            Ok(g) => Some(g),
-            Err(TryLockError::WouldBlock) => None,
-            Err(TryLockError::Poisoned(_)) => panic!("slot mutex poisoned"),
-        }
     }
 
     /// Parks the claiming thread for at most `timeout`, releasing the
@@ -139,11 +135,28 @@ impl TxnSlot {
     }
 }
 
+/// Blocking-acquires `slots`, appending their guards to `held`. Ids must
+/// ascend strictly, above every id already in `held` — rule 1 above,
+/// debug-asserted the way [`crate::shard::Shards::lock_all`] asserts
+/// shard order.
+pub fn capture<'a>(
+    slots: impl IntoIterator<Item = (TxnId, &'a TxnSlot)>,
+    held: &mut Vec<(TxnId, MutexGuard<'a, SlotState>)>,
+) {
+    for (id, slot) in slots {
+        debug_assert!(
+            held.last().is_none_or(|(last, _)| *last < id),
+            "slot capture must ascend by transaction id"
+        );
+        held.push((id, slot.lock()));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pr_core::StrategyKind;
-    use pr_model::{Op, TransactionProgram, TxnId};
+    use pr_model::{Op, TransactionProgram};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -153,13 +166,35 @@ mod tests {
         TxnSlot::new(rt)
     }
 
+    /// A member whose slot another thread holds is waited for, not
+    /// skipped: the capture blocks until the holder lets go, then holds it.
     #[test]
-    fn try_lock_fails_while_held_and_recovers() {
-        let s = slot();
-        let g = s.lock();
-        assert!(s.try_lock().is_none());
-        drop(g);
-        assert!(s.try_lock().is_some());
+    fn capture_blocks_until_the_holder_releases() {
+        let (a, b) = (slot(), slot());
+        let released = AtomicBool::new(false);
+        let ready = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let g = b.lock();
+                ready.wait();
+                std::thread::sleep(Duration::from_millis(5));
+                released.store(true, Ordering::SeqCst);
+                drop(g);
+            });
+            ready.wait();
+            let mut held = Vec::new();
+            capture([(TxnId::new(1), &a), (TxnId::new(2), &b)], &mut held);
+            assert!(released.load(Ordering::SeqCst), "capture returned while b was still held");
+            assert_eq!(held.iter().map(|(t, _)| t.raw()).collect::<Vec<_>>(), vec![1, 2]);
+        });
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "ascend")]
+    fn descending_capture_is_refused() {
+        let (a, b) = (slot(), slot());
+        capture([(TxnId::new(2), &a), (TxnId::new(1), &b)], &mut Vec::new());
     }
 
     #[test]

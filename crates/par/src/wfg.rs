@@ -7,14 +7,15 @@
 //!   arcs are added and cycles through them detected inside one critical
 //!   section, so the thread whose arc closes a cycle always sees that
 //!   cycle — a cycle can never form "between" two threads' checks.
-//! * **Plans are validated by epoch.** A resolver records the epoch when
-//!   it detected a cycle; after it has try-locked every member's slot it
-//!   re-reads the epoch. Unchanged epoch ⇒ no arc changed ⇒ the cycle
-//!   still stands, and since every member's slot is now held, no member
-//!   can be promoted or cancelled (any such change needs a shard mutation
-//!   that routes through this module and would have bumped the epoch, and
-//!   future ones need a member's release — impossible while the members'
-//!   slots are held). Stale epoch ⇒ back off and re-detect.
+//! * **Plans are validated by epoch.** A resolver captures every member's
+//!   slot in ascending id order, then re-detects ([`EpochGraph::redetect`])
+//!   and records the epoch, and re-reads it before planning. Unchanged
+//!   epoch ⇒ no arc changed ⇒ the cycle still stands, and since every
+//!   member's slot is held, no member can be promoted or cancelled (any
+//!   such change needs a shard mutation that routes through this module
+//!   and would have bumped the epoch, and future ones need a member's
+//!   release — impossible while the members' slots are held). Stale epoch
+//!   ⇒ release the slots and re-detect at once.
 //!
 //! Lock order: the graph mutex is the **innermost** lock — acquired while
 //! holding a shard mutex (arc maintenance accompanies queue changes) or
@@ -59,28 +60,28 @@ impl EpochGraph {
 
     /// Registers `waiter`'s arcs (it waits on `entity` held/blocked by
     /// `holders`) and detects the cycles those arcs close, atomically.
-    /// Returns the cycles and the epoch *after* registration — the value
-    /// a resolver must re-validate against.
+    /// A resolver validates its plan against the epoch of a later
+    /// [`Self::redetect`], made while it holds the members' slots.
     pub fn register_and_detect(
         &self,
         waiter: TxnId,
         entity: EntityId,
         holders: &[TxnId],
         cap: usize,
-    ) -> (Vec<Cycle>, u64) {
+    ) -> Vec<Cycle> {
         let mut inner = self.lock();
         // cycles_on_wait expects the requester's arcs absent (it simulates
         // adding them); a fresh waiter has none.
         let cycles = cycles_on_wait(&inner.graph, waiter, entity, holders, cap);
         inner.graph.set_wait(waiter, entity, holders);
         inner.epoch += 1;
-        let epoch = inner.epoch;
-        (cycles, epoch)
+        cycles
     }
 
     /// Re-runs detection for a transaction that is still registered as
-    /// waiting — the resolver's retry path after a stale epoch, and the
-    /// watchdog's safety net after a poll timeout. Returns `None` if the
+    /// waiting — the resolver's check while it holds the members' slots,
+    /// and the wait loop's after a wake, a poll timeout or a resolution
+    /// that did not plan. Returns `None` if the
     /// transaction no longer waits (promoted or cancelled meanwhile).
     /// Arcs are not changed, so the epoch is not bumped.
     pub fn redetect(&self, waiter: TxnId, cap: usize) -> Option<(Vec<Cycle>, u64)> {
@@ -180,12 +181,11 @@ mod tests {
     #[test]
     fn registration_detects_the_closing_arc() {
         let g = EpochGraph::new();
-        let (cycles, e1) = g.register_and_detect(t(1), e(10), &[t(2)], 64);
-        assert!(cycles.is_empty());
+        assert!(g.register_and_detect(t(1), e(10), &[t(2)], 64).is_empty());
+        let e1 = g.epoch();
         // t2 waiting on an entity held by t1 closes the 2-cycle.
-        let (cycles, e2) = g.register_and_detect(t(2), e(11), &[t(1)], 64);
-        assert_eq!(cycles.len(), 1);
-        assert!(e2 > e1, "every registration bumps the epoch");
+        assert_eq!(g.register_and_detect(t(2), e(11), &[t(1)], 64).len(), 1);
+        assert!(g.epoch() > e1, "every registration bumps the epoch");
         assert_eq!(g.waiting_count(), 2);
         g.check_consistent().unwrap();
     }
@@ -194,7 +194,8 @@ mod tests {
     fn redetect_preserves_arcs_and_epoch() {
         let g = EpochGraph::new();
         g.register_and_detect(t(1), e(10), &[t(2)], 64);
-        let (_, epoch) = g.register_and_detect(t(2), e(11), &[t(1)], 64);
+        g.register_and_detect(t(2), e(11), &[t(1)], 64);
+        let epoch = g.epoch();
         let (cycles, epoch2) = g.redetect(t(2), 64).expect("t2 waits");
         assert_eq!(cycles.len(), 1);
         assert_eq!(epoch, epoch2, "redetection must not invalidate plans");

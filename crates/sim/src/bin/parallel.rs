@@ -14,7 +14,7 @@
 //! `parallel-soak` job's entry point. Wall-clock numbers for the same
 //! engine come from `benchmark/` (`par-uniform-mcs`, `par-hot-*`).
 
-use pr_core::{GrantPolicy, StrategyKind, SystemConfig, VictimPolicyKind};
+use pr_core::{GrantPolicy, LogHistogram, StrategyKind, SystemConfig, VictimPolicyKind};
 use pr_par::{run_parallel, ParConfig};
 use pr_sim::generator::{GeneratorConfig, ProgramGenerator};
 use pr_sim::oracle::check_outcome;
@@ -107,6 +107,8 @@ fn run_soak(o: &Options) -> ExitCode {
     let mut checked_edges = 0usize;
     let mut deadlocks_resolved = 0u64;
     let mut fast_grants = 0u64;
+    let mut poll_timeouts = 0u64;
+    let mut capture_wait = LogHistogram::default();
     let start = Instant::now();
     for seed in 0..seeds as u64 {
         let strategy = o.strategy.unwrap_or(STRATEGIES[(seed % 4) as usize]);
@@ -136,6 +138,8 @@ fn run_soak(o: &Options) -> ExitCode {
         };
         deadlocks_resolved += outcome.metrics.deadlocks;
         fast_grants += outcome.fast.fast_grants;
+        poll_timeouts += outcome.metrics.poll_timeouts;
+        capture_wait.merge(&outcome.metrics.capture_wait);
         match check_outcome(&programs, &store_with(64, 100), &config, &outcome) {
             Ok(report) => {
                 checked_accesses += report.accesses;
@@ -176,10 +180,15 @@ fn run_soak(o: &Options) -> ExitCode {
         "oracle soak passed: {seeds} seeds x {} txns on {} threads, \
          4 strategies x 2 grant policies x 3 skews x 3 paddings; \
          {deadlocks_resolved} deadlocks resolved, {fast_grants} fast-path grants, \
-         {checked_accesses} accesses, \
+         {poll_timeouts} poll timeouts, {} slot captures waiting p50/p99/max \
+         {}/{}/{} us, {checked_accesses} accesses, \
          {checked_edges} conflict edges verified acyclic ({:.1}s)",
         o.txns,
         o.threads,
+        capture_wait.count(),
+        capture_wait.p50(),
+        capture_wait.p99(),
+        capture_wait.max(),
         start.elapsed().as_secs_f64()
     );
     ExitCode::SUCCESS

@@ -11,8 +11,17 @@
 use partial_rollback::core::StrategyKind;
 use partial_rollback::prelude::*;
 use partial_rollback::sim::generator::{GeneratorConfig, ProgramGenerator};
-use partial_rollback::sim::oracle::check_outcome;
+use partial_rollback::sim::oracle::{check_outcome, check_server_history};
 use partial_rollback::sim::runner::store_with;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serialises this file's tests: each runs engine threads that must
+/// interleave to form real deadlocks, and the harness's parallel test
+/// threads would otherwise take the cores they need.
+fn cores() -> MutexGuard<'static, ()> {
+    static CORES: Mutex<()> = Mutex::new(());
+    CORES.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Two-entity transfer locking in the given order, with `pad` compute
 /// operations between the two lock acquisitions.
@@ -93,6 +102,7 @@ fn assert_accounting(out: &ParOutcome) {
 /// (the retry path).
 #[test]
 fn four_thread_resolution_costs_match_victim_ledgers() {
+    let _cores = cores();
     let e = EntityId::new;
     let mut total_deadlocks = 0u64;
     let mut saw_repeat_victim = false;
@@ -138,6 +148,7 @@ fn four_thread_resolution_costs_match_victim_ledgers() {
 /// against a deterministic engine run) signs off on each run.
 #[test]
 fn oracle_signs_off_threaded_generator_runs() {
+    let _cores = cores();
     let strategies = [StrategyKind::Total, StrategyKind::Mcs, StrategyKind::Sdg];
     let policies = [GrantPolicy::Barging, GrantPolicy::FairQueue];
     for (i, (&strategy, &policy)) in
@@ -172,6 +183,7 @@ fn oracle_signs_off_threaded_generator_runs() {
 /// scheduling.
 #[test]
 fn certified_workload_on_threads_never_deadlocks() {
+    let _cores = cores();
     for strategy in [StrategyKind::Total, StrategyKind::Mcs, StrategyKind::Sdg] {
         let generator_config = GeneratorConfig {
             num_entities: 12,
@@ -200,11 +212,54 @@ fn certified_workload_on_threads_never_deadlocks() {
     }
 }
 
+/// Dense cycles on 8 threads: one session per strategy runs 40 batches,
+/// each mixing a three-way cycle (`a → b`, `b → c`, `c → a`) with opposed
+/// transfers over the same 3 entities, so resolvers keep competing for
+/// overlapping slots. Every transaction must commit, totals must be
+/// conserved, and the concatenated history must pass the server oracle.
+#[test]
+fn dense_cycles_on_eight_threads_resolve_in_one_session() {
+    let _cores = cores();
+    let e = EntityId::new;
+    // Sized like the four-thread test's pad, for the same start-up skew.
+    const PAD: usize = 8_000;
+    for strategy in StrategyKind::ALL {
+        let store = GlobalStore::with_entities(3, Value::new(100));
+        let config = par_config(8, strategy);
+        let mut session = Session::new(&store, config.clone());
+        let (mut programs, mut accesses, mut deadlocks) = (Vec::new(), Vec::new(), 0);
+        for batch in 0..40 {
+            let rotate = |i: u32| e((i + batch) % 3);
+            let mut ops: Vec<TransactionProgram> =
+                (0..3).map(|i| padded_transfer(rotate(i), rotate(i + 1), 1, PAD)).collect();
+            for _ in 0..2 {
+                ops.push(padded_transfer(rotate(0), rotate(1), 2, PAD));
+                ops.push(padded_transfer(rotate(1), rotate(0), 3, PAD));
+            }
+            let out = session
+                .execute(&ops)
+                .unwrap_or_else(|err| panic!("{strategy:?} batch {batch}: {err}"));
+            assert_eq!(out.commits(), ops.len(), "{strategy:?} batch {batch}");
+            assert_accounting(&out);
+            let total: i64 = out.snapshot.iter().map(|(_, v)| v.raw()).sum();
+            assert_eq!(total, 300, "{strategy:?} batch {batch}: transfers conserve the total");
+            deadlocks += out.metrics.deadlocks;
+            programs.extend(ops);
+            accesses.extend(out.accesses);
+        }
+        assert!(deadlocks > 0, "{strategy:?}: dense cycles never deadlocked");
+        check_server_history(&programs, &store, &config.system, &accesses, &session.snapshot())
+            .unwrap_or_else(|v| panic!("{strategy:?}: oracle violation: {v}"));
+        session.finish().unwrap();
+    }
+}
+
 /// The stamped access history orders conflicting grants: stamps are
 /// globally unique and, per entity, conflicting accesses carry strictly
 /// increasing stamps that agree with commit-time value flow.
 #[test]
 fn access_stamps_are_unique_and_ordered() {
+    let _cores = cores();
     let e = EntityId::new;
     let programs: Vec<TransactionProgram> =
         (0..12).map(|_| padded_transfer(e(0), e(1), 1, 500)).collect();
