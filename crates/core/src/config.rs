@@ -53,8 +53,9 @@ impl StrategyKind {
     }
 
     /// Parses a strategy name as the CLI bins spell it: `total`, `mcs`,
-    /// `sdg`, `repair`, or `bounded-K`. One parser for all five bins so
-    /// `repair` cannot be accepted in one sweep and rejected in another.
+    /// `sdg`, `repair`, or `bounded-K` with `K >= 1`. One parser for all
+    /// five bins so `repair` cannot be accepted in one sweep and rejected
+    /// in another.
     pub fn parse(name: &str) -> Option<StrategyKind> {
         match name {
             "total" => Some(StrategyKind::Total),
@@ -63,7 +64,7 @@ impl StrategyKind {
             "repair" => Some(StrategyKind::Repair),
             other => {
                 let k = other.strip_prefix("bounded-")?;
-                k.parse().ok().map(StrategyKind::Bounded)
+                k.parse().ok().filter(|&k| k > 0).map(StrategyKind::Bounded)
             }
         }
     }
@@ -209,6 +210,7 @@ mod tests {
         assert_eq!(StrategyKind::parse("repair"), Some(StrategyKind::Repair));
         assert_eq!(StrategyKind::parse("restart"), None);
         assert_eq!(StrategyKind::parse("bounded-"), None);
+        assert_eq!(StrategyKind::parse("bounded-0"), None, "budget 0 would run as 1");
         assert_eq!(StrategyKind::parse(""), None);
     }
 

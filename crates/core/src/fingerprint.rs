@@ -4,8 +4,8 @@
 //! *canonical* encoding of a [`System`]: two systems encode identically iff
 //! every future behaviour is identical. The encoding covers exactly the
 //! state that drives the engine's dynamics — transaction runtimes (program
-//! counter, state index, phase, lock states, workspace contents,
-//! state-dependency graph), the lock table (holders and the wait queue per
+//! counter, state index, phase, lock states, workspace contents), the
+//! lock table (holders and the wait queue per
 //! entity), the waits-for graph, and the database — and excludes
 //! monotone instrumentation (metrics, histories, event logs, peak
 //! counters) that never feeds back into execution.
@@ -106,9 +106,6 @@ pub fn canonical_state_relabeled(
                 out.push('S');
                 ws.encode_state(&mut out);
             }
-        }
-        if let Some(sdg) = &rt.sdg {
-            let _ = write!(out, "|G{sdg:?}");
         }
         out.push('\n');
     }

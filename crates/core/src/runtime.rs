@@ -1,14 +1,16 @@
 //! Per-transaction runtime state.
 //!
 //! A [`TxnRuntime`] tracks one executing transaction: its program counter,
-//! state index (operations executed), granted lock states, workspace
-//! (strategy-dependent), and — for the SDG strategy — its state-dependency
-//! graph. The rollback procedure of §4 is implemented here, steps 2–5; the
-//! engine performs step 1 (waiting/cancelling the transaction) and the
-//! lock releases, which need the lock table.
+//! state index (operations executed), granted lock states and workspace
+//! (strategy-dependent). The workspace is also the state-dependency graph
+//! of §4: under SDG and bounded copies it knows which lock states it can
+//! restore ([`Workspace::deepest_restorable`]). The rollback procedure of
+//! §4 is implemented here, steps 2–5; the engine performs step 1
+//! (waiting/cancelling the transaction) and the lock releases, which need
+//! the lock table.
 
 use crate::config::StrategyKind;
-use pr_graph::{CandidateRollback, StateDependencyGraph};
+use pr_graph::CandidateRollback;
 use pr_model::TxnId;
 use pr_model::{
     EntityId, Expr, LockIndex, LockMode, Op, StateIndex, TransactionProgram, Value, VarId,
@@ -99,7 +101,7 @@ impl Workspace {
         match strategy {
             StrategyKind::Mcs => Workspace::Mcs(McsWorkspace::new(initial_vars)),
             StrategyKind::Bounded(k) => {
-                Workspace::Mcs(McsWorkspace::with_budget(initial_vars, Some(k.max(1) as usize)))
+                Workspace::Mcs(McsWorkspace::with_budget(initial_vars, Some(k as usize)))
             }
             StrategyKind::Total | StrategyKind::Sdg => {
                 Workspace::Single(SingleCopyWorkspace::new(initial_vars))
@@ -125,6 +127,16 @@ impl Workspace {
         match self {
             Workspace::Mcs(w) => w.copy_counts().total(),
             Workspace::Single(w) => w.entity_copies(),
+        }
+    }
+
+    /// The deepest lock state at or below `q` the workspace can restore:
+    /// below every interval destroyed by single-copy writes (Theorem 4) or
+    /// by budget evictions.
+    pub fn deepest_restorable(&self, q: LockIndex) -> LockIndex {
+        match self {
+            Workspace::Mcs(w) => w.deepest_restorable(q),
+            Workspace::Single(w) => w.deepest_restorable(q),
         }
     }
 
@@ -240,8 +252,6 @@ pub struct TxnRuntime {
     pub lock_states: Vec<LockStateInfo>,
     /// Strategy-dependent local storage.
     pub workspace: Workspace,
-    /// State-dependency graph (SDG strategy only).
-    pub sdg: Option<StateDependencyGraph>,
     /// Times this transaction was chosen as a victim.
     pub preemptions: u32,
     /// States lost to rollbacks of this transaction.
@@ -264,11 +274,6 @@ impl TxnRuntime {
         strategy: StrategyKind,
     ) -> Self {
         let workspace = Workspace::for_strategy(strategy, program.initial_vars());
-        // Sdg tracks write-destroyed states; Bounded tracks
-        // eviction-destroyed ones. Both consult the graph for reachable
-        // rollback targets.
-        let sdg = matches!(strategy, StrategyKind::Sdg | StrategyKind::Bounded(_))
-            .then(StateDependencyGraph::new);
         let repair = (strategy == StrategyKind::Repair)
             .then(|| Box::new(RepairState::for_program_len(program.len())));
         TxnRuntime {
@@ -282,7 +287,6 @@ impl TxnRuntime {
             shrinking: false,
             lock_states: Vec::new(),
             workspace,
-            sdg,
             preemptions: 0,
             states_lost: 0,
             blocked_on: None,
@@ -313,18 +317,17 @@ impl TxnRuntime {
 
     /// The deepest reachable rollback target at or below `ideal` under
     /// this runtime's strategy: `ideal` itself for MCS, lock state 0 for
-    /// total rollback, and the latest well-defined state for SDG.
+    /// total rollback, and the deepest restorable state for SDG and
+    /// bounded copies.
     pub fn reachable_target(&self, strategy: StrategyKind, ideal: LockIndex) -> LockIndex {
         match strategy {
             StrategyKind::Total => LockIndex::ZERO,
             // Repair rolls lock state back exactly as far as MCS; the
             // difference is how the suffix is re-executed, not how deep.
             StrategyKind::Mcs | StrategyKind::Repair => ideal,
-            StrategyKind::Sdg | StrategyKind::Bounded(_) => self
-                .sdg
-                .as_ref()
-                .expect("SDG/Bounded strategies carry a state-dependency graph")
-                .latest_well_defined_at_or_below(ideal),
+            StrategyKind::Sdg | StrategyKind::Bounded(_) => {
+                self.workspace.deepest_restorable(ideal)
+            }
         }
     }
 
@@ -341,9 +344,6 @@ impl TxnRuntime {
                 Workspace::Mcs(w) => w.on_exclusive_lock(entity, lock_state, global),
                 Workspace::Single(w) => w.on_exclusive_lock(entity, lock_state, global),
             }
-        }
-        if let Some(sdg) = &mut self.sdg {
-            sdg.on_lock_state();
         }
         if let Some(rep) = &mut self.repair {
             // Lock requests are always genuinely re-performed through the
@@ -375,22 +375,8 @@ impl TxnRuntime {
     pub fn write_entity(&mut self, entity: EntityId, value: Value) -> Result<(), StorageError> {
         let li = self.lock_index();
         match &mut self.workspace {
-            Workspace::Mcs(w) => {
-                if let Some((from, to)) = w.write_entity(entity, li, value)? {
-                    // A budget eviction destroyed the values of lock
-                    // states in [from, to): encode as the spanning edge
-                    // (from − 1, to).
-                    if let Some(sdg) = &mut self.sdg {
-                        sdg.on_write(LockIndex::new(from.raw().saturating_sub(1)), to);
-                    }
-                }
-            }
-            Workspace::Single(w) => {
-                let rec = w.write_entity(entity, li, value)?;
-                if let Some(sdg) = &mut self.sdg {
-                    sdg.on_write(rec.u, rec.w);
-                }
-            }
+            Workspace::Mcs(w) => w.write_entity(entity, li, value)?,
+            Workspace::Single(w) => w.write_entity(entity, li, value)?,
         }
         self.advance();
         Ok(())
@@ -400,19 +386,8 @@ impl TxnRuntime {
     pub fn assign_var(&mut self, var: VarId, value: Value) -> Result<(), StorageError> {
         let li = self.lock_index();
         match &mut self.workspace {
-            Workspace::Mcs(w) => {
-                if let Some((from, to)) = w.assign_var(var, li, value)? {
-                    if let Some(sdg) = &mut self.sdg {
-                        sdg.on_write(LockIndex::new(from.raw().saturating_sub(1)), to);
-                    }
-                }
-            }
-            Workspace::Single(w) => {
-                let rec = w.assign_var(var, li, value)?;
-                if let Some(sdg) = &mut self.sdg {
-                    sdg.on_write(rec.u, rec.w);
-                }
-            }
+            Workspace::Mcs(w) => w.assign_var(var, li, value)?,
+            Workspace::Single(w) => w.assign_var(var, li, value)?,
         }
         self.advance();
         Ok(())
@@ -685,37 +660,21 @@ impl TxnRuntime {
     }
 
     /// Performs the runtime part of a rollback to lock state `target`
-    /// (workspace restore, SDG truncation, pc/state reset, §4 steps 2–5).
-    /// Returns the lock-state records released (the engine releases the
-    /// corresponding table locks, *without* publishing).
+    /// (workspace restore, pc/state reset, §4 steps 2–5). Returns the
+    /// lock-state records released (the engine releases the corresponding
+    /// table locks, *without* publishing).
     ///
     /// The caller must have verified that `target` is reachable under the
-    /// strategy; for single-copy workspaces an unreachable target is a
-    /// programming error and surfaces as `StorageError::NotRestorable`.
+    /// strategy; a target the workspace cannot restore is a programming
+    /// error and surfaces as `StorageError::NotRestorable` (or
+    /// `VarNotRestorable`), with the runtime left untouched.
     pub fn rollback_to(&mut self, target: LockIndex) -> Result<Vec<LockStateInfo>, StorageError> {
         debug_assert!(!self.shrinking, "two-phase transactions never roll back after unlock");
         debug_assert!(target.index() <= self.lock_states.len());
-        // A bounded workspace cannot detect a rollback into an evicted
-        // interval on its own (the stacks simply no longer hold the
-        // value); the engine must only aim at well-defined states. The
-        // single-copy workspace (Sdg strategy) validates for itself and
-        // returns an error, so only Bounded needs the guard.
-        debug_assert!(
-            !matches!(self.strategy, StrategyKind::Bounded(_))
-                || self.sdg.as_ref().is_some_and(|g| g.is_well_defined(target)),
-            "bounded rollback target {target:?} lies in an evicted interval",
-        );
         match &mut self.workspace {
-            Workspace::Mcs(w) => {
-                w.rollback_to(target);
-            }
-            Workspace::Single(w) => {
-                w.rollback_to(target)?;
-            }
-        }
-        if let Some(sdg) = &mut self.sdg {
-            sdg.rollback_to(target);
-        }
+            Workspace::Mcs(w) => w.rollback_to(target)?,
+            Workspace::Single(w) => w.rollback_to(target)?,
+        };
         let released = self.lock_states.split_off(target.index());
         for ls in &released {
             self.held.remove(&ls.entity);

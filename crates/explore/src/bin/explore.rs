@@ -506,8 +506,9 @@ mod tests {
         for (args, want) in accepted {
             assert_eq!(parsed(args), Ok(want), "{args:?}");
         }
-        let rejected: [(&[&str], &str); 4] = [
+        let rejected: [(&[&str], &str); 5] = [
             (&["--policy", "conflict-causer"], "unknown policy \"conflict-causer\""),
+            (&["--strategy", "bounded-0"], "unknown strategy \"bounded-0\""),
             (&["--grid", "0"], "--grid supports 1..=4 transactions"),
             (&["--identical", "6"], "--identical supports 1..=5 transactions"),
             (&["--bogus"], "unknown argument \"--bogus\""),

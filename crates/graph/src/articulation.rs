@@ -1,6 +1,6 @@
 //! The paper's articulation-point characterisation of well-defined states
 //! (Corollary 1), implemented independently of the interval method in
-//! [`crate::sdg`] so the two can cross-check each other.
+//! [`pr_model::analysis`] so the two can cross-check each other.
 //!
 //! Build the undirected graph over lock-state vertices `0..=p` with the
 //! path edges `{q, q+1}` ("the labels of v1 and v2 differ by 1") and a
@@ -121,39 +121,5 @@ mod tests {
     #[test]
     fn adjacent_chords_are_harmless() {
         assert_eq!(well_defined_by_articulation(3, &[(0, 1), (1, 2), (2, 3)]), lis(&[0, 1, 2, 3]));
-    }
-
-    #[test]
-    fn agrees_with_interval_method_on_examples() {
-        use crate::sdg::StateDependencyGraph;
-        let cases: &[(u32, &[(u32, u32)])] = &[
-            (6, &[(0, 3), (2, 6)]),
-            (6, &[(1, 5), (0, 2)]),
-            (8, &[(0, 8)]),
-            (5, &[]),
-            (7, &[(2, 4), (4, 7), (0, 1)]),
-        ];
-        for &(p, edges) in cases {
-            let mut g = StateDependencyGraph::new();
-            let mut created = 0;
-            let mut sorted: Vec<(u32, u32)> = edges.to_vec();
-            sorted.sort_by_key(|&(_, w)| w);
-            for (u, w) in sorted {
-                while created < w {
-                    g.on_lock_state();
-                    created += 1;
-                }
-                g.on_write(LockIndex::new(u), LockIndex::new(w));
-            }
-            while created < p {
-                g.on_lock_state();
-                created += 1;
-            }
-            assert_eq!(
-                g.well_defined_states(),
-                well_defined_by_articulation(p, edges),
-                "mismatch for p={p}, edges={edges:?}"
-            );
-        }
     }
 }

@@ -10,13 +10,16 @@
 //!   general acyclic digraph and one wait may close many cycles at once —
 //!   all through the requester ([`cycles`]).
 //!
-//! * The **state-dependency graph** of §4 ([`StateDependencyGraph`]): one
-//!   vertex per lock state of a single transaction, with write-dependency
-//!   edges. Its non-spanned vertices are the **well-defined** states a
-//!   single-copy workspace can actually roll back to (Theorem 4). The
-//!   [`articulation`] module implements the paper's articulation-point
-//!   characterisation (Corollary 1) independently, and the property tests
-//!   prove the two agree.
+//! * The **state-dependency graph** of §4: one vertex per lock state of a
+//!   single transaction, with write-dependency edges. Its non-spanned
+//!   vertices are the **well-defined** states a single-copy workspace can
+//!   actually roll back to (Theorem 4). At run time the workspace itself
+//!   answers that (`pr_storage::SingleCopyWorkspace`): every write to one
+//!   object spans the same interval of lock states, so a first/last write
+//!   pair per object is the whole graph. The [`articulation`] module
+//!   implements the paper's articulation-point characterisation
+//!   (Corollary 1) over a program's static edges, and the property tests
+//!   prove it agrees with the interval method of `pr_model::analysis`.
 //!
 //! The [`cutset`] module solves the optimisation problem of §3.2 — choose a
 //! set of victims (with per-victim rollback depths) of minimum total cost
@@ -28,7 +31,6 @@
 pub mod articulation;
 pub mod cutset;
 pub mod cycles;
-pub mod sdg;
 pub mod waits_for;
 
 pub use cutset::{
@@ -36,5 +38,4 @@ pub use cutset::{
     CutSolution,
 };
 pub use cycles::{Cycle, CycleMember};
-pub use sdg::StateDependencyGraph;
 pub use waits_for::WaitsForGraph;

@@ -10,7 +10,7 @@
 //!
 //! We verify this with **three independent mechanisms**: the static
 //! analyser, the articulation-point algorithm (Corollary 1), and the
-//! engine's runtime state-dependency graph during actual execution.
+//! engine's single-copy workspace during actual execution.
 
 use super::entity;
 use pr_core::{StrategyKind, System, SystemConfig, VictimPolicyKind};
@@ -71,7 +71,9 @@ pub fn well_defined_states(program: &TransactionProgram) -> Vec<u32> {
         .collect();
     assert_eq!(from_analysis, from_articulation, "Corollary 1 cross-check failed");
 
-    // 3. The engine's runtime SDG after executing the growing phase.
+    // 3. The engine's SDG workspace after executing the growing phase: a
+    //    lock state is well-defined iff it is its own deepest restorable
+    //    state.
     let store = GlobalStore::with_entities(8, Value::new(0));
     let mut sys =
         System::new(store, SystemConfig::new(StrategyKind::Sdg, VictimPolicyKind::MinCost));
@@ -80,17 +82,11 @@ pub fn well_defined_states(program: &TransactionProgram) -> Vec<u32> {
     for _ in 0..program.len() - 1 {
         sys.step(id).unwrap();
     }
-    let from_runtime: Vec<u32> = sys
-        .txn(id)
-        .unwrap()
-        .sdg
-        .as_ref()
-        .expect("SDG strategy")
-        .well_defined_states()
-        .into_iter()
-        .map(LockIndex::raw)
+    let rt = sys.txn(id).unwrap();
+    let from_runtime: Vec<u32> = (0..=rt.lock_index().raw())
+        .filter(|&q| rt.workspace.deepest_restorable(LockIndex::new(q)) == LockIndex::new(q))
         .collect();
-    assert_eq!(from_analysis, from_runtime, "runtime SDG cross-check failed");
+    assert_eq!(from_analysis, from_runtime, "runtime workspace cross-check failed");
 
     from_analysis
 }

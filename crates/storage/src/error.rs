@@ -18,8 +18,9 @@ pub enum StorageError {
     NoLocalCopy(EntityId),
     /// A local-variable index beyond the workspace's variable count.
     NoSuchVariable(VarId),
-    /// A single-copy workspace was asked to restore a lock state whose
-    /// value was destroyed by later writes (a non-restorable state, §4).
+    /// A workspace was asked to restore a lock state whose value was
+    /// destroyed by later writes (a non-restorable state, §4) or evicted
+    /// by a copy budget.
     NotRestorable {
         /// Entity whose value cannot be reproduced.
         entity: EntityId,
@@ -27,7 +28,7 @@ pub enum StorageError {
         target: LockIndex,
     },
     /// A variable's value at the rollback target was destroyed by later
-    /// assignments.
+    /// assignments or evicted by a copy budget.
     VarNotRestorable {
         /// Variable whose value cannot be reproduced.
         var: VarId,

@@ -10,16 +10,19 @@
 //! * [`VersionStack`] — the per-(entity, lock state) value stack of the
 //!   **multi-lock copy strategy (MCS)**: each element has a value field and a
 //!   lock-index field; a write pushes a new element iff its lock index
-//!   exceeds the stack top's, otherwise it updates the top in place.
+//!   exceeds the stack top's, otherwise it updates the top in place. Under
+//!   a copy budget it evicts its oldest copy and remembers the interval of
+//!   lock states the evictions destroyed.
 //! * [`McsWorkspace`] — a transaction's full MCS bookkeeping: one stack per
 //!   exclusively locked entity (indexed by the lock state that locked it)
 //!   and one stack per local variable (index 0), with the copy accounting of
 //!   Theorem 3 (`n(n+1)/2` entity copies, `n·|L|` local copies worst case).
 //! * [`SingleCopyWorkspace`] — the one-copy-per-entity workspace used by
-//!   both total rollback and the state-dependency-graph (SDG) strategy; it
-//!   tracks each entity's and variable's *index of restorability* so the
-//!   engine can feed write edges to the SDG and restore values at any
-//!   well-defined lock state.
+//!   both total rollback and the state-dependency-graph (SDG) strategy. It
+//!   is the SDG mechanism itself: each entity's and variable's first and
+//!   last write bound the one interval of lock states its writes destroyed
+//!   (Theorem 4), so the workspace answers which lock states are
+//!   well-defined and restores values at any of them.
 //! * [`Snapshot`] — whole-database snapshots used by the serializability
 //!   and crash-consistency test oracles.
 //! * [`wal`] — the write-ahead redo log that extends recovery from
@@ -42,6 +45,24 @@ pub use single_copy::SingleCopyWorkspace;
 pub use snapshot::Snapshot;
 pub use version_stack::{StackElement, VersionStack};
 pub use wal::{BatchRecord, FlushPolicy, Wal, WalError};
+
+use pr_model::LockIndex;
+
+/// The deepest lock state at or below `q` that no destroyed interval
+/// covers, given `covering(q)`: the start of an interval `[start, end)`
+/// that contains `q`, if any. Every state from `start` up to `q` is then
+/// destroyed too, so the walk jumps to `start − 1`. Lock state 0 ends the
+/// walk: a rollback there is total and always possible.
+fn deepest_uncovered(
+    mut q: LockIndex,
+    covering: impl Fn(LockIndex) -> Option<LockIndex>,
+) -> LockIndex {
+    while q > LockIndex::ZERO {
+        let Some(start) = covering(q) else { break };
+        q = LockIndex::new(start.raw().saturating_sub(1));
+    }
+    q
+}
 
 /// Compile-time proof that the storage layer is safe to move into and
 /// share across worker threads: the parallel engine keeps a [`GlobalStore`]

@@ -6,6 +6,11 @@
 //! with stack index 0. With this bookkeeping the transaction can be rolled
 //! back to **any** of its lock states, at a worst-case space cost of
 //! `n(n+1)/2` entity copies and `n·|L|` local-variable copies (Theorem 3).
+//!
+//! Under a copy budget (the bounded-storage extension) a stack evicts its
+//! oldest copies, and the lock states whose values went with them are no
+//! longer restorable: [`McsWorkspace::deepest_restorable`] steers a
+//! rollback below them, and [`McsWorkspace::rollback_to`] refuses them.
 
 use crate::error::StorageError;
 use crate::version_stack::VersionStack;
@@ -48,7 +53,7 @@ impl CopyCounts {
 /// // Every earlier lock state's value is reproducible…
 /// assert_eq!(ws.entity_value_at(a, LockIndex::new(1)), Some(Value::new(11)));
 /// // …and rollback restores it.
-/// ws.rollback_to(LockIndex::new(1));
+/// ws.rollback_to(LockIndex::new(1)).unwrap();
 /// assert_eq!(ws.read_entity(a), Some(Value::new(11)));
 /// ```
 #[derive(Clone, Debug)]
@@ -59,8 +64,8 @@ pub struct McsWorkspace {
     /// borrow a slice without materialising one per operation.
     current_vars: Vec<Value>,
     peak: CopyCounts,
-    /// Optional per-stack copy budget (the bounded-storage extension of
-    /// §5's closing paragraph). `None` = unbounded MCS.
+    /// Optional per-stack copy budget, at least 1 (the bounded-storage
+    /// extension of §5's closing paragraph). `None` = unbounded MCS.
     budget: Option<usize>,
 }
 
@@ -74,8 +79,8 @@ impl McsWorkspace {
     /// Creates a workspace whose stacks each hold at most `budget` copies
     /// beyond their base — the bounded-storage middle ground between
     /// single-copy (budget 1) and full MCS (unbounded). Evictions trade
-    /// restorable states for space; the caller learns the destroyed
-    /// intervals from the write methods' return values.
+    /// restorable states for space. The current value is never evicted,
+    /// so a budget below 1 behaves as 1.
     pub fn with_budget(initial_vars: &[Value], budget: Option<usize>) -> Self {
         McsWorkspace {
             entity_stacks: BTreeMap::new(),
@@ -85,7 +90,7 @@ impl McsWorkspace {
                 .collect(),
             current_vars: initial_vars.to_vec(),
             peak: CopyCounts::default(),
-            budget,
+            budget: budget.map(|b| b.max(1)),
         }
     }
 
@@ -102,19 +107,20 @@ impl McsWorkspace {
 
     /// Records a write of `value` to `entity` by an operation with lock
     /// index `lock_index`. Under a copy budget the stack may evict its
-    /// oldest copy; the destroyed lock-index interval `[from, to)` is
-    /// returned so the caller can mark those states unreachable.
+    /// oldest copy.
     pub fn write_entity(
         &mut self,
         entity: EntityId,
         lock_index: LockIndex,
         value: Value,
-    ) -> Result<Option<(LockIndex, LockIndex)>, StorageError> {
+    ) -> Result<(), StorageError> {
         let stack = self.entity_stacks.get_mut(&entity).ok_or(StorageError::NoLocalCopy(entity))?;
         stack.record_write(lock_index, value);
-        let evicted = self.budget.and_then(|b| stack.enforce_budget(b));
+        if let Some(b) = self.budget {
+            stack.enforce_budget(b);
+        }
         self.bump_peak();
-        Ok(evicted)
+        Ok(())
     }
 
     /// The transaction's current local view of `entity`, if it holds a
@@ -131,14 +137,16 @@ impl McsWorkspace {
         var: VarId,
         lock_index: LockIndex,
         value: Value,
-    ) -> Result<Option<(LockIndex, LockIndex)>, StorageError> {
+    ) -> Result<(), StorageError> {
         let stack =
             self.var_stacks.get_mut(var.index()).ok_or(StorageError::NoSuchVariable(var))?;
         stack.record_write(lock_index, value);
-        let evicted = self.budget.and_then(|b| stack.enforce_budget(b));
+        if let Some(b) = self.budget {
+            stack.enforce_budget(b);
+        }
         self.current_vars[var.index()] = value;
         self.bump_peak();
-        Ok(evicted)
+        Ok(())
     }
 
     /// Current values of all local variables (for expression evaluation).
@@ -169,8 +177,17 @@ impl McsWorkspace {
     /// 3. local-variable stacks do the same, and current values are
     ///    restored from the new stack tops.
     ///
-    /// Returns the entities whose stacks were deleted, in id order.
-    pub fn rollback_to(&mut self, target: LockIndex) -> Vec<EntityId> {
+    /// Returns the entities whose stacks were deleted, in id order. Fails
+    /// with `NotRestorable`/`VarNotRestorable`, leaving the workspace
+    /// intact, when `target` lies in an evicted interval.
+    pub fn rollback_to(&mut self, target: LockIndex) -> Result<Vec<EntityId>, StorageError> {
+        let evicted = |s: &VersionStack| s.destroyed_from(target).is_some();
+        if let Some((&entity, _)) = self.entity_stacks.iter().find(|(_, s)| evicted(s)) {
+            return Err(StorageError::NotRestorable { entity, target });
+        }
+        if let Some(i) = self.var_stacks.iter().position(evicted) {
+            return Err(StorageError::VarNotRestorable { var: VarId::new(i as u16), target });
+        }
         let released: Vec<EntityId> = self
             .entity_stacks
             .iter()
@@ -187,7 +204,16 @@ impl McsWorkspace {
             stack.pop_above(target);
             self.current_vars[i] = stack.current();
         }
-        released
+        Ok(released)
+    }
+
+    /// The deepest lock state at or below `q` whose values no budget has
+    /// evicted — where a bounded rollback aimed at `q` lands. Without a
+    /// budget that is `q` itself.
+    pub fn deepest_restorable(&self, q: LockIndex) -> LockIndex {
+        crate::deepest_uncovered(q, |q| {
+            self.entity_stacks.values().chain(&self.var_stacks).find_map(|s| s.destroyed_from(q))
+        })
     }
 
     /// Current copy counts (Theorem 3 accounting).
@@ -224,7 +250,7 @@ impl McsWorkspace {
         for (id, stack) in &self.entity_stacks {
             stack.check_integrity().map_err(|e| format!("{id}: {e}"))?;
             if let Some(b) = self.budget {
-                if stack.copies() > b.max(1) {
+                if stack.copies() > b {
                     return Err(format!("{id}: {} copies exceed budget {b}", stack.copies()));
                 }
             }
@@ -343,7 +369,7 @@ mod tests {
 
         // Roll back to lock state 1: c's and b's stacks (indices 2, 1) are
         // deleted; a's stack pops the lock-index-2 element.
-        let released = w.rollback_to(li(1));
+        let released = w.rollback_to(li(1)).unwrap();
         assert_eq!(released, vec![e(1), e(2)]);
         assert_eq!(w.read_entity(e(0)), Some(v(101)));
         assert_eq!(w.var(VarId::new(0)).unwrap(), v(0));
@@ -356,7 +382,7 @@ mod tests {
         w.on_exclusive_lock(e(0), li(0), v(1));
         w.write_entity(e(0), li(1), v(2)).unwrap();
         w.assign_var(VarId::new(0), li(1), v(50)).unwrap();
-        let released = w.rollback_to(LockIndex::ZERO);
+        let released = w.rollback_to(LockIndex::ZERO).unwrap();
         assert_eq!(released, vec![e(0)]);
         assert_eq!(w.entity_stack_count(), 0);
         assert_eq!(w.vars(), &[v(5)]);
@@ -407,7 +433,7 @@ mod tests {
         w.write_entity(e(0), li(1), v(1)).unwrap();
         w.write_entity(e(0), li(2), v(2)).unwrap();
         assert_eq!(w.peak_copy_counts().entity_copies, 2);
-        w.rollback_to(li(1));
+        w.rollback_to(li(1)).unwrap();
         assert_eq!(w.copy_counts().entity_copies, 1);
         assert_eq!(w.peak_copy_counts().entity_copies, 2);
     }
@@ -420,5 +446,40 @@ mod tests {
             Err(StorageError::NoSuchVariable(VarId::new(3)))
         );
         assert!(w.var(VarId::new(3)).is_err());
+    }
+
+    #[test]
+    fn budget_evictions_make_their_interval_unrestorable() {
+        let mut w = McsWorkspace::with_budget(&[], Some(1));
+        w.on_exclusive_lock(e(0), li(0), v(100));
+        w.write_entity(e(0), li(1), v(1)).unwrap();
+        // Each later write evicts the copy before it (li 1, then li 3), so
+        // lock states 1..5 held evicted values; 0 is the base.
+        w.write_entity(e(0), li(3), v(3)).unwrap();
+        w.write_entity(e(0), li(5), v(5)).unwrap();
+        assert_eq!(w.deepest_restorable(li(6)), li(6));
+        assert_eq!(w.deepest_restorable(li(5)), li(5));
+        for q in 1..5 {
+            assert_eq!(w.deepest_restorable(li(q)), li(0));
+        }
+        let err = w.rollback_to(li(4)).unwrap_err();
+        assert_eq!(err, StorageError::NotRestorable { entity: e(0), target: li(4) });
+        assert_eq!(w.read_entity(e(0)), Some(v(5)), "a refused rollback changes nothing");
+        // Rolling back below the interval forgets it with the copies.
+        w.rollback_to(li(0)).unwrap();
+        w.on_exclusive_lock(e(0), li(0), v(100));
+        w.write_entity(e(0), li(1), v(1)).unwrap();
+        assert_eq!(w.deepest_restorable(li(1)), li(1));
+    }
+
+    #[test]
+    fn zero_budget_runs_as_one() {
+        let mut w = McsWorkspace::with_budget(&[v(0)], Some(0));
+        w.assign_var(VarId::new(0), li(1), v(1)).unwrap();
+        w.assign_var(VarId::new(0), li(2), v(2)).unwrap();
+        assert_eq!(w.copy_counts().var_copies, 1);
+        assert_eq!(w.var(VarId::new(0)).unwrap(), v(2));
+        assert!(matches!(w.rollback_to(li(1)), Err(StorageError::VarNotRestorable { .. })));
+        w.check_integrity().unwrap();
     }
 }

@@ -5,47 +5,90 @@
 //! approach which also requires only one local copy of each entity." The
 //! price is that a state's value for an entity is reproducible only when it
 //! equals either the entity's *global* value (no write had happened yet) or
-//! its *current* local value (no write has happened since). The workspace
-//! tracks each entity's and variable's first and last write lock index —
-//! exactly enough to answer restorability queries and to emit the write
-//! edges the state-dependency graph is built from.
+//! its *current* local value (no write has happened since).
+//!
+//! The workspace tracks each entity's and variable's first and last write
+//! lock index, and those pairs are the whole state-dependency graph of §4.
+//! Every write to one object shares the index of restorability
+//! `first − 1`, so the object's write edges merge into one interval
+//! `[first, last)` of destroyed lock states (Theorem 4). One predicate over
+//! that interval answers the SDG strategy's question — the deepest
+//! well-defined lock state at or below a rollback's ideal target
+//! ([`SingleCopyWorkspace::deepest_restorable`]) — and makes
+//! [`SingleCopyWorkspace::rollback_to`] refuse every other target.
 
 use crate::error::StorageError;
 use pr_model::{EntityId, LockIndex, Value, VarId};
 use std::collections::BTreeMap;
 
+/// One object's single copy: the value it had before the transaction
+/// wrote it (the global value at lock time, or the variable's initial
+/// value), its current value, and the lock indices of its first and last
+/// write.
+#[derive(Clone, Copy, Debug)]
+struct LocalCopy {
+    original: Value,
+    current: Value,
+    /// `(first, last)` write lock indices, once written.
+    writes: Option<(LockIndex, LockIndex)>,
+}
+
+impl LocalCopy {
+    fn new(original: Value) -> Self {
+        LocalCopy { original, current: original, writes: None }
+    }
+
+    fn write(&mut self, lock_index: LockIndex, value: Value) {
+        let first = self.writes.map_or(lock_index, |(first, _)| first);
+        self.writes = Some((first, lock_index));
+        self.current = value;
+    }
+
+    /// The first write's lock index when lock state `q` lies in the
+    /// destroyed interval `[first, last)`: the value `q` saw was
+    /// overwritten by the last write (Theorem 4).
+    fn destroyed_from(&self, q: LockIndex) -> Option<LockIndex> {
+        self.writes.and_then(|(first, last)| (first <= q && q < last).then_some(first))
+    }
+
+    /// Undoes the writes after lock state `target`, which must be
+    /// restorable: a copy first written after `target` returns to its
+    /// original value, and any other was last written at or before it.
+    fn rollback_to(&mut self, target: LockIndex) {
+        if self.writes.is_some_and(|(first, _)| first > target) {
+            *self = LocalCopy::new(self.original);
+        }
+    }
+
+    fn check_integrity(&self) -> Result<(), String> {
+        match self.writes {
+            None if self.current != self.original => {
+                Err("unwritten copy diverged from its original value".into())
+            }
+            Some((first, last)) if first > last => {
+                Err(format!("first write {first:?} after last {last:?}"))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Appends `{tag}{original},c{current},f{first},l{last};`, with `-1`
+    /// for an absent write.
+    fn encode(&self, tag: char, out: &mut String) {
+        use std::fmt::Write;
+        let (f, l) =
+            self.writes.map_or((-1, -1), |(f, l)| (i64::from(f.raw()), i64::from(l.raw())));
+        let _ = write!(out, "{tag}{},c{},f{f},l{l};", self.original.raw(), self.current.raw());
+    }
+}
+
 #[derive(Clone, Copy, Debug)]
 struct EntityCopy {
     /// Lock index of the lock state at which the entity was locked.
     lock_state: LockIndex,
-    /// The global value at lock time (unchanged in the database until
-    /// unlock, §4).
-    global: Value,
-    /// The single local copy.
-    current: Value,
-    /// Lock index of the first write, if any.
-    first_write: Option<LockIndex>,
-    /// Lock index of the most recent write, if any.
-    last_write: Option<LockIndex>,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct VarCopy {
-    initial: Value,
-    current: Value,
-    first_write: Option<LockIndex>,
-    last_write: Option<LockIndex>,
-}
-
-/// A write event's coordinates in the state-dependency graph: the written
-/// object's index of restorability `u` and the write's lock index `w`.
-/// Lock states `q` with `u < q < w` become undefined (Theorem 4).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct RecordedWrite {
-    /// Index of restorability of the written entity/variable.
-    pub u: LockIndex,
-    /// Lock index of the write.
-    pub w: LockIndex,
+    /// The copy, whose original is the global value at lock time
+    /// (unchanged in the database until unlock, §4).
+    copy: LocalCopy,
 }
 
 /// A transaction workspace holding exactly one local copy per exclusively
@@ -53,7 +96,7 @@ pub struct RecordedWrite {
 #[derive(Clone, Debug)]
 pub struct SingleCopyWorkspace {
     entities: BTreeMap<EntityId, EntityCopy>,
-    vars: Vec<VarCopy>,
+    vars: Vec<LocalCopy>,
     current_vars: Vec<Value>,
     peak_entity_copies: usize,
 }
@@ -63,10 +106,7 @@ impl SingleCopyWorkspace {
     pub fn new(initial_vars: &[Value]) -> Self {
         SingleCopyWorkspace {
             entities: BTreeMap::new(),
-            vars: initial_vars
-                .iter()
-                .map(|&v| VarCopy { initial: v, current: v, first_write: None, last_write: None })
-                .collect(),
+            vars: initial_vars.iter().map(|&v| LocalCopy::new(v)).collect(),
             current_vars: initial_vars.to_vec(),
             peak_entity_copies: 0,
         }
@@ -75,32 +115,27 @@ impl SingleCopyWorkspace {
     /// Called when an exclusive lock is granted at lock state `lock_state`:
     /// takes the single local copy of the entity.
     pub fn on_exclusive_lock(&mut self, entity: EntityId, lock_state: LockIndex, global: Value) {
-        let prev = self.entities.insert(
-            entity,
-            EntityCopy { lock_state, global, current: global, first_write: None, last_write: None },
-        );
+        let prev =
+            self.entities.insert(entity, EntityCopy { lock_state, copy: LocalCopy::new(global) });
         debug_assert!(prev.is_none(), "entity {entity} locked twice");
         self.peak_entity_copies = self.peak_entity_copies.max(self.entities.len());
     }
 
-    /// Records a write to `entity` at `lock_index`, returning the write's
-    /// state-dependency coordinates for the engine to feed its SDG.
+    /// Records a write to `entity` at `lock_index`.
     pub fn write_entity(
         &mut self,
         entity: EntityId,
         lock_index: LockIndex,
         value: Value,
-    ) -> Result<RecordedWrite, StorageError> {
-        let copy = self.entities.get_mut(&entity).ok_or(StorageError::NoLocalCopy(entity))?;
-        let first = *copy.first_write.get_or_insert(lock_index);
-        copy.last_write = Some(lock_index);
-        copy.current = value;
-        Ok(RecordedWrite { u: LockIndex::new(first.raw().saturating_sub(1)), w: lock_index })
+    ) -> Result<(), StorageError> {
+        let e = self.entities.get_mut(&entity).ok_or(StorageError::NoLocalCopy(entity))?;
+        e.copy.write(lock_index, value);
+        Ok(())
     }
 
     /// The transaction's local view of `entity` (exclusive holders only).
     pub fn read_entity(&self, entity: EntityId) -> Option<Value> {
-        self.entities.get(&entity).map(|c| c.current)
+        self.entities.get(&entity).map(|e| e.copy.current)
     }
 
     /// Records an assignment to a local variable at `lock_index`.
@@ -109,13 +144,11 @@ impl SingleCopyWorkspace {
         var: VarId,
         lock_index: LockIndex,
         value: Value,
-    ) -> Result<RecordedWrite, StorageError> {
+    ) -> Result<(), StorageError> {
         let copy = self.vars.get_mut(var.index()).ok_or(StorageError::NoSuchVariable(var))?;
-        let first = *copy.first_write.get_or_insert(lock_index);
-        copy.last_write = Some(lock_index);
-        copy.current = value;
+        copy.write(lock_index, value);
         self.current_vars[var.index()] = value;
-        Ok(RecordedWrite { u: LockIndex::new(first.raw().saturating_sub(1)), w: lock_index })
+        Ok(())
     }
 
     /// Current values of all local variables (for expression evaluation).
@@ -131,24 +164,16 @@ impl SingleCopyWorkspace {
     /// Called at unlock: returns the final local value to publish, or
     /// `None` if no copy is held (shared lock).
     pub fn on_unlock(&mut self, entity: EntityId) -> Option<Value> {
-        self.entities.remove(&entity).map(|c| c.current)
+        self.entities.remove(&entity).map(|e| e.copy.current)
     }
 
-    /// The entity's value as of lock state `target`, or `NotRestorable` if
-    /// intermediate writes destroyed it — the fundamental limitation that
-    /// motivates the state-dependency graph.
-    pub fn entity_value_at(
-        &self,
-        entity: EntityId,
-        target: LockIndex,
-    ) -> Result<Value, StorageError> {
-        let copy = self.entities.get(&entity).ok_or(StorageError::NoLocalCopy(entity))?;
-        match (copy.first_write, copy.last_write) {
-            (None, _) => Ok(copy.global),
-            (Some(first), _) if first > target => Ok(copy.global),
-            (_, Some(last)) if last <= target => Ok(copy.current),
-            _ => Err(StorageError::NotRestorable { entity, target }),
-        }
+    /// The deepest well-defined lock state at or below `q` — where an SDG
+    /// rollback aimed at `q` lands. Lock state 0 is always restorable.
+    pub fn deepest_restorable(&self, q: LockIndex) -> LockIndex {
+        crate::deepest_uncovered(q, |q| {
+            let mut copies = self.entities.values().map(|e| &e.copy).chain(&self.vars);
+            copies.find_map(|c| c.destroyed_from(q))
+        })
     }
 
     /// Rolls the workspace back to lock state `target`.
@@ -156,57 +181,34 @@ impl SingleCopyWorkspace {
     /// Entities locked at or after `target` are dropped (their locks will
     /// be released, nothing published); surviving entities and all local
     /// variables are restored to their value at `target`. Fails with
-    /// `NotRestorable`/`VarNotRestorable` iff `target` is not well-defined —
-    /// callers using the state-dependency graph never hit that.
+    /// `NotRestorable`/`VarNotRestorable`, leaving the workspace intact,
+    /// iff `target` is not well-defined — callers that aim at
+    /// [`Self::deepest_restorable`] never hit that.
     pub fn rollback_to(&mut self, target: LockIndex) -> Result<Vec<EntityId>, StorageError> {
-        // Validate everything before mutating, so a failed rollback leaves
-        // the workspace intact.
-        for (id, copy) in &self.entities {
-            if copy.lock_state < target {
-                self.entity_value_at(*id, target)
-                    .map_err(|_| StorageError::NotRestorable { entity: *id, target })?;
-            }
+        if let Some((&entity, _)) =
+            self.entities.iter().find(|(_, e)| e.copy.destroyed_from(target).is_some())
+        {
+            return Err(StorageError::NotRestorable { entity, target });
         }
-        for (i, copy) in self.vars.iter().enumerate() {
-            let restorable = match (copy.first_write, copy.last_write) {
-                (None, _) => true,
-                (Some(first), _) if first > target => true,
-                (_, Some(last)) if last <= target => true,
-                _ => false,
-            };
-            if !restorable {
-                return Err(StorageError::VarNotRestorable { var: VarId::new(i as u16), target });
-            }
+        if let Some(i) = self.vars.iter().position(|c| c.destroyed_from(target).is_some()) {
+            return Err(StorageError::VarNotRestorable { var: VarId::new(i as u16), target });
         }
 
         let released: Vec<EntityId> = self
             .entities
             .iter()
-            .filter(|(_, c)| c.lock_state >= target)
+            .filter(|(_, e)| e.lock_state >= target)
             .map(|(id, _)| *id)
             .collect();
         for id in &released {
             self.entities.remove(id);
         }
-        for copy in self.entities.values_mut() {
-            if let Some(first) = copy.first_write {
-                if first > target {
-                    copy.current = copy.global;
-                    copy.first_write = None;
-                    copy.last_write = None;
-                }
-                // else: last_write <= target, the current value stands.
-            }
+        for e in self.entities.values_mut() {
+            e.copy.rollback_to(target);
         }
-        for (i, copy) in self.vars.iter_mut().enumerate() {
-            if let Some(first) = copy.first_write {
-                if first > target {
-                    copy.current = copy.initial;
-                    copy.first_write = None;
-                    copy.last_write = None;
-                }
-            }
-            self.current_vars[i] = copy.current;
+        for (copy, cached) in self.vars.iter_mut().zip(&mut self.current_vars) {
+            copy.rollback_to(target);
+            *cached = copy.current;
         }
         Ok(released)
     }
@@ -216,43 +218,22 @@ impl SingleCopyWorkspace {
     /// match their captured global value, cached variable values mirror
     /// their copies, and the peak counter dominates the current count.
     pub fn check_integrity(&self) -> Result<(), String> {
-        for (id, copy) in &self.entities {
-            match (copy.first_write, copy.last_write) {
-                (None, None) => {
-                    if copy.current != copy.global {
-                        return Err(format!("{id}: unwritten copy diverged from global value"));
-                    }
+        for (id, e) in &self.entities {
+            e.copy.check_integrity().map_err(|err| format!("{id}: {err}"))?;
+            if let Some((first, _)) = e.copy.writes {
+                if first < e.lock_state {
+                    return Err(format!(
+                        "{id}: write at {first:?} precedes lock state {:?}",
+                        e.lock_state
+                    ));
                 }
-                (Some(first), Some(last)) => {
-                    if first > last {
-                        return Err(format!("{id}: first write {first:?} after last {last:?}"));
-                    }
-                    if first < copy.lock_state {
-                        return Err(format!(
-                            "{id}: write at {first:?} precedes lock state {:?}",
-                            copy.lock_state
-                        ));
-                    }
-                }
-                _ => return Err(format!("{id}: first/last write bookkeeping out of sync")),
             }
         }
         if self.vars.len() != self.current_vars.len() {
             return Err("variable copy count diverged from cached values".into());
         }
         for (i, copy) in self.vars.iter().enumerate() {
-            match (copy.first_write, copy.last_write) {
-                (None, None) => {
-                    if copy.current != copy.initial {
-                        return Err(format!("v{i}: unwritten variable diverged from initial"));
-                    }
-                }
-                (Some(first), Some(last)) if first > last => {
-                    return Err(format!("v{i}: first write {first:?} after last {last:?}"));
-                }
-                (Some(_), Some(_)) => {}
-                _ => return Err(format!("v{i}: first/last write bookkeeping out of sync")),
-            }
+            copy.check_integrity().map_err(|err| format!("v{i}: {err}"))?;
             if copy.current != self.current_vars[i] {
                 return Err(format!("v{i}: cached value diverged from copy"));
             }
@@ -271,28 +252,13 @@ impl SingleCopyWorkspace {
     /// checker's state fingerprint.
     pub fn encode_state(&self, out: &mut String) {
         use std::fmt::Write;
-        let li = |ix: Option<LockIndex>| ix.map_or(-1, |l| i64::from(l.raw()));
-        for (id, c) in &self.entities {
-            let _ = write!(
-                out,
-                "E{}@{}:g{},c{},f{},l{};",
-                id.raw(),
-                c.lock_state.raw(),
-                c.global.raw(),
-                c.current.raw(),
-                li(c.first_write),
-                li(c.last_write),
-            );
+        for (id, e) in &self.entities {
+            let _ = write!(out, "E{}@{}:", id.raw(), e.lock_state.raw());
+            e.copy.encode('g', out);
         }
-        for (i, c) in self.vars.iter().enumerate() {
-            let _ = write!(
-                out,
-                "V{i}:i{},c{},f{},l{};",
-                c.initial.raw(),
-                c.current.raw(),
-                li(c.first_write),
-                li(c.last_write),
-            );
+        for (i, copy) in self.vars.iter().enumerate() {
+            let _ = write!(out, "V{i}:");
+            copy.encode('i', out);
         }
     }
 
@@ -326,20 +292,37 @@ mod tests {
     fn unwritten_entity_is_restorable_everywhere() {
         let mut w = SingleCopyWorkspace::new(&[]);
         w.on_exclusive_lock(e(0), li(0), v(10));
-        assert_eq!(w.entity_value_at(e(0), li(0)).unwrap(), v(10));
-        assert_eq!(w.entity_value_at(e(0), li(5)).unwrap(), v(10));
+        for q in 0..6 {
+            assert_eq!(w.deepest_restorable(li(q)), li(q));
+        }
     }
 
     #[test]
-    fn write_reports_sdg_coordinates() {
-        let mut w = SingleCopyWorkspace::new(&[]);
+    fn deepest_restorable_walks_below_destroyed_intervals() {
+        let mut w = SingleCopyWorkspace::new(&[v(0)]);
         w.on_exclusive_lock(e(0), li(0), v(0));
-        // First write at lock index 1: restorability index u = 0.
-        let r1 = w.write_entity(e(0), li(1), v(1)).unwrap();
-        assert_eq!(r1, RecordedWrite { u: li(0), w: li(1) });
-        // A later write at lock index 4 keeps u = 0.
-        let r2 = w.write_entity(e(0), li(4), v(4)).unwrap();
-        assert_eq!(r2, RecordedWrite { u: li(0), w: li(4) });
+        w.write_entity(e(0), li(1), v(1)).unwrap(); // first write: harmless
+        w.on_exclusive_lock(e(1), li(1), v(0));
+        w.write_entity(e(1), li(2), v(1)).unwrap();
+        w.on_exclusive_lock(e(2), li(2), v(0));
+        w.assign_var(VarId::new(0), li(3), v(3)).unwrap();
+        w.on_exclusive_lock(e(3), li(3), v(0));
+        // Rewrites destroy lock states 2, 3 (e1) and 3, 4 (v0); the
+        // overlapping intervals [2, 4) and [3, 5) chain down to 1.
+        w.write_entity(e(1), li(4), v(2)).unwrap();
+        w.on_exclusive_lock(e(4), li(4), v(0));
+        w.assign_var(VarId::new(0), li(5), v(5)).unwrap();
+        assert_eq!(w.deepest_restorable(li(5)), li(5));
+        for q in 2..5 {
+            assert_eq!(w.deepest_restorable(li(q)), li(1), "q = {q}");
+        }
+        assert_eq!(w.deepest_restorable(li(1)), li(1));
+        assert_eq!(w.deepest_restorable(li(0)), li(0));
+        // The query and the rollback agree on what is restorable.
+        for q in 0..6 {
+            let deepest = w.deepest_restorable(li(q));
+            assert_eq!(w.clone().rollback_to(li(q)).is_ok(), deepest == li(q), "q = {q}");
+        }
     }
 
     #[test]
@@ -348,18 +331,17 @@ mod tests {
         w.on_exclusive_lock(e(0), li(0), v(100));
         w.write_entity(e(0), li(1), v(1)).unwrap();
         w.write_entity(e(0), li(4), v(4)).unwrap();
-        // target 0: before first write → global.
-        assert_eq!(w.entity_value_at(e(0), li(0)).unwrap(), v(100));
-        // targets 1..3: value was 1, overwritten → gone.
+        // Lock states 1..3 saw the value 1, which the second write
+        // overwrote.
         for q in 1..4 {
-            assert!(matches!(
-                w.entity_value_at(e(0), li(q)),
-                Err(StorageError::NotRestorable { .. })
-            ));
+            assert_eq!(w.deepest_restorable(li(q)), li(0));
+            let refused = Err(StorageError::NotRestorable { entity: e(0), target: li(q) });
+            assert_eq!(w.clone().rollback_to(li(q)), refused);
         }
-        // target ≥ 4: current.
-        assert_eq!(w.entity_value_at(e(0), li(4)).unwrap(), v(4));
-        assert_eq!(w.entity_value_at(e(0), li(7)).unwrap(), v(4));
+        // From lock state 4 on, the current value is the one they saw.
+        assert_eq!(w.deepest_restorable(li(7)), li(7));
+        w.rollback_to(li(4)).unwrap();
+        assert_eq!(w.read_entity(e(0)), Some(v(4)));
     }
 
     #[test]
@@ -437,7 +419,6 @@ mod tests {
     fn missing_entity_operations_error() {
         let mut w = SingleCopyWorkspace::new(&[]);
         assert!(w.write_entity(e(0), li(1), v(1)).is_err());
-        assert!(w.entity_value_at(e(0), li(0)).is_err());
         assert_eq!(w.read_entity(e(0)), None);
         assert!(w.assign_var(VarId::new(0), li(1), v(1)).is_err());
     }

@@ -44,6 +44,9 @@ pub struct VersionStack {
     base: StackElement,
     /// Elements above the base, oldest first. Empty for a fresh stack.
     extras: Vec<StackElement>,
+    /// Lock index of the oldest copy a budget evicted, if any: the values
+    /// of lock states in `[evicted_from, extras[0].lock_index)` are gone.
+    evicted_from: Option<LockIndex>,
 }
 
 impl VersionStack {
@@ -55,6 +58,7 @@ impl VersionStack {
             stack_index,
             base: StackElement { value: base, lock_index: stack_index },
             extras: Vec::new(),
+            evicted_from: None,
         }
     }
 
@@ -109,11 +113,23 @@ impl VersionStack {
     /// Pops every element produced by a write *after* lock state `target`
     /// (elements with `lock_index > target`) — step 3 of the §4 rollback
     /// procedure. Returns how many copies were discarded. The base element
-    /// is never popped (its index is the stack's own).
+    /// is never popped (its index is the stack's own), and an evicted
+    /// interval lying above `target` is forgotten with the copies that
+    /// bounded it.
     pub fn pop_above(&mut self, target: LockIndex) -> usize {
         let before = self.extras.len();
         self.extras.retain(|el| el.lock_index <= target);
+        if self.evicted_from.is_some_and(|from| from > target) {
+            self.evicted_from = None;
+        }
         before - self.extras.len()
+    }
+
+    /// The start of the evicted interval when it contains lock state `q`:
+    /// the value `q` saw was one of the copies a budget discarded.
+    pub fn destroyed_from(&self, q: LockIndex) -> Option<LockIndex> {
+        let from = self.evicted_from?;
+        (from <= q && q < self.extras[0].lock_index).then_some(from)
     }
 
     /// Total number of elements held.
@@ -165,25 +181,20 @@ impl VersionStack {
         Ok(())
     }
 
-    /// Enforces a bound on the number of copies (elements beyond the
-    /// base): if exceeded, evicts the *oldest non-base* element and
-    /// returns the lock-index interval `[evicted, successor)` whose
-    /// values can no longer be reproduced.
+    /// Enforces a bound of `budget >= 1` copies (elements beyond the
+    /// base): if exceeded, evicts the *oldest non-base* element, which
+    /// extends the evicted interval up to the new oldest copy. Successive
+    /// evictions take successive copies, so one interval per stack covers
+    /// every lock state whose value can no longer be reproduced.
     ///
-    /// The current value (stack top) is never evicted, so an effective
-    /// budget below 1 behaves as 1. This implements the paper's closing
-    /// suggestion of "allocat\[ing\] a bounded amount of extra storage to
-    /// the entities in order to maximize the number of well-defined
-    /// states".
-    pub fn enforce_budget(&mut self, budget: usize) -> Option<(LockIndex, LockIndex)> {
-        if self.copies() <= budget.max(1) {
-            return None;
+    /// This implements the paper's closing suggestion of "allocat\[ing\] a
+    /// bounded amount of extra storage to the entities in order to
+    /// maximize the number of well-defined states".
+    pub fn enforce_budget(&mut self, budget: usize) {
+        if self.copies() > budget {
+            let evicted = self.extras.remove(0);
+            self.evicted_from.get_or_insert(evicted.lock_index);
         }
-        // extras[0] is the oldest copy, and a successor exists in extras
-        // because copies() >= 2.
-        let evicted = self.extras.remove(0);
-        let successor = self.extras[0];
-        Some((evicted.lock_index, successor.lock_index))
     }
 }
 
@@ -261,6 +272,29 @@ mod tests {
         // Base element survives even a rollback to the stack's own index.
         assert_eq!(s.pop_above(li(0)), 0);
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn evictions_grow_one_interval_that_a_deep_pop_forgets() {
+        let mut s = VersionStack::new(li(0), v(100));
+        for k in [1, 3, 5] {
+            s.record_write(li(k), v(i64::from(k)));
+            s.enforce_budget(1);
+        }
+        // Copies 1 and 3 were evicted: states 1..5 saw them.
+        assert_eq!(s.elements().count(), 2);
+        assert_eq!(s.destroyed_from(li(0)), None);
+        assert_eq!(s.destroyed_from(li(1)), Some(li(1)));
+        assert_eq!(s.destroyed_from(li(4)), Some(li(1)));
+        assert_eq!(s.destroyed_from(li(5)), None);
+        // A pop that keeps the oldest surviving copy keeps the interval…
+        s.pop_above(li(6));
+        assert_eq!(s.destroyed_from(li(4)), Some(li(1)));
+        // …and one below the interval forgets it with the copies.
+        s.pop_above(li(0));
+        s.record_write(li(2), v(2));
+        assert_eq!(s.destroyed_from(li(1)), None);
+        assert_eq!(s.value_at(li(1)), Some(v(100)));
     }
 
     #[test]

@@ -53,9 +53,9 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`model`] | ids, values, the operation algebra, programs, validation, static analysis |
-//! | [`storage`] | the global store, MCS version stacks, single-copy workspaces |
+//! | [`storage`] | the global store, MCS version stacks, single-copy workspaces (which double as the runtime state-dependency graph) |
 //! | [`lock`] | the shared/exclusive lock table |
-//! | [`graph`] | waits-for graph, cycle enumeration, min-cost cut sets, state-dependency graphs |
+//! | [`graph`] | waits-for graph, cycle enumeration, min-cost cut sets, the articulation-point check of well-defined states |
 //! | [`core`] | the transition kernel and the execution engine: strategies, victim policies, metrics |
 //! | [`par`] | the multi-threaded sharded-lock-table executor and its stamped access history |
 //! | [`sim`] | workload generators, experiment sweeps, the paper's figures, the differential serializability oracle |

@@ -109,15 +109,16 @@ fn four_thread_resolution_costs_match_victim_ledgers() {
     // The pad must outlast worker start-up skew in a cold process, or the
     // first worker drains the batch alone; sized for a ~100 ns step.
     const PAD: usize = 8_000;
-    for round in 0..12 {
-        let mut programs = Vec::new();
-        for i in 0..16 {
-            if i % 2 == 0 {
-                programs.push(padded_transfer(e(0), e(1), 1, PAD));
-            } else {
-                programs.push(padded_transfer(e(1), e(0), 1, PAD));
-            }
-        }
+    let programs: Vec<TransactionProgram> = (0..16)
+        .map(|i| match i % 2 {
+            0 => padded_transfer(e(0), e(1), 1, PAD),
+            _ => padded_transfer(e(1), e(0), 1, PAD),
+        })
+        .collect();
+    // At least 12 rounds; past them, only until the first deadlock (a
+    // slow scheduler forms few), up to a cap.
+    let mut round = 0;
+    while round < 12 || (total_deadlocks == 0 && round < 500) {
         let store = GlobalStore::with_entities(2, Value::new(50));
         let out = run_parallel(&programs, store, &par_config(4, StrategyKind::Mcs))
             .unwrap_or_else(|err| panic!("round {round}: {err}"));
@@ -135,7 +136,9 @@ fn four_thread_resolution_costs_match_victim_ledgers() {
         if total_deadlocks >= 4 && saw_repeat_victim {
             return;
         }
+        round += 1;
     }
+    eprintln!("{total_deadlocks} deadlocks in {round} rounds");
     assert!(
         total_deadlocks > 0,
         "padded opposed transfers never deadlocked — the resolver was not exercised"
@@ -212,10 +215,10 @@ fn certified_workload_on_threads_never_deadlocks() {
     }
 }
 
-/// Dense cycles on 8 threads: one session per strategy runs 40 batches,
-/// each mixing a three-way cycle (`a → b`, `b → c`, `c → a`) with opposed
-/// transfers over the same 3 entities, so resolvers keep competing for
-/// overlapping slots. Every transaction must commit, totals must be
+/// Dense cycles on 8 threads: one session per strategy runs at least 40
+/// batches, each mixing a three-way cycle (`a → b`, `b → c`, `c → a`) with
+/// opposed transfers over the same 3 entities, so resolvers keep competing
+/// for overlapping slots. Every transaction must commit, totals must be
 /// conserved, and the concatenated history must pass the server oracle.
 #[test]
 fn dense_cycles_on_eight_threads_resolve_in_one_session() {
@@ -223,30 +226,43 @@ fn dense_cycles_on_eight_threads_resolve_in_one_session() {
     let e = EntityId::new;
     // Sized like the four-thread test's pad, for the same start-up skew.
     const PAD: usize = 8_000;
-    for strategy in StrategyKind::ALL {
-        let store = GlobalStore::with_entities(3, Value::new(100));
-        let config = par_config(8, strategy);
-        let mut session = Session::new(&store, config.clone());
-        let (mut programs, mut accesses, mut deadlocks) = (Vec::new(), Vec::new(), 0);
-        for batch in 0..40 {
-            let rotate = |i: u32| e((i + batch) % 3);
+    // The batch for each rotation of the three entities, built once: the
+    // programs share their operations, so a long session stays small.
+    let batches: Vec<Vec<TransactionProgram>> = (0..3)
+        .map(|r| {
+            let rotate = |i: u32| e((i + r) % 3);
             let mut ops: Vec<TransactionProgram> =
                 (0..3).map(|i| padded_transfer(rotate(i), rotate(i + 1), 1, PAD)).collect();
             for _ in 0..2 {
                 ops.push(padded_transfer(rotate(0), rotate(1), 2, PAD));
                 ops.push(padded_transfer(rotate(1), rotate(0), 3, PAD));
             }
+            ops
+        })
+        .collect();
+    for strategy in StrategyKind::ALL {
+        let store = GlobalStore::with_entities(3, Value::new(100));
+        let config = par_config(8, strategy);
+        let mut session = Session::new(&store, config.clone());
+        let (mut programs, mut accesses, mut deadlocks) = (Vec::new(), Vec::new(), 0);
+        // At least 40 batches; past them, only until the session's first
+        // deadlock (a slow scheduler forms few), up to a cap.
+        let mut batch = 0;
+        while batch < 40 || (deadlocks == 0 && batch < 2_000) {
+            let ops = &batches[batch % 3];
             let out = session
-                .execute(&ops)
+                .execute(ops)
                 .unwrap_or_else(|err| panic!("{strategy:?} batch {batch}: {err}"));
             assert_eq!(out.commits(), ops.len(), "{strategy:?} batch {batch}");
             assert_accounting(&out);
             let total: i64 = out.snapshot.iter().map(|(_, v)| v.raw()).sum();
             assert_eq!(total, 300, "{strategy:?} batch {batch}: transfers conserve the total");
             deadlocks += out.metrics.deadlocks;
-            programs.extend(ops);
+            programs.extend_from_slice(ops);
             accesses.extend(out.accesses);
+            batch += 1;
         }
+        eprintln!("{strategy:?}: {deadlocks} deadlocks in {batch} batches");
         assert!(deadlocks > 0, "{strategy:?}: dense cycles never deadlocked");
         check_server_history(&programs, &store, &config.system, &accesses, &session.snapshot())
             .unwrap_or_else(|v| panic!("{strategy:?}: oracle violation: {v}"));

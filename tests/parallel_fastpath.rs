@@ -95,15 +95,16 @@ fn contended_transfers_with_fast_path_pass_the_oracle() {
     // The pad must outlast worker start-up skew in a cold process, or the
     // first worker drains the batch alone; sized for a ~100 ns step.
     const PAD: usize = 6_000;
-    for round in 0..8u64 {
-        let mut programs = Vec::new();
-        for i in 0..12 {
-            if i % 2 == 0 {
-                programs.push(padded_transfer(e(0), e(1), 1, PAD));
-            } else {
-                programs.push(padded_transfer(e(1), e(0), 1, PAD));
-            }
-        }
+    let programs: Vec<TransactionProgram> = (0..12)
+        .map(|i| match i % 2 {
+            0 => padded_transfer(e(0), e(1), 1, PAD),
+            _ => padded_transfer(e(1), e(0), 1, PAD),
+        })
+        .collect();
+    // At least 8 rounds; past them, only until the first deadlock (a slow
+    // scheduler forms few), up to a cap.
+    let mut round = 0u64;
+    while round < 8 || (deadlocks == 0 && round < 400) {
         let strategy = STRATEGIES[(round % 3) as usize];
         let config = par_config(4, strategy, true);
         let out = run_parallel(&programs, GlobalStore::with_entities(2, Value::new(50)), &config)
@@ -121,7 +122,9 @@ fn contended_transfers_with_fast_path_pass_the_oracle() {
         fast_grants += out.fast.fast_grants;
         inflations += out.fast.inflations;
         deadlocks += out.metrics.deadlocks;
+        round += 1;
     }
+    eprintln!("{deadlocks} deadlocks in {round} rounds");
     assert!(fast_grants > 0, "the fast path was never taken");
     assert!(inflations > 0, "contention never inflated an entity");
     assert!(deadlocks > 0, "the resolver was never exercised against fast-path holders");

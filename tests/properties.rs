@@ -4,14 +4,17 @@
 //! rolling it back to any strategy-reachable lock state, and re-executing
 //! must produce exactly the same final values as an uninterrupted run —
 //! for both the MCS stacks and the single-copy/SDG workspace. This is the
-//! §2/§4 correctness contract of the rollback operation itself.
+//! §2/§4 correctness contract of the rollback operation itself. Along the
+//! way the workspaces' own account of which lock states they can restore
+//! is checked against the static analysis of the executed prefix.
 
 use partial_rollback::core::runtime::TxnRuntime;
 use partial_rollback::core::StrategyKind;
 use partial_rollback::graph::articulation::well_defined_by_articulation;
-use partial_rollback::model::analysis::{self, WriteEdge};
+use partial_rollback::model::analysis::{self, ProgramAnalysis, WriteEdge};
 use partial_rollback::prelude::*;
 use partial_rollback::sim::generator::{Clustering, GeneratorConfig, ProgramGenerator};
+use partial_rollback::storage::StorageError;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -52,6 +55,46 @@ fn execute_range(rt: &mut TxnRuntime, program: &TransactionProgram, from: usize,
             }
             Op::Commit => rt.advance(),
         }
+        pc = rt.pc;
+    }
+}
+
+/// Asserts that the workspace's deepest restorable lock state at every
+/// `q` up to the current lock index `p` is the one Theorem 4 gives for the
+/// writes executed so far: the static edges with `w <= p`. Valid only
+/// between operations of lock index `p` and lock request `p`, when exactly
+/// those writes have run.
+fn check_reachability(rt: &TxnRuntime, a: &ProgramAnalysis) -> Result<(), TestCaseError> {
+    let p = rt.lock_index().raw();
+    let executed: Vec<WriteEdge> = a.edges.iter().copied().filter(|e| e.w <= p).collect();
+    let well_defined = analysis::well_defined_states(p, &executed);
+    for q in 0..=p {
+        let want = well_defined.iter().rev().find(|&&s| s <= q).copied();
+        let got = rt.workspace.deepest_restorable(LockIndex::new(q)).raw();
+        prop_assert_eq!(Some(got), want, "q {} at lock index {}", q, p);
+    }
+    Ok(())
+}
+
+/// [`execute_range`], checking reachability before every lock request
+/// and before `COMMIT` — the points where all writes of the current lock
+/// index have run.
+fn execute_checked(
+    rt: &mut TxnRuntime,
+    program: &TransactionProgram,
+    a: &ProgramAnalysis,
+    from: usize,
+    to: usize,
+) -> Result<(), TestCaseError> {
+    let mut pc = from;
+    loop {
+        if matches!(program.op(pc), Some(Op::LockShared(_) | Op::LockExclusive(_) | Op::Commit)) {
+            check_reachability(rt, a)?;
+        }
+        if pc == to {
+            return Ok(());
+        }
+        execute_range(rt, program, pc, pc + 1);
         pc = rt.pc;
     }
 }
@@ -116,8 +159,10 @@ proptest! {
     }
 
     /// Replay equivalence for the single-copy workspace: rollback to any
-    /// *well-defined* lock state must succeed and replay identically;
-    /// rollback to an undefined state must fail without corrupting it.
+    /// *well-defined* lock state must succeed and replay identically, also
+    /// after a second rollback nested in the replay; rollback to an
+    /// undefined state must fail without corrupting it. The workspace's
+    /// reachable targets match the static analysis at every lock index.
     #[test]
     fn sdg_rollback_replay_equivalence((seed, _, spread) in generator_strategy()) {
         let cfg = GeneratorConfig {
@@ -136,33 +181,38 @@ proptest! {
         let a = analysis::analyze(&program);
 
         let mut reference = TxnRuntime::new(TxnId::new(1), arc.clone(), 0, StrategyKind::Sdg);
-        execute_range(&mut reference, &program, 0, end);
+        execute_checked(&mut reference, &program, &a, 0, end)?;
         let want = observable(&reference, &program);
 
         for target in 0..program.num_lock_requests() as u32 {
             let mut rt = TxnRuntime::new(TxnId::new(1), arc.clone(), 0, StrategyKind::Sdg);
             execute_range(&mut rt, &program, 0, end);
-            // The runtime SDG and the static analysis must agree on what
-            // is well-defined.
-            let runtime_wd = rt.sdg.as_ref().unwrap().is_well_defined(LockIndex::new(target));
-            prop_assert_eq!(runtime_wd, a.is_well_defined(target), "wd mismatch at {}", target);
             let result = rt.rollback_to(LockIndex::new(target));
-            if a.is_well_defined(target) {
-                prop_assert!(result.is_ok(), "well-defined target {} must be reachable", target);
-                let resume = rt.pc;
-                execute_range(&mut rt, &program, resume, end);
-                let got = observable(&rt, &program);
-                prop_assert_eq!(&got, &want, "target {}", target);
-            } else {
+            if !a.is_well_defined(target) {
                 prop_assert!(result.is_err(), "undefined target {} must be rejected", target);
+                continue;
             }
+            prop_assert!(result.is_ok(), "well-defined target {} must be reachable", target);
+            // Replay half the lost suffix, then roll back again, below
+            // wherever the replayed writes left the deepest restorable
+            // state.
+            let resume = rt.pc;
+            let mid = (resume + end) / 2;
+            execute_checked(&mut rt, &program, &a, resume, mid)?;
+            let nested = rt.reachable_target(StrategyKind::Sdg, LockIndex::new(target / 2));
+            prop_assert!(rt.rollback_to(nested).is_ok(), "nested target {:?}", nested);
+            let resume = rt.pc;
+            execute_checked(&mut rt, &program, &a, resume, end)?;
+            let got = observable(&rt, &program);
+            prop_assert_eq!(&got, &want, "target {}", target);
         }
     }
 
     /// Replay equivalence for the bounded-copy workspace (the paper's
-    /// closing extension): rollback to any state its eviction graph deems
-    /// well-defined must replay identically; and a large budget must keep
-    /// every lock state well-defined (degenerating to full MCS).
+    /// closing extension): rollback to any state its stacks can restore
+    /// must replay identically, rollback into an evicted interval must be
+    /// refused, and a large budget must keep every lock state restorable
+    /// (degenerating to full MCS).
     #[test]
     fn bounded_rollback_replay_equivalence((seed, _, spread) in generator_strategy()) {
         let cfg = GeneratorConfig {
@@ -185,22 +235,45 @@ proptest! {
             execute_range(&mut reference, &program, 0, end);
             let want = observable(&reference, &program);
             if budget == 100 {
-                // Nothing evicted: every lock state stays well-defined.
-                let wd = reference.sdg.as_ref().unwrap().well_defined_states().len();
-                prop_assert_eq!(wd, program.num_lock_requests() + 1);
+                // Nothing evicted: every lock state stays restorable.
+                for q in 0..=program.num_lock_requests() as u32 {
+                    let q = LockIndex::new(q);
+                    prop_assert_eq!(reference.workspace.deepest_restorable(q), q);
+                }
             }
 
             for target in 0..program.num_lock_requests() as u32 {
                 let mut rt = TxnRuntime::new(TxnId::new(1), arc.clone(), 0, strategy);
                 execute_range(&mut rt, &program, 0, end);
-                if !rt.sdg.as_ref().unwrap().is_well_defined(LockIndex::new(target)) {
-                    continue; // evicted interval — the engine never aims here
+                let target = LockIndex::new(target);
+                if rt.workspace.deepest_restorable(target) != target {
+                    // Evicted interval: the engine never aims here, and
+                    // the workspace refuses it.
+                    let refused = rt.rollback_to(target);
+                    prop_assert!(
+                        matches!(
+                            refused,
+                            Err(StorageError::NotRestorable { .. }
+                                | StorageError::VarNotRestorable { .. })
+                        ),
+                        "budget {} target {:?}: {:?}", budget, target, refused
+                    );
+                    prop_assert_eq!(observable(&rt, &program), want.clone());
+                    continue;
                 }
-                rt.rollback_to(LockIndex::new(target)).unwrap();
+                rt.rollback_to(target).unwrap();
                 let resume = rt.pc;
                 execute_range(&mut rt, &program, resume, end);
                 let got = observable(&rt, &program);
-                prop_assert_eq!(&got, &want, "budget {} target {}", budget, target);
+                prop_assert_eq!(&got, &want, "budget {} target {:?}", budget, target);
+                // The replay re-evicts what the uninterrupted run evicted.
+                for q in 0..=program.num_lock_requests() as u32 {
+                    let q = LockIndex::new(q);
+                    prop_assert_eq!(
+                        rt.workspace.deepest_restorable(q),
+                        reference.workspace.deepest_restorable(q)
+                    );
+                }
             }
         }
     }
