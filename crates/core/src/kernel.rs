@@ -201,11 +201,17 @@ impl Kernel {
     /// (the DESIGN §7 hazard: a shared lock barging past a blocked
     /// exclusive waiter becomes one of that waiter's blockers).
     ///
-    /// Refreshing never closes a cycle itself: under barging it can only
-    /// retarget arcs at freshly *granted* (hence running, non-waiting)
-    /// transactions, and under the fair queue a waiter's blocker set only
+    /// **Lemma: re-pointing never closes a cycle.** An added arc `b → w`
+    /// lies on a cycle only if some arc enters `b`, that is, only if `b`
+    /// itself waits. Every blocker a re-point *adds* runs: under barging
+    /// it can only be a freshly *granted* (hence running, non-waiting)
+    /// transaction, and under the fair queue a waiter's blocker set only
     /// ever shrinks (new requests join behind it, and a grant compatible
     /// with every queued waiter cannot be an incompatible holder of one).
+    /// So every deadlock is closed by a wait, and §3.1's detection at the
+    /// wait sees it. `pr-par` relies on this to re-point a queue without
+    /// waking its waiters (`EpochGraph::queue_changed`, which asserts the
+    /// premise under its `invariants` feature).
     fn repoint_waiters(&mut self, entity: EntityId) {
         for w in self.table.waiters_of(entity) {
             let blockers = self.table.blockers_of(w.txn, entity);

@@ -196,6 +196,10 @@ pub struct Metrics {
     /// Parks that ended on the poll timeout rather than on a wake
     /// (parallel engine only; the deterministic engine never parks).
     pub poll_timeouts: u64,
+    /// Wakes sent to parked workers, counted by the waking worker: one per
+    /// promoted waiter and one per rollback victim other than the resolver
+    /// itself (parallel engine only).
+    pub wakes: u64,
     /// Microseconds a resolver spent blocked capturing a cycle's slots,
     /// one sample per capture (parallel engine only).
     pub capture_wait: LogHistogram,
@@ -296,6 +300,7 @@ impl Metrics {
             ops_replayed,
             ops_reused,
             poll_timeouts,
+            wakes,
             capture_wait,
         } = other;
         self.steps += steps;
@@ -324,6 +329,7 @@ impl Metrics {
         self.ops_replayed += ops_replayed;
         self.ops_reused += ops_reused;
         self.poll_timeouts += poll_timeouts;
+        self.wakes += wakes;
         self.capture_wait.merge(capture_wait);
     }
 }
@@ -564,6 +570,7 @@ mod tests {
             certified_waits: 4,
             peak_copies: 3,
             poll_timeouts: 2,
+            wakes: 4,
             ..Default::default()
         };
         a.record_preemption(TxnId::new(1));
@@ -577,6 +584,7 @@ mod tests {
             certified_waits: 6,
             peak_copies: 9,
             poll_timeouts: 5,
+            wakes: 1,
             ..Default::default()
         };
         b.record_preemption(TxnId::new(1));
@@ -597,6 +605,7 @@ mod tests {
         assert_eq!(a.grant_latency.count(), 2);
         assert_eq!(a.grant_latency.sum(), 24);
         assert_eq!(a.poll_timeouts, 7);
+        assert_eq!(a.wakes, 5);
         assert_eq!(a.capture_wait.count(), 3);
         assert_eq!(a.capture_wait.sum(), 340);
         assert_eq!(a.capture_wait.max(), 300);

@@ -36,11 +36,11 @@
 //! ## Blocking and waking
 //!
 //! A blocked worker registers its waits-for arcs and detects cycles
-//! *atomically* (see [`EpochGraph`]), then parks on its slot. Wakes are
-//! lock-free ([`TxnSlot::wake`]) and therefore never dropped: releasers
-//! wake promoted waiters *and* every waiter whose blocker set was
-//! re-pointed, and a woken waiter re-runs cycle detection immediately
-//! instead of discovering re-pointed cycles at the next poll timeout.
+//! *atomically* (see [`EpochGraph`]), then parks on its slot. It is woken
+//! only to run: by the releaser that promoted it or the resolver that
+//! rolled it back. Re-pointing its arcs at new blockers is silent, since
+//! a re-point never closes a cycle (see [`EpochGraph::queue_changed`]).
+//! Wakes are lock-free ([`TxnSlot::wake`]) and therefore never dropped.
 //! Parked workers still re-poll the authoritative shard state on a short
 //! timeout as a safety net; a worker blocked past the watchdog limit
 //! fails the run with [`ParError::Stuck`] rather than hanging.
@@ -155,10 +155,12 @@ impl Core {
         self.abort.load(Ordering::Acquire)
     }
 
-    /// Wakes every transaction in `txns` (lock-free; never dropped).
-    fn wake_all(&self, txns: impl IntoIterator<Item = TxnId>) {
+    /// Wakes every transaction in `txns` (lock-free; never dropped),
+    /// counting each wake in `local`.
+    fn wake_all(&self, txns: impl IntoIterator<Item = TxnId>, local: &mut Metrics) {
         for t in txns {
             self.slot_of(t).wake();
+            local.wakes += 1;
         }
     }
 
@@ -265,8 +267,7 @@ impl Core {
     /// publish). Tries the lock-word fast path; falls back to the shard
     /// mutex when the entity is inflated (or mid-transfer), inflating
     /// first so the hold is guaranteed to be in the table. Returns the
-    /// transactions to wake: promoted waiters plus every waiter whose
-    /// blocker set was re-pointed.
+    /// transactions to wake: the promoted waiters.
     fn release_lock(
         &self,
         txn: TxnId,
@@ -284,11 +285,10 @@ impl Core {
         let mut shard = self.shards.guard(entity);
         self.slab.inflate(entity, &mut shard.table)?;
         let promoted = shard.table.release(txn, entity)?;
-        let mut wake = self.wfg.queue_changed(&shard.table, entity, None, &promoted);
+        self.wfg.queue_changed(&shard.table, entity, None, &promoted);
         self.slab.deflate_if_idle(entity, &shard.table);
         drop(shard);
-        wake.extend(promoted.iter().map(|h| h.txn));
-        Ok(wake)
+        Ok(promoted.iter().map(|h| h.txn).collect())
     }
 
     /// One lock-request operation: optimistic lock-word grant, else
@@ -322,11 +322,10 @@ impl Core {
                 RequestOutcome::Granted => {
                     let global = self.slab.read(entity);
                     // A barging grant can newly block queued waiters on
-                    // this holder; re-point their arcs and wake them to
-                    // re-detect against the new blocker.
-                    let repointed = self.wfg.queue_changed(&shard.table, entity, None, &[]);
+                    // this holder; re-point their arcs (silently: the
+                    // holder runs, so no cycle closes).
+                    self.wfg.queue_changed(&shard.table, entity, None, &[]);
                     drop(shard);
-                    self.wake_all(repointed);
                     self.finish_grant(&mut g, entity, mode, global, local);
                     return Ok(g);
                 }
@@ -376,17 +375,18 @@ impl Core {
             let (g2, woken) = slot.park(g, POLL);
             g = g2;
             if woken {
+                // Granted or rolled back, as the loop top checks, or a
+                // stale hint from an earlier wait. No need to re-detect:
+                // the wait that closes a cycle sees it.
                 idle_polls = 0;
-            } else {
-                local.poll_timeouts += 1;
-                idle_polls += 1;
-                if idle_polls >= STUCK_POLLS {
-                    return Err(ParError::Stuck { txn: id });
-                }
+                continue;
             }
-            // Re-detect on every wake — a wake means a release, promotion,
-            // or re-pointed arc changed our neighbourhood (event-driven
-            // re-detection) — and on every timeout as the watchdog net.
+            local.poll_timeouts += 1;
+            idle_polls += 1;
+            if idle_polls >= STUCK_POLLS {
+                return Err(ParError::Stuck { txn: id });
+            }
+            // The watchdog net: re-detect after every timeout.
             cycles = self.refreshed(id, cap);
         }
     }
@@ -470,7 +470,7 @@ impl Core {
         to_wake.remove(&id); // we are awake, running this very loop
         let g = held.swap_remove(at).1;
         drop(held);
-        self.wake_all(to_wake);
+        self.wake_all(to_wake, local);
         Ok((g, true))
     }
 
@@ -507,11 +507,10 @@ impl Core {
                 local.ops_executed += 1;
             } else {
                 let promoted = shard.table.cancel_wait(victim, went)?;
-                let repointed = self.wfg.queue_changed(&shard.table, went, Some(victim), &promoted);
+                self.wfg.queue_changed(&shard.table, went, Some(victim), &promoted);
                 self.slab.deflate_if_idle(went, &shard.table);
                 drop(shard);
                 to_wake.extend(promoted.iter().map(|h| h.txn));
-                to_wake.extend(repointed);
                 vs.blocked_since = None;
             }
         }
@@ -534,7 +533,7 @@ impl Core {
     }
 
     /// One unlock operation: publish (exclusive), release, re-point
-    /// arcs, wake promoted and re-pointed waiters.
+    /// arcs, wake promoted waiters.
     fn op_unlock<'a>(
         &'a self,
         mut g: MutexGuard<'a, SlotState>,
@@ -546,7 +545,7 @@ impl Core {
         let wake = self.release_lock(id, entity, published)?;
         local.ops_executed += 1;
         // Wakes are lock-free; no need to drop our own slot first.
-        self.wake_all(wake);
+        self.wake_all(wake, local);
         Ok(g)
     }
 
@@ -579,7 +578,7 @@ impl Core {
         local.ops_executed += 1;
         local.commits += 1;
         drop(g);
-        self.wake_all(to_wake);
+        self.wake_all(to_wake, local);
         Ok(())
     }
 }

@@ -40,10 +40,13 @@
 //!   store-check-park interleaving race-free: a wake arriving between the
 //!   check and the park leaves a permit, so the park returns immediately.
 //!
-//! The hint remains a *hint*, not a handoff: waiters re-check the
-//! authoritative shard state (am I a holder now? was I rolled back?)
-//! whenever they wake, and still poll on a timeout as a belt-and-braces
-//! fallback.
+//! Only two events wake a parked worker: a releaser promoting its request,
+//! and a resolver rolling it back. Re-pointing its arcs at new blockers
+//! does not, because a re-point never closes a cycle (the lemma on
+//! `pr_core`'s `Kernel::repoint_waiters`). The hint remains a *hint*, not
+//! a handoff: waiters re-check the authoritative shard state (am I a
+//! holder now? was I rolled back?) whenever they wake, and still poll on
+//! a timeout as a belt-and-braces fallback.
 
 use pr_core::runtime::TxnRuntime;
 use pr_model::{EntityId, TxnId};

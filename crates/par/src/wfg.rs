@@ -80,9 +80,9 @@ impl EpochGraph {
 
     /// Re-runs detection for a transaction that is still registered as
     /// waiting — the resolver's check while it holds the members' slots,
-    /// and the wait loop's after a wake, a poll timeout or a resolution
-    /// that did not plan. Returns `None` if the
-    /// transaction no longer waits (promoted or cancelled meanwhile).
+    /// and the wait loop's after a poll timeout or a resolution that did
+    /// not plan. Returns `None` if the transaction no longer waits
+    /// (promoted or cancelled meanwhile).
     /// Arcs are not changed, so the epoch is not bumped.
     pub fn redetect(&self, waiter: TxnId, cap: usize) -> Option<(Vec<Cycle>, u64)> {
         let mut inner = self.lock();
@@ -100,18 +100,17 @@ impl EpochGraph {
     /// caller still holds `entity`'s shard mutex, so the table state and
     /// the graph change atomically with respect to other shard users.
     ///
-    /// Returns the still-waiting transactions whose blocker set actually
-    /// changed. Callers wake those so they re-run cycle detection against
-    /// the new arcs immediately (event-driven re-detection) instead of
-    /// discovering re-pointed cycles only at the next poll timeout — under
-    /// dense skewed queues that latency was the 8-thread collapse.
+    /// Re-pointing is silent: it never closes a cycle (the lemma on
+    /// `pr_core`'s `Kernel::repoint_waiters`), so no survivor needs a wake
+    /// to re-detect — only the promoted do, to run. The `invariants`
+    /// build asserts the lemma's premise here.
     pub fn queue_changed(
         &self,
         table: &LockTable,
         entity: EntityId,
         cancelled: Option<TxnId>,
         promoted: &[HeldLock],
-    ) -> Vec<TxnId> {
+    ) {
         let mut inner = self.lock();
         if let Some(t) = cancelled {
             inner.graph.clear_wait(t);
@@ -119,28 +118,13 @@ impl EpochGraph {
         for h in promoted {
             inner.graph.clear_wait(h.txn);
         }
-        let mut repointed = Vec::new();
         for w in table.waiters_of(entity) {
             let blockers = table.blockers_of(w.txn, entity);
-            let changed = match inner.graph.wait_of(w.txn) {
-                Some((old_entity, old)) => {
-                    old_entity != entity || {
-                        let mut old = old;
-                        let mut new = blockers.clone();
-                        old.sort_unstable();
-                        new.sort_unstable();
-                        old != new
-                    }
-                }
-                None => true,
-            };
+            #[cfg(feature = "invariants")]
+            assert_repoint_closes_no_cycle(&inner.graph, w.txn, &blockers);
             inner.graph.set_wait(w.txn, entity, &blockers);
-            if changed {
-                repointed.push(w.txn);
-            }
         }
         inner.epoch += 1;
-        repointed
     }
 
     /// Number of transactions currently registered as waiting — must be
@@ -162,6 +146,19 @@ impl EpochGraph {
         {
             Ok(())
         }
+    }
+}
+
+/// The premise of the re-pointing lemma: a survivor still has a blocker,
+/// and every blocker a re-point *adds* to `waiter` is running, not
+/// waiting — an arc into a transaction with no outgoing wait closes no
+/// cycle, so the silent re-point cannot hide a deadlock.
+#[cfg(feature = "invariants")]
+fn assert_repoint_closes_no_cycle(graph: &WaitsForGraph, waiter: TxnId, blockers: &[TxnId]) {
+    assert!(!blockers.is_empty(), "{waiter}: grantable waiter left in queue");
+    let (_, old) = graph.wait_of(waiter).expect("every queued waiter is registered");
+    for &b in blockers.iter().filter(|b| !old.contains(b)) {
+        assert!(!graph.is_waiting(b), "re-pointing {waiter} added waiting blocker {b}");
     }
 }
 
@@ -223,12 +220,54 @@ mod tests {
         // t1 releases: t2 is promoted; t3's arcs must re-point at t2.
         let promoted = table.release(t(1), e(0)).unwrap();
         assert_eq!(promoted.len(), 1);
-        let repointed = g.queue_changed(&table, e(0), None, &promoted);
-        assert_eq!(repointed, vec![t(3)], "t3's blockers moved from t1 to t2");
+        g.queue_changed(&table, e(0), None, &promoted);
+        let wait = g.lock().graph.wait_of(t(3));
+        assert_eq!(wait, Some((e(0), vec![t(2)])), "t3's blockers moved from t1 to t2");
         assert!(g.epoch() > before);
         assert_eq!(g.waiting_count(), 1);
-        let (_, redetected) = g.redetect(t(3), 64).expect("t3 still waits");
-        let _ = redetected;
         g.check_consistent().unwrap();
+    }
+
+    /// t1 holds `e0` shared and t2 waits for it exclusively; t3's shared
+    /// request barges past t2 and `e0`'s table grants it.
+    fn barging_grant(g: &EpochGraph) -> LockTable {
+        let mut table = LockTable::with_policy(GrantPolicy::Barging);
+        let request = |table: &mut LockTable, i, mode| {
+            table.request(t(i), e(0), mode, StateIndex::ZERO, LockIndex::ZERO).unwrap()
+        };
+        assert_eq!(request(&mut table, 1, LockMode::Shared), RequestOutcome::Granted);
+        match request(&mut table, 2, LockMode::Exclusive) {
+            RequestOutcome::Wait { holders, .. } => {
+                g.register_and_detect(t(2), e(0), &holders, 64);
+            }
+            RequestOutcome::Granted => panic!("should wait"),
+        }
+        assert_eq!(request(&mut table, 3, LockMode::Shared), RequestOutcome::Granted);
+        table
+    }
+
+    #[test]
+    fn barging_grant_adds_an_arc_from_the_running_grantee() {
+        let g = EpochGraph::new();
+        let table = barging_grant(&g);
+        let before = g.epoch();
+        // The grant adds t3 to t2's blockers; t3 runs, so the re-point
+        // closes no cycle and the invariants build's lemma check passes.
+        g.queue_changed(&table, e(0), None, &[]);
+        assert_eq!(g.lock().graph.wait_of(t(2)), Some((e(0), vec![t(1), t(3)])));
+        assert!(g.epoch() > before);
+        assert!(g.redetect(t(2), 64).expect("t2 still waits").0.is_empty());
+        g.check_consistent().unwrap();
+    }
+
+    #[cfg(feature = "invariants")]
+    #[test]
+    #[should_panic(expected = "added waiting blocker")]
+    fn lemma_check_rejects_a_repoint_at_a_waiting_blocker() {
+        let g = EpochGraph::new();
+        let table = barging_grant(&g);
+        // Forge the state the lemma rules out: the grantee is waiting.
+        g.register_and_detect(t(3), e(1), &[t(9)], 64);
+        g.queue_changed(&table, e(0), None, &[]);
     }
 }

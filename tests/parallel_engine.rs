@@ -270,6 +270,49 @@ fn dense_cycles_on_eight_threads_resolve_in_one_session() {
     }
 }
 
+/// A parked waiter is woken only to run. 64 padded increments of one
+/// entity on 8 threads cannot deadlock, so every wait must end in exactly
+/// one wake — its promotion — under both grant policies, with the fast
+/// path on and off: a releaser re-points the rest of the queue silently.
+#[test]
+fn each_wait_on_a_hot_entity_ends_in_one_promotion_wake() {
+    let _cores = cores();
+    let a = EntityId::new(0);
+    let v = VarId::new(0);
+    // Sized like the other tests' pads, so the lock is held long enough
+    // for waiters to queue behind it.
+    const PAD: usize = 8_000;
+    let mut ops = vec![Op::LockExclusive(a), Op::Read { entity: a, into: v }];
+    ops.extend((0..PAD).map(|_| Op::Compute(Expr::add(Expr::var(v), Expr::lit(1)))));
+    ops.push(Op::Assign { var: v, expr: Expr::add(Expr::var(v), Expr::lit(1)) });
+    ops.push(Op::Write { entity: a, expr: Expr::var(v) });
+    ops.push(Op::Commit);
+    let programs = vec![TransactionProgram::try_from(ops).unwrap(); 64];
+    for policy in GrantPolicy::ALL {
+        for fast_path in [true, false] {
+            let mut system = SystemConfig::new(StrategyKind::Mcs, VictimPolicyKind::PartialOrder);
+            system.grant_policy = policy;
+            let config = ParConfig { threads: 8, shards: 4, system, fast_path };
+            let case = format!("{} / fast path {fast_path}", policy.name());
+            // Until some run has queued a waiter (a slow scheduler may
+            // serialise one), up to a cap.
+            let (mut runs, mut waits) = (0, 0);
+            while waits == 0 && runs < 20 {
+                let out = run_parallel(&programs, store_with(1, 0), &config)
+                    .unwrap_or_else(|err| panic!("{case}: {err}"));
+                assert_eq!(out.snapshot.get(a), Some(Value::new(64)), "{case}");
+                let m = &out.metrics;
+                assert_eq!(m.deadlocks, 0, "{case}: one entity cannot deadlock");
+                assert_eq!(m.wakes, m.waits, "{case}: wakes beyond one promotion per wait");
+                waits = m.waits;
+                runs += 1;
+            }
+            eprintln!("{case}: {waits} waits in run {runs}");
+            assert!(waits > 0, "{case}: no waiter ever queued");
+        }
+    }
+}
+
 /// The stamped access history orders conflicting grants: stamps are
 /// globally unique and, per entity, conflicting accesses carry strictly
 /// increasing stamps that agree with commit-time value flow.
