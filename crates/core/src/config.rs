@@ -7,23 +7,28 @@ use pr_lock::GrantPolicy;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StrategyKind {
     /// Total removal and restart — the baseline the paper improves on.
-    /// Single-copy workspace; every rollback goes to lock state 0.
+    /// One copy per entity (a workspace budget of 1); every rollback goes
+    /// to lock state 0.
     Total,
     /// Multi-lock copy strategy: per-lock-state value stacks allow rollback
     /// to *any* lock state, at up to `n(n+1)/2` copies (Theorem 3).
     Mcs,
-    /// State-dependency-graph strategy: single-copy workspace, rollback to
-    /// the deepest **well-defined** lock state at or below the ideal target
-    /// (Theorem 4) — total-rollback storage cost, near-MCS rollback depth.
+    /// State-dependency-graph strategy: one copy per entity and variable
+    /// (a workspace budget of 1), rollback to the deepest **well-defined**
+    /// lock state at or below the ideal target (Theorem 4) — total-rollback
+    /// storage cost, near-MCS rollback depth.
     Sdg,
     /// Bounded-copy MCS: version stacks capped at the given number of
     /// copies per entity/variable, evicting the oldest copy on overflow.
     /// Implements the extension proposed in the paper's closing paragraph
     /// ("the state-dependency graph implementation … can easily be
-    /// extended to allow more than one local copy"): budget 1 behaves
-    /// like the single-copy strategies, a large budget like full MCS,
-    /// and the sweep in between answers the paper's open question of how
-    /// bounded extra storage buys back well-defined states.
+    /// extended to allow more than one local copy"): a large budget
+    /// behaves like full MCS, and the sweep in between answers the paper's
+    /// open question of how bounded extra storage buys back well-defined
+    /// states. `Bounded(1)` runs exactly as [`StrategyKind::Sdg`], on the
+    /// same workspace; it differs only in the copy unit it reports
+    /// (Theorem 3's copies beyond each stack's base, where SDG reports
+    /// one per exclusively held entity).
     Bounded(u32),
     /// Transaction repair (Veldhuizen, arXiv 1403.5645): lock state rolls
     /// back exactly like MCS (to the conflicting access, §4's ideal

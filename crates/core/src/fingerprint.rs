@@ -37,7 +37,7 @@
 //! against the full exploration, never for the oracles.
 
 use crate::engine::System;
-use crate::runtime::{Phase, Workspace};
+use crate::runtime::Phase;
 use pr_model::TxnId;
 use std::fmt::Write;
 
@@ -97,16 +97,7 @@ pub fn canonical_state_relabeled(
             );
         }
         out.push('|');
-        match &rt.workspace {
-            Workspace::Mcs(ws) => {
-                out.push('M');
-                ws.encode_state(&mut out);
-            }
-            Workspace::Single(ws) => {
-                out.push('S');
-                ws.encode_state(&mut out);
-            }
-        }
+        rt.workspace.encode_state(&mut out);
         out.push('\n');
     }
 

@@ -20,7 +20,7 @@
 //! * a rollback strategy ([`config::StrategyKind`]) — **Total** (restart
 //!   from scratch, the baseline of the paper's refs \[7,10\]), **MCS**
 //!   (multi-lock copy stacks, §4, rollback to *any* lock state), or **SDG**
-//!   (single-copy workspace, whose first/last write per object is the
+//!   (one-copy workspace, whose evicted interval per object is the
 //!   state-dependency graph, §4; rollback to the deepest *well-defined*
 //!   lock state at or below the ideal target), and
 //! * a victim policy ([`config::VictimPolicyKind`]) — **MinCost** (the §3.1

@@ -151,7 +151,7 @@ pub struct Metrics {
     pub states_lost: u64,
     /// States lost *beyond* the ideal (MCS-reachable) target because the
     /// SDG strategy had to fall back to an earlier well-defined state —
-    /// the price of single-copy storage.
+    /// the price of one-copy storage.
     pub rollback_overshoot: u64,
     /// Wait responses issued.
     pub waits: u64,
@@ -167,7 +167,7 @@ pub struct Metrics {
     pub cutset_greedy: u64,
     /// Peak total local copies held across all live transactions at once
     /// (Theorem 3 accounting: stack elements beyond base for MCS, one per
-    /// exclusively held entity for single-copy strategies).
+    /// exclusively held entity for total rollback and SDG).
     pub peak_copies: usize,
     /// Times each transaction was chosen as a rollback victim.
     pub preemptions: BTreeMap<TxnId, u32>,

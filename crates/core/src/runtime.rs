@@ -1,13 +1,13 @@
 //! Per-transaction runtime state.
 //!
 //! A [`TxnRuntime`] tracks one executing transaction: its program counter,
-//! state index (operations executed), granted lock states and workspace
-//! (strategy-dependent). The workspace is also the state-dependency graph
-//! of §4: under SDG and bounded copies it knows which lock states it can
-//! restore ([`Workspace::deepest_restorable`]). The rollback procedure of
-//! §4 is implemented here, steps 2–5; the engine performs step 1
-//! (waiting/cancelling the transaction) and the lock releases, which need
-//! the lock table.
+//! state index (operations executed), granted lock states and workspace,
+//! whose copy budget the strategy sets. The workspace is also the
+//! state-dependency graph of §4: under SDG and bounded copies it knows
+//! which lock states it can restore ([`Workspace::deepest_restorable`]).
+//! The rollback procedure of §4 is implemented here, steps 2–5; the
+//! engine performs step 1 (waiting/cancelling the transaction) and the
+//! lock releases, which need the lock table.
 
 use crate::config::StrategyKind;
 use pr_graph::CandidateRollback;
@@ -15,7 +15,7 @@ use pr_model::TxnId;
 use pr_model::{
     EntityId, Expr, LockIndex, LockMode, Op, StateIndex, TransactionProgram, Value, VarId,
 };
-use pr_storage::{McsWorkspace, SingleCopyWorkspace, StorageError};
+use pr_storage::{StorageError, Workspace};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -87,66 +87,16 @@ pub struct RollbackReceipt {
     pub overshoot: u32,
 }
 
-/// Strategy-dependent workspace.
-#[derive(Clone, Debug)]
-pub enum Workspace {
-    /// Multi-lock copy stacks (MCS, §4).
-    Mcs(McsWorkspace),
-    /// One local copy per entity (total rollback and SDG, §4).
-    Single(SingleCopyWorkspace),
-}
-
-impl Workspace {
-    fn for_strategy(strategy: StrategyKind, initial_vars: &[Value]) -> Workspace {
-        match strategy {
-            StrategyKind::Mcs => Workspace::Mcs(McsWorkspace::new(initial_vars)),
-            StrategyKind::Bounded(k) => {
-                Workspace::Mcs(McsWorkspace::with_budget(initial_vars, Some(k as usize)))
-            }
-            StrategyKind::Total | StrategyKind::Sdg => {
-                Workspace::Single(SingleCopyWorkspace::new(initial_vars))
-            }
-            // Repair retains the prefix workspace across a rollback, so it
-            // needs the same any-lock-state version stacks as MCS.
-            StrategyKind::Repair => Workspace::Mcs(McsWorkspace::new(initial_vars)),
-        }
-    }
-
-    /// Current local-variable values for expression evaluation.
-    pub fn vars(&self) -> &[Value] {
-        match self {
-            Workspace::Mcs(w) => w.vars(),
-            Workspace::Single(w) => w.vars(),
-        }
-    }
-
-    /// Local copies currently held, in the units compared by the storage
-    /// experiments (stack elements beyond base for MCS; one per exclusive
-    /// entity for single-copy).
-    pub fn copies(&self) -> usize {
-        match self {
-            Workspace::Mcs(w) => w.copy_counts().total(),
-            Workspace::Single(w) => w.entity_copies(),
-        }
-    }
-
-    /// The deepest lock state at or below `q` the workspace can restore:
-    /// below every interval destroyed by single-copy writes (Theorem 4) or
-    /// by budget evictions.
-    pub fn deepest_restorable(&self, q: LockIndex) -> LockIndex {
-        match self {
-            Workspace::Mcs(w) => w.deepest_restorable(q),
-            Workspace::Single(w) => w.deepest_restorable(q),
-        }
-    }
-
-    /// Structural self-check of the underlying storage (stack ordering,
-    /// cached-value coherence), run by [`crate::kernel::Kernel::check_invariants`].
-    pub fn check_integrity(&self) -> Result<(), String> {
-        match self {
-            Workspace::Mcs(w) => w.check_integrity(),
-            Workspace::Single(w) => w.check_integrity(),
-        }
+/// The per-stack copy budget of `strategy`'s workspace (`None`:
+/// unbounded).
+fn copy_budget(strategy: StrategyKind) -> Option<usize> {
+    match strategy {
+        // Repair retains the prefix workspace across a rollback, so it
+        // needs the same any-lock-state version stacks as MCS.
+        StrategyKind::Mcs | StrategyKind::Repair => None,
+        // "Only one local copy of each entity" (§4).
+        StrategyKind::Total | StrategyKind::Sdg => Some(1),
+        StrategyKind::Bounded(k) => Some(k as usize),
     }
 }
 
@@ -250,7 +200,7 @@ pub struct TxnRuntime {
     pub shrinking: bool,
     /// Granted lock requests, in grant order; index = lock index.
     pub lock_states: Vec<LockStateInfo>,
-    /// Strategy-dependent local storage.
+    /// Local storage, with the strategy's copy budget.
     pub workspace: Workspace,
     /// Times this transaction was chosen as a victim.
     pub preemptions: u32,
@@ -273,7 +223,7 @@ impl TxnRuntime {
         entry_order: u64,
         strategy: StrategyKind,
     ) -> Self {
-        let workspace = Workspace::for_strategy(strategy, program.initial_vars());
+        let workspace = Workspace::with_budget(program.initial_vars(), copy_budget(strategy));
         let repair = (strategy == StrategyKind::Repair)
             .then(|| Box::new(RepairState::for_program_len(program.len())));
         TxnRuntime {
@@ -331,6 +281,19 @@ impl TxnRuntime {
         }
     }
 
+    /// Local copies currently held, in the unit the paper prices each
+    /// strategy's storage in: one per exclusively held entity under total
+    /// rollback and SDG ("only one local copy of each entity"), and
+    /// Theorem 3's copies beyond each stack's base under the others.
+    pub fn copies(&self) -> usize {
+        match self.strategy {
+            StrategyKind::Total | StrategyKind::Sdg => self.workspace.entity_stack_count(),
+            StrategyKind::Mcs | StrategyKind::Repair | StrategyKind::Bounded(_) => {
+                self.workspace.copy_counts().total()
+            }
+        }
+    }
+
     /// Completes a granted lock request: records the lock state, advances
     /// past the request op, and (for exclusive locks) takes the local copy
     /// of the entity's global value.
@@ -340,10 +303,7 @@ impl TxnRuntime {
         self.lock_states.push(info);
         self.held.insert(entity);
         if mode == LockMode::Exclusive {
-            match &mut self.workspace {
-                Workspace::Mcs(w) => w.on_exclusive_lock(entity, lock_state, global),
-                Workspace::Single(w) => w.on_exclusive_lock(entity, lock_state, global),
-            }
+            self.workspace.on_exclusive_lock(entity, lock_state, global);
         }
         if let Some(rep) = &mut self.repair {
             // Lock requests are always genuinely re-performed through the
@@ -364,20 +324,13 @@ impl TxnRuntime {
     /// exclusively, otherwise `fallback_global` (shared locks read the
     /// database's global value directly).
     pub fn read_entity(&self, entity: EntityId, fallback_global: Value) -> Value {
-        let local = match &self.workspace {
-            Workspace::Mcs(w) => w.read_entity(entity),
-            Workspace::Single(w) => w.read_entity(entity),
-        };
-        local.unwrap_or(fallback_global)
+        self.workspace.read_entity(entity).unwrap_or(fallback_global)
     }
 
     /// Records a write of `value` to `entity` at the current lock index.
     pub fn write_entity(&mut self, entity: EntityId, value: Value) -> Result<(), StorageError> {
         let li = self.lock_index();
-        match &mut self.workspace {
-            Workspace::Mcs(w) => w.write_entity(entity, li, value)?,
-            Workspace::Single(w) => w.write_entity(entity, li, value)?,
-        }
+        self.workspace.write_entity(entity, li, value)?;
         self.advance();
         Ok(())
     }
@@ -385,10 +338,7 @@ impl TxnRuntime {
     /// Records an assignment of `value` to local variable `var`.
     pub fn assign_var(&mut self, var: VarId, value: Value) -> Result<(), StorageError> {
         let li = self.lock_index();
-        match &mut self.workspace {
-            Workspace::Mcs(w) => w.assign_var(var, li, value)?,
-            Workspace::Single(w) => w.assign_var(var, li, value)?,
-        }
+        self.workspace.assign_var(var, li, value)?;
         self.advance();
         Ok(())
     }
@@ -398,10 +348,7 @@ impl TxnRuntime {
     pub fn complete_unlock(&mut self, entity: EntityId) -> Option<Value> {
         self.shrinking = true;
         self.held.remove(&entity);
-        let published = match &mut self.workspace {
-            Workspace::Mcs(w) => w.on_unlock(entity),
-            Workspace::Single(w) => w.on_unlock(entity),
-        };
+        let published = self.workspace.on_unlock(entity);
         self.advance();
         published
     }
@@ -671,10 +618,7 @@ impl TxnRuntime {
     pub fn rollback_to(&mut self, target: LockIndex) -> Result<Vec<LockStateInfo>, StorageError> {
         debug_assert!(!self.shrinking, "two-phase transactions never roll back after unlock");
         debug_assert!(target.index() <= self.lock_states.len());
-        match &mut self.workspace {
-            Workspace::Mcs(w) => w.rollback_to(target)?,
-            Workspace::Single(w) => w.rollback_to(target)?,
-        };
+        self.workspace.rollback_to(target)?;
         let released = self.lock_states.split_off(target.index());
         for ls in &released {
             self.held.remove(&ls.entity);
@@ -733,11 +677,6 @@ impl TxnRuntime {
     /// Whether this transaction may still be rolled back.
     pub fn rollbackable(&self) -> bool {
         !self.shrinking && matches!(self.phase, Phase::Running | Phase::Blocked)
-    }
-
-    /// Local copies currently held.
-    pub fn copies(&self) -> usize {
-        self.workspace.copies()
     }
 }
 

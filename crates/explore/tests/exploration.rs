@@ -73,15 +73,17 @@ fn grid_exercises_multi_cycle_deadlocks() {
     assert!(multi > 0, "no multi-cycle deadlock was audited — §3.2 oracle never ran");
 }
 
-/// Total, MCS and SDG rollback must produce exactly the same set of
-/// terminal outcomes (committed set + final snapshot) over ALL schedules
-/// of every grid case.
+/// Total, MCS, SDG and bounded-copy rollback must produce exactly the
+/// same set of terminal outcomes (committed set + final snapshot) over ALL
+/// schedules of every grid case. `Bounded(2)` runs the workspace at a
+/// budget above one copy. A grid program writes each object at no more
+/// than two lock indices, so only SDG's one-copy stacks evict here.
 #[test]
 fn strategies_are_outcome_equivalent_over_all_schedules() {
     for case in grid_cases(3) {
         let reference =
             explore_grid(&case, StrategyKind::Total, VictimPolicyKind::PartialOrder).outcome_set();
-        for strategy in [StrategyKind::Mcs, StrategyKind::Sdg] {
+        for strategy in [StrategyKind::Mcs, StrategyKind::Sdg, StrategyKind::Bounded(2)] {
             let got = explore_grid(&case, strategy, VictimPolicyKind::PartialOrder).outcome_set();
             assert_eq!(
                 got, reference,

@@ -12,14 +12,15 @@
 //!
 //! * The **state-dependency graph** of §4: one vertex per lock state of a
 //!   single transaction, with write-dependency edges. Its non-spanned
-//!   vertices are the **well-defined** states a single-copy workspace can
+//!   vertices are the **well-defined** states a one-copy workspace can
 //!   actually roll back to (Theorem 4). At run time the workspace itself
-//!   answers that (`pr_storage::SingleCopyWorkspace`): every write to one
-//!   object spans the same interval of lock states, so a first/last write
-//!   pair per object is the whole graph. The [`articulation`] module
-//!   implements the paper's articulation-point characterisation
-//!   (Corollary 1) over a program's static edges, and the property tests
-//!   prove it agrees with the interval method of `pr_model::analysis`.
+//!   answers that (`pr_storage::Workspace` at a copy budget of 1): every
+//!   write to one object spans the same interval of lock states, so each
+//!   one-copy stack's evicted interval `[first write, last write)` is the
+//!   whole graph. The [`articulation`] module implements the paper's
+//!   articulation-point characterisation (Corollary 1) over a program's
+//!   static edges, and the property tests prove it agrees with the
+//!   interval method of `pr_model::analysis`.
 //!
 //! The [`cutset`] module solves the optimisation problem of §3.2 — choose a
 //! set of victims (with per-victim rollback depths) of minimum total cost

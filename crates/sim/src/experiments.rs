@@ -343,7 +343,7 @@ pub struct BudgetRow {
 /// problem of determining how to allocate a bounded amount of extra
 /// storage to the entities in order to maximize the number of well-defined
 /// states". Sweeping the per-entity copy budget interpolates between the
-/// single-copy SDG strategy and full MCS: overshoot falls monotonically as
+/// one-copy SDG strategy and full MCS: overshoot falls monotonically as
 /// the budget grows, copies rise.
 pub fn budget_sweep(budgets: &[u32], seeds: u64) -> Vec<BudgetRow> {
     let mut strategies = vec![StrategyKind::Sdg];
@@ -677,8 +677,13 @@ mod tests {
         }
         // …and MCS ends at zero.
         assert_eq!(rows.last().unwrap().overshoot, 0.0);
-        // Copies grow with the budget (bounded-1 vs mcs at least).
+        // SDG is the budget-1 workspace: the same rollbacks, so the same
+        // overshoot and states lost (only the copy unit differs).
+        let sdg = rows.iter().find(|r| r.strategy == "sdg").unwrap();
         let b1 = rows.iter().find(|r| r.strategy == "bounded-1").unwrap();
+        assert!(sdg.overshoot > 0.0, "the sweep must exercise overshoot");
+        assert_eq!((sdg.overshoot, sdg.states_lost), (b1.overshoot, b1.states_lost));
+        // Copies grow with the budget (bounded-1 vs mcs at least).
         let mcs = rows.iter().find(|r| r.strategy == "mcs").unwrap();
         assert!(mcs.peak_copies > b1.peak_copies);
     }

@@ -10,7 +10,7 @@
 //!
 //! We verify this with **three independent mechanisms**: the static
 //! analyser, the articulation-point algorithm (Corollary 1), and the
-//! engine's single-copy workspace during actual execution.
+//! engine's one-copy workspace during actual execution.
 
 use super::entity;
 use pr_core::{StrategyKind, System, SystemConfig, VictimPolicyKind};

@@ -1,4 +1,4 @@
-//! The value stacks of the multi-lock copy strategy (MCS, §4).
+//! The value stacks of a transaction workspace (§4).
 //!
 //! "Each stack element has two fields, a value field and an index field. …
 //! The system then pushes a new element onto the stack for a given lock
@@ -16,7 +16,7 @@
 //!
 //! The base element lives inline; the `extras` vector exists only once a
 //! write actually creates a second version. Creating a stack therefore
-//! allocates nothing — MCS creates one stack per exclusive lock, and on
+//! allocates nothing — the workspace creates one stack per exclusive lock, and on
 //! the multi-threaded engine's uncontended hot path that per-lock heap
 //! allocation was pure overhead for the (common) transactions that never
 //! roll back past their first write.

@@ -53,7 +53,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`model`] | ids, values, the operation algebra, programs, validation, static analysis |
-//! | [`storage`] | the global store, MCS version stacks, single-copy workspaces (which double as the runtime state-dependency graph) |
+//! | [`storage`] | the global store and the transaction workspace of version stacks under a copy budget (unbounded for MCS; at one copy it doubles as the runtime state-dependency graph) |
 //! | [`lock`] | the shared/exclusive lock table |
 //! | [`graph`] | waits-for graph, cycle enumeration, min-cost cut sets, the articulation-point check of well-defined states |
 //! | [`core`] | the transition kernel and the execution engine: strategies, victim policies, metrics |

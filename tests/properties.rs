@@ -3,10 +3,11 @@
 //! The crown jewel is **replay equivalence**: executing a transaction,
 //! rolling it back to any strategy-reachable lock state, and re-executing
 //! must produce exactly the same final values as an uninterrupted run —
-//! for both the MCS stacks and the single-copy/SDG workspace. This is the
+//! for the one workspace at each copy budget the strategies give it:
+//! unbounded (MCS), one copy (SDG) and `k` copies (bounded). This is the
 //! §2/§4 correctness contract of the rollback operation itself. Along the
-//! way the workspaces' own account of which lock states they can restore
-//! is checked against the static analysis of the executed prefix.
+//! way the workspace's own account of which lock states it can restore is
+//! checked against the static analysis of the executed prefix.
 
 use partial_rollback::core::runtime::TxnRuntime;
 use partial_rollback::core::StrategyKind;
