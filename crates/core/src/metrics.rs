@@ -193,12 +193,11 @@ pub struct Metrics {
     /// (committed transactions only). In a clean pure-Repair run,
     /// `ops_replayed + ops_reused == states_lost`.
     pub ops_reused: u64,
-    /// Parks that ended on the poll timeout rather than on a wake
-    /// (parallel engine only; the deterministic engine never parks).
-    pub poll_timeouts: u64,
     /// Wakes sent to parked workers, counted by the waking worker: one per
     /// promoted waiter and one per rollback victim other than the resolver
-    /// itself (parallel engine only).
+    /// itself (parallel engine only). A parked worker has no timeout, so
+    /// these are its only wakes, apart from the uncounted ones that stop
+    /// a failed batch.
     pub wakes: u64,
     /// Microseconds a resolver spent blocked capturing a cycle's slots,
     /// one sample per capture (parallel engine only).
@@ -299,7 +298,6 @@ impl Metrics {
             repair_suffix,
             ops_replayed,
             ops_reused,
-            poll_timeouts,
             wakes,
             capture_wait,
         } = other;
@@ -328,7 +326,6 @@ impl Metrics {
         self.repair_suffix.merge(repair_suffix);
         self.ops_replayed += ops_replayed;
         self.ops_reused += ops_reused;
-        self.poll_timeouts += poll_timeouts;
         self.wakes += wakes;
         self.capture_wait.merge(capture_wait);
     }
@@ -569,7 +566,6 @@ mod tests {
             states_lost: 7,
             certified_waits: 4,
             peak_copies: 3,
-            poll_timeouts: 2,
             wakes: 4,
             ..Default::default()
         };
@@ -583,7 +579,6 @@ mod tests {
             states_lost: 2,
             certified_waits: 6,
             peak_copies: 9,
-            poll_timeouts: 5,
             wakes: 1,
             ..Default::default()
         };
@@ -604,7 +599,6 @@ mod tests {
         assert_eq!(a.queue_depth_high_water[&EntityId::new(0)], 4);
         assert_eq!(a.grant_latency.count(), 2);
         assert_eq!(a.grant_latency.sum(), 24);
-        assert_eq!(a.poll_timeouts, 7);
         assert_eq!(a.wakes, 5);
         assert_eq!(a.capture_wait.count(), 3);
         assert_eq!(a.capture_wait.sum(), 340);

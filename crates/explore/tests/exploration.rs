@@ -13,7 +13,7 @@ use pr_core::engine::System;
 use pr_core::fingerprint::canonical_state;
 use pr_explore::explorer::{explore, replay_lines, ExploreOptions, ExploreReport};
 use pr_explore::grid::{figure2_prefix_system, grid_cases, grid_store, GridCase};
-use pr_model::{EntityId, ProgramBuilder, TxnId, Value};
+use pr_model::{EntityId, Expr, ProgramBuilder, TxnId, Value, VarId};
 use pr_storage::{GlobalStore, Snapshot};
 use std::collections::BTreeSet;
 
@@ -30,15 +30,50 @@ fn explore_grid(
     strategy: StrategyKind,
     policy: VictimPolicyKind,
 ) -> ExploreReport {
-    let report = explore(&grid_system(case, strategy, policy), &ExploreOptions::default());
-    assert!(report.complete, "{}: state space must be fully enumerated", case.name);
-    assert!(
-        report.findings.is_empty(),
-        "{} [{strategy:?}/{policy:?}]: {:?}",
-        case.name,
-        report.findings
-    );
+    let name = format!("{} [{strategy:?}/{policy:?}]", case.name);
+    explore_checked(&name, &grid_system(case, strategy, policy))
+}
+
+/// Explores every schedule of `sys`, asserting the enumeration completed
+/// with the oracles silent.
+fn explore_checked(name: &str, sys: &System) -> ExploreReport {
+    let report = explore(sys, &ExploreOptions::default());
+    assert!(report.complete, "{name}: state space must be fully enumerated");
+    assert!(report.findings.is_empty(), "{name}: {:?}", report.findings);
     report
+}
+
+/// A workload on which `Bounded(2)` really evicts. The youngest
+/// transaction writes `a`, and reads it into `v0`, at lock indices 1, 2
+/// and 3, after locking `a`, `b` and `c`; two copies cannot keep lock
+/// state 1, one copy keeps neither 1 nor 2. Each older transaction holds
+/// `d` while it requests `b` or `c`, so a deadlock rolls the writer back
+/// toward lock state 1 or 2, and its replay reads `a` back: a rollback
+/// into an evicted state would change the final snapshot.
+fn eviction_system(strategy: StrategyKind) -> System {
+    let [a, b, c, d] = [0, 1, 2, 3].map(EntityId::new);
+    let v0 = VarId::new(0);
+    let bump = |p: ProgramBuilder, step: i64| {
+        p.read(a, v0).write(a, Expr::add(Expr::var(v0), Expr::lit(step)))
+    };
+    let contender = |want: EntityId, value: i64| {
+        ProgramBuilder::new()
+            .lock_exclusive(d)
+            .write_const(d, value)
+            .lock_exclusive(want)
+            .write_const(want, value)
+    };
+    let writer = bump(ProgramBuilder::new().lock_exclusive(a), 1);
+    let writer = bump(writer.lock_exclusive(b), 10);
+    let writer = bump(writer.lock_exclusive(c), 100).lock_exclusive(d).write(d, Expr::var(v0));
+    let mut sys = System::new(
+        GlobalStore::with_entities(4, Value::new(0)),
+        SystemConfig::new(strategy, VictimPolicyKind::PartialOrder),
+    );
+    for p in [contender(b, 7), contender(c, 9), writer] {
+        sys.admit(p.build().expect("valid program")).expect("admitted");
+    }
+    sys
 }
 
 /// The full 3-transaction × 2-entity grid enumerates completely under the
@@ -75,15 +110,17 @@ fn grid_exercises_multi_cycle_deadlocks() {
 
 /// Total, MCS, SDG and bounded-copy rollback must produce exactly the
 /// same set of terminal outcomes (committed set + final snapshot) over ALL
-/// schedules of every grid case. `Bounded(2)` runs the workspace at a
-/// budget above one copy. A grid program writes each object at no more
-/// than two lock indices, so only SDG's one-copy stacks evict here.
+/// schedules of every grid case and of [`eviction_system`]. `Bounded(2)`
+/// runs the workspace at a budget above one copy. A grid program writes
+/// each object at no more than two lock indices, so there only SDG's
+/// one-copy stacks evict; the eviction case makes `Bounded(2)` evict too.
 #[test]
 fn strategies_are_outcome_equivalent_over_all_schedules() {
+    let strategies = [StrategyKind::Mcs, StrategyKind::Sdg, StrategyKind::Bounded(2)];
     for case in grid_cases(3) {
         let reference =
             explore_grid(&case, StrategyKind::Total, VictimPolicyKind::PartialOrder).outcome_set();
-        for strategy in [StrategyKind::Mcs, StrategyKind::Sdg, StrategyKind::Bounded(2)] {
+        for strategy in strategies {
             let got = explore_grid(&case, strategy, VictimPolicyKind::PartialOrder).outcome_set();
             assert_eq!(
                 got, reference,
@@ -92,6 +129,32 @@ fn strategies_are_outcome_equivalent_over_all_schedules() {
             );
         }
     }
+    let explore_eviction =
+        |strategy| explore_checked(&format!("eviction [{strategy:?}]"), &eviction_system(strategy));
+    let reference = explore_eviction(StrategyKind::Total).outcome_set();
+    for strategy in strategies {
+        assert_eq!(
+            explore_eviction(strategy).outcome_set(),
+            reference,
+            "eviction: {strategy:?} reaches different terminal outcomes than Total"
+        );
+    }
+    // The case has teeth. Scripted: a contender takes `d`, the writer runs
+    // until it blocks on `d`, and the contender's request for `b` (T1) or
+    // `c` (T2) closes the cycle, rolling the writer back toward lock state
+    // 1 or 2. State 1 is evicted under both budgets, state 2 only under
+    // SDG's one copy.
+    let overshoots = |strategy, contender| {
+        let (t, writer) = (TxnId::new(contender), TxnId::new(3));
+        let mut sys = eviction_system(strategy);
+        for step in [t, t].into_iter().chain([writer; 10]).chain([t]) {
+            sys.step(step).expect("scripted step");
+        }
+        assert_eq!(sys.metrics().deadlocks, 1, "{strategy:?}: the script deadlocks");
+        sys.metrics().rollback_overshoot > 0
+    };
+    let got = strategies.map(|strategy| (overshoots(strategy, 1), overshoots(strategy, 2)));
+    assert_eq!(got, [(false, false), (true, true), (true, false)], "overshoots per strategy");
 }
 
 /// Repair over the full 56-case grid: every case enumerates completely

@@ -41,9 +41,12 @@
 //! rolled it back. Re-pointing its arcs at new blockers is silent, since
 //! a re-point never closes a cycle (see [`EpochGraph::queue_changed`]).
 //! Wakes are lock-free ([`TxnSlot::wake`]) and therefore never dropped.
-//! Parked workers still re-poll the authoritative shard state on a short
-//! timeout as a safety net; a worker blocked past the watchdog limit
-//! fails the run with [`ParError::Stuck`] rather than hanging.
+//! A parked worker has no poll timeout: every cycle is closed by a wait,
+//! and the waiter that closes it keeps resolving until no cycle passes
+//! through it, so nobody else needs to re-detect. A worker that fails the
+//! batch wakes every slot, so its parked siblings stop at once. A worker
+//! parked past the watchdog limit fails the run with [`ParError::Stuck`]
+//! rather than hanging.
 //!
 //! ## Resolution
 //!
@@ -83,15 +86,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Park timeout: the cadence at which blocked workers re-poll the shard
-/// and re-run detection. With lock-free wakes this is a pure safety net,
-/// not the wake mechanism.
-const POLL: Duration = Duration::from_millis(2);
-
-/// Consecutive empty polls before a blocked worker declares the run
-/// stuck (~10 s) — converts any liveness bug into a failed run instead
-/// of a hang.
-const STUCK_POLLS: u32 = 5_000;
+/// How long a blocked worker stays parked without a wake before it fails
+/// the run with [`ParError::Stuck`]: a liveness bug becomes a failed run
+/// instead of a hang.
+const WATCHDOG: Duration = Duration::from_secs(10);
 
 /// One batch's shared state, handed to every worker of the batch.
 struct Core {
@@ -146,9 +144,15 @@ impl Core {
         &self.slots[(txn.raw() - 1 - self.txn_base) as usize]
     }
 
+    /// Records the batch's first error and stops every worker, waking
+    /// each slot so a parked worker sees the abort now, not at the
+    /// watchdog.
     fn fail(&self, e: ParError) {
         self.abort.store(true, Ordering::Release);
         self.error.lock().expect("error mutex poisoned").get_or_insert(e);
+        for slot in &self.slots {
+            slot.wake();
+        }
     }
 
     fn aborted(&self) -> bool {
@@ -341,7 +345,6 @@ impl Core {
                 }
             }
         }
-        let mut idle_polls: u32 = 0;
         loop {
             if self.aborted() {
                 return Ok(g);
@@ -363,44 +366,25 @@ impl Core {
                     return Ok(g);
                 }
             }
-            if !cycles.is_empty() {
-                let resolved;
-                (g, resolved) = self.resolve(g, id, entity, &cycles, local)?;
-                if resolved {
-                    idle_polls = 0;
-                }
-                cycles = self.refreshed(id, cap);
-                continue;
+            if cycles.is_empty() {
+                // Woken when granted, rolled back or aborted, as the loop
+                // top checks, or by a stale hint from an earlier wait. No
+                // re-detection: the wait that closes a cycle sees it.
+                #[cfg(feature = "invariants")]
+                assert!(!self.wfg.is_resolving(id), "{id} parked while resolving a deadlock");
+                g = slot.park(g, WATCHDOG).ok_or(ParError::Stuck { txn: id })?;
+            } else {
+                g = self.resolve(g, id, entity, &cycles, local)?;
+                // Empty once `id` no longer waits.
+                cycles = self.wfg.redetect(id, cap).map(|(c, _)| c).unwrap_or_default();
             }
-            let (g2, woken) = slot.park(g, POLL);
-            g = g2;
-            if woken {
-                // Granted or rolled back, as the loop top checks, or a
-                // stale hint from an earlier wait. No need to re-detect:
-                // the wait that closes a cycle sees it.
-                idle_polls = 0;
-                continue;
-            }
-            local.poll_timeouts += 1;
-            idle_polls += 1;
-            if idle_polls >= STUCK_POLLS {
-                return Err(ParError::Stuck { txn: id });
-            }
-            // The watchdog net: re-detect after every timeout.
-            cycles = self.refreshed(id, cap);
         }
     }
 
-    /// Current cycles through `id`'s registered wait, or empty if it no
-    /// longer waits.
-    fn refreshed(&self, id: TxnId, cap: usize) -> Vec<Cycle> {
-        self.wfg.redetect(id, cap).map(|(cycles, _)| cycles).unwrap_or_default()
-    }
-
     /// Resolves the deadlock `cycles` report for `id`, blocked on
-    /// `entity` (see the module docs). Returns `id`'s guard and whether a
-    /// plan ran; `false` sends the caller straight back to re-detect —
-    /// and so to retry with the fresh members — or to park.
+    /// `entity` (see the module docs), and returns `id`'s guard. Whether
+    /// or not a plan ran, the caller re-detects next: to retry with the
+    /// fresh members, or to find no cycle left and park.
     fn resolve<'a>(
         &'a self,
         g: MutexGuard<'a, SlotState>,
@@ -408,7 +392,7 @@ impl Core {
         entity: EntityId,
         cycles: &[Cycle],
         local: &mut Metrics,
-    ) -> Result<(MutexGuard<'a, SlotState>, bool), ParError> {
+    ) -> Result<MutexGuard<'a, SlotState>, ParError> {
         let members: BTreeSet<TxnId> = cycles.iter().flat_map(Cycle::txns).chain([id]).collect();
         let mut held = Vec::with_capacity(members.len());
         // Our own guard may stay only if it comes first in id order;
@@ -424,7 +408,7 @@ impl Core {
         let at = held.iter().position(|(m, _)| *m == id).expect("own slot is captured");
         // Rolled back by another resolver while our slot was released.
         if held[at].1.rt.phase != Phase::Blocked {
-            return Ok((held.swap_remove(at).1, false));
+            return Ok(held.swap_remove(at).1);
         }
         let (fresh, epoch) =
             self.wfg.redetect(id, self.config.system.cycle_cap).unwrap_or_default();
@@ -439,7 +423,7 @@ impl Core {
             || self.wfg.epoch() != epoch
             || !fresh_members.iter().all(blocked)
         {
-            return Ok((held.swap_remove(at).1, false));
+            return Ok(held.swap_remove(at).1);
         }
         let plan = {
             let view: BTreeMap<TxnId, &TxnRuntime> =
@@ -471,7 +455,7 @@ impl Core {
         let g = held.swap_remove(at).1;
         drop(held);
         self.wake_all(to_wake, local);
-        Ok((g, true))
+        Ok(g)
     }
 
     /// Executes one planned rollback. Returns the states actually lost.

@@ -117,8 +117,9 @@ pub enum ParError {
         /// The out-of-range program counter.
         pc: usize,
     },
-    /// A blocked transaction made no progress for the watchdog limit —
-    /// a liveness bug (missed wake plus failed re-detection).
+    /// A blocked transaction stayed parked, with no wake, for the
+    /// watchdog limit — a liveness bug: a lost wake, or a cycle nobody
+    /// resolved. Nothing re-detects on the way to this error.
     Stuck {
         /// The starved transaction.
         txn: TxnId,

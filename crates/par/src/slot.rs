@@ -24,29 +24,25 @@
 //!
 //! ## Wakes are never lost
 //!
-//! The old protocol (condvar + a `wake` flag inside the slot mutex,
-//! delivered via a best-effort try-lock) silently **dropped** a wake
-//! whenever the target's slot was busy — e.g. while the target was itself
-//! mid-resolution — costing a full 2 ms poll each time. Under Zipf-skewed
-//! contention those serial handoff chains were the 8-thread collapse
-//! recorded in EXPERIMENTS.md T6. The replacement is lock-free:
-//!
 //! * [`TxnSlot::wake`] stores a release [`AtomicBool`] hint and unparks
 //!   the claiming thread. It touches no mutex, so it can be called from
 //!   anywhere — including while holding shard guards or the target's own
 //!   slot guard — and can never be dropped.
 //! * [`TxnSlot::park`] re-checks the hint *after* releasing the slot
-//!   guard and again after parking; `std::thread` unpark permits make the
-//!   store-check-park interleaving race-free: a wake arriving between the
-//!   check and the park leaves a permit, so the park returns immediately.
+//!   guard and after every return from the OS park; `std::thread` unpark
+//!   permits make the store-check-park interleaving race-free: a wake
+//!   arriving between the check and the park leaves a permit, so the park
+//!   returns immediately. A permit or unpark without the hint — left by
+//!   the thread's earlier transaction, or spurious — parks again.
 //!
-//! Only two events wake a parked worker: a releaser promoting its request,
-//! and a resolver rolling it back. Re-pointing its arcs at new blockers
-//! does not, because a re-point never closes a cycle (the lemma on
-//! `pr_core`'s `Kernel::repoint_waiters`). The hint remains a *hint*, not
-//! a handoff: waiters re-check the authoritative shard state (am I a
-//! holder now? was I rolled back?) whenever they wake, and still poll on
-//! a timeout as a belt-and-braces fallback.
+//! A parked worker is woken only to run — by a releaser promoting its
+//! request, or a resolver rolling it back — or to stop, when its batch
+//! fails. Re-pointing its arcs at new blockers does not wake it, because
+//! a re-point never closes a cycle (the lemma on `pr_core`'s
+//! `Kernel::repoint_waiters`). The hint remains a *hint*, not a handoff:
+//! waiters re-check the authoritative shard state (am I a holder now?
+//! was I rolled back?) whenever they wake. A park has no poll timeout,
+//! only a watchdog that turns a liveness bug into a failed run.
 
 use pr_core::runtime::TxnRuntime;
 use pr_model::{EntityId, TxnId};
@@ -54,7 +50,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread::Thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Mutable per-transaction state, all behind the slot mutex.
 pub struct SlotState {
@@ -104,27 +100,27 @@ impl TxnSlot {
         self.state.lock().expect("slot mutex poisoned")
     }
 
-    /// Parks the claiming thread for at most `timeout`, releasing the
-    /// guard while parked. Returns the re-acquired guard and whether a
-    /// wake hint was consumed (`false` ⇒ the wait timed out, the caller's
-    /// cue to re-poll the shard defensively).
+    /// Parks the claiming thread until [`Self::wake`] sets the hint,
+    /// releasing the guard while parked, and returns the re-acquired
+    /// guard — or `None` if `watchdog` expires first.
     ///
     /// Must only be called by the thread that [`Self::claim`]ed the slot:
     /// the wake protocol unparks exactly that thread.
     pub fn park<'a>(
         &'a self,
         guard: MutexGuard<'a, SlotState>,
-        timeout: std::time::Duration,
-    ) -> (MutexGuard<'a, SlotState>, bool) {
+        watchdog: Duration,
+    ) -> Option<MutexGuard<'a, SlotState>> {
         drop(guard);
-        let mut woken = self.hint.swap(false, Ordering::AcqRel);
-        if !woken {
-            // A wake between the swap above and this park leaves an unpark
-            // permit, so the park returns immediately — no lost-wake window.
-            std::thread::park_timeout(timeout);
-            woken = self.hint.swap(false, Ordering::AcqRel);
+        let deadline = Instant::now() + watchdog;
+        while !self.hint.swap(false, Ordering::AcqRel) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return None;
+            }
+            std::thread::park_timeout(left);
         }
-        (self.lock(), woken)
+        Some(self.lock())
     }
 
     /// Wakes the transaction's worker: sets the hint and unparks the
@@ -204,9 +200,9 @@ mod tests {
     fn park_times_out_without_wake() {
         let s = slot();
         s.claim();
-        let g = s.lock();
-        let (_g, woken) = s.park(g, Duration::from_millis(1));
-        assert!(!woken);
+        let start = Instant::now();
+        assert!(s.park(s.lock(), Duration::from_millis(20)).is_none());
+        assert!(start.elapsed() >= Duration::from_millis(20), "the watchdog expired early");
     }
 
     #[test]
@@ -214,31 +210,25 @@ mod tests {
         let s = slot();
         s.claim();
         s.wake();
-        let g = s.lock();
         let start = Instant::now();
-        let (_g, woken) = s.park(g, Duration::from_secs(30));
-        assert!(woken);
+        assert!(s.park(s.lock(), Duration::from_secs(30)).is_some());
         assert!(start.elapsed() < Duration::from_secs(5), "park slept through a pending wake");
     }
 
-    /// Regression test for the contention collapse: the old best-effort
-    /// `try_wake` silently dropped the hint whenever the target's slot
-    /// mutex was held — exactly the resolver-handoff window — leaving the
-    /// waiter to sleep out its full poll. The lock-free protocol must
-    /// deliver a wake issued *while the slot is locked* so the very next
-    /// park returns immediately.
+    /// Regression test for the contention collapse of a best-effort wake
+    /// that was dropped whenever the target's slot mutex was held —
+    /// exactly the resolver-handoff window. A wake issued *while the slot
+    /// is locked* must make the very next park return immediately.
     #[test]
     fn wake_is_never_lost_even_while_slot_is_busy() {
         let s = slot();
         s.claim();
         let g = s.lock();
-        // Waker fires while the slot mutex is held (old code: dropped).
         std::thread::scope(|scope| {
             scope.spawn(|| s.wake());
         });
         let start = Instant::now();
-        let (_g, woken) = s.park(g, Duration::from_secs(30));
-        assert!(woken, "wake issued while the slot was busy was lost");
+        assert!(s.park(g, Duration::from_secs(30)).is_some(), "wake issued while busy was lost");
         assert!(start.elapsed() < Duration::from_secs(5));
     }
 
@@ -248,20 +238,51 @@ mod tests {
         std::thread::scope(|scope| {
             let parked = scope.spawn(|| {
                 s.claim();
-                let mut woken = false;
-                let mut g = s.lock();
-                for _ in 0..1000 {
-                    let (g2, w) = s.park(g, Duration::from_millis(50));
-                    g = g2;
-                    if w {
-                        woken = true;
-                        break;
-                    }
-                }
-                woken
+                s.park(s.lock(), Duration::from_secs(30)).is_some()
             });
             s.wake();
             assert!(parked.join().unwrap(), "wake hint never arrived");
         });
+    }
+
+    /// An unpark that carries no hint — spurious, or aimed at the thread
+    /// for another reason — does not end the park; the hint then does.
+    #[test]
+    fn a_bare_unpark_does_not_end_the_park() {
+        let s = slot();
+        let returned = AtomicBool::new(false);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let parked = scope.spawn(|| {
+                s.claim();
+                tx.send(std::thread::current()).unwrap();
+                let woken = s.park(s.lock(), Duration::from_secs(30)).is_some();
+                returned.store(true, Ordering::SeqCst);
+                woken
+            });
+            let owner = rx.recv().unwrap();
+            for _ in 0..3 {
+                owner.unpark();
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            assert!(!returned.load(Ordering::SeqCst), "a bare unpark ended the park");
+            s.wake();
+            assert!(parked.join().unwrap(), "the hint did not end the park");
+        });
+    }
+
+    /// A worker thread runs many transactions. A wake that reaches its
+    /// earlier transaction after that one stopped waiting leaves an unpark
+    /// permit behind; the next transaction's park must not take it for
+    /// its own wake.
+    #[test]
+    fn a_stale_permit_from_an_earlier_transaction_does_not_end_the_park() {
+        let (earlier, later) = (slot(), slot());
+        earlier.claim();
+        later.claim();
+        earlier.wake(); // the permit now sits on this thread
+        let start = Instant::now();
+        assert!(later.park(later.lock(), Duration::from_millis(50)).is_none());
+        assert!(start.elapsed() >= Duration::from_millis(50), "the stale permit ended the park");
     }
 }

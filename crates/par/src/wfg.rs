@@ -1,7 +1,7 @@
 //! The concurrent waits-for graph with epoch-stamped cycle detection.
 //!
 //! One mutex protects the whole graph plus a monotone **epoch** counter
-//! that is bumped on every arc mutation. Two properties make this safe:
+//! that is bumped on every arc mutation. Three properties make this safe:
 //!
 //! * **Detection is atomic with registration.** A blocking transaction's
 //!   arcs are added and cycles through them detected inside one critical
@@ -17,6 +17,14 @@
 //!   release — impossible while the members' slots are held). Stale epoch
 //!   ⇒ release the slots and re-detect at once.
 //!
+//! * **Every cycle has a resolver.** A re-point never closes a cycle
+//!   ([`EpochGraph::queue_changed`]), so every cycle is closed by a wait,
+//!   whose waiter detects it at registration and keeps resolving and
+//!   re-detecting until no cycle passes through it. That is why a parked
+//!   waiter never needs to re-detect. The `invariants` build tracks the
+//!   resolving waiters and asserts the claim after every detection and
+//!   queue change.
+//!
 //! Lock order: the graph mutex is the **innermost** lock — acquired while
 //! holding a shard mutex (arc maintenance accompanies queue changes) or
 //! nothing, and never acquires anything itself.
@@ -25,11 +33,17 @@ use pr_graph::cycles::cycles_on_wait;
 use pr_graph::{Cycle, WaitsForGraph};
 use pr_lock::{HeldLock, LockTable};
 use pr_model::{EntityId, TxnId};
+#[cfg(feature = "invariants")]
+use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 struct Inner {
     graph: WaitsForGraph,
     epoch: u64,
+    /// Waiters whose latest detection found cycles: each is resolving
+    /// until a later detection finds none or its wait ends.
+    #[cfg(feature = "invariants")]
+    resolving: BTreeSet<TxnId>,
 }
 
 /// The shared waits-for graph.
@@ -46,7 +60,14 @@ impl Default for EpochGraph {
 impl EpochGraph {
     /// An empty graph at epoch 0.
     pub fn new() -> Self {
-        EpochGraph { inner: Mutex::new(Inner { graph: WaitsForGraph::new(), epoch: 0 }) }
+        EpochGraph {
+            inner: Mutex::new(Inner {
+                graph: WaitsForGraph::new(),
+                epoch: 0,
+                #[cfg(feature = "invariants")]
+                resolving: BTreeSet::new(),
+            }),
+        }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -75,14 +96,16 @@ impl EpochGraph {
         let cycles = cycles_on_wait(&inner.graph, waiter, entity, holders, cap);
         inner.graph.set_wait(waiter, entity, holders);
         inner.epoch += 1;
+        #[cfg(feature = "invariants")]
+        inner.note_detection(waiter, !cycles.is_empty());
         cycles
     }
 
     /// Re-runs detection for a transaction that is still registered as
     /// waiting — the resolver's check while it holds the members' slots,
-    /// and the wait loop's after a poll timeout or a resolution that did
-    /// not plan. Returns `None` if the transaction no longer waits
-    /// (promoted or cancelled meanwhile).
+    /// and the wait loop's after each resolution attempt. Returns `None`
+    /// if the transaction no longer waits (promoted or cancelled
+    /// meanwhile).
     /// Arcs are not changed, so the epoch is not bumped.
     pub fn redetect(&self, waiter: TxnId, cap: usize) -> Option<(Vec<Cycle>, u64)> {
         let mut inner = self.lock();
@@ -90,6 +113,8 @@ impl EpochGraph {
         inner.graph.clear_wait(waiter);
         let cycles = cycles_on_wait(&inner.graph, waiter, entity, &holders, cap);
         inner.graph.set_wait(waiter, entity, &holders);
+        #[cfg(feature = "invariants")]
+        inner.note_detection(waiter, !cycles.is_empty());
         Some((cycles, inner.epoch))
     }
 
@@ -125,6 +150,16 @@ impl EpochGraph {
             inner.graph.set_wait(w.txn, entity, &blockers);
         }
         inner.epoch += 1;
+        #[cfg(feature = "invariants")]
+        inner.check_resolvers();
+    }
+
+    /// Whether `waiter` is resolving: its latest detection found cycles
+    /// and neither a later detection nor the end of its wait has cleared
+    /// it. A resolving waiter must not park.
+    #[cfg(feature = "invariants")]
+    pub fn is_resolving(&self, waiter: TxnId) -> bool {
+        self.lock().resolving.contains(&waiter)
     }
 
     /// Number of transactions currently registered as waiting — must be
@@ -146,6 +181,40 @@ impl EpochGraph {
         {
             Ok(())
         }
+    }
+}
+
+#[cfg(feature = "invariants")]
+impl Inner {
+    /// Records whether `waiter`'s latest detection found cycles, then
+    /// checks the resolver invariant.
+    fn note_detection(&mut self, waiter: TxnId, found: bool) {
+        if found {
+            self.resolving.insert(waiter);
+        } else {
+            self.resolving.remove(&waiter);
+        }
+        self.check_resolvers();
+    }
+
+    /// The invariant that lets a waiter park without a timeout: every
+    /// cycle passes through a resolving waiter. A waiter whose wait ended
+    /// resolves nothing; dropping the waits of those still resolving must
+    /// leave the graph acyclic. A cycle without one would stand forever,
+    /// since no detection is left to see it.
+    fn check_resolvers(&mut self) {
+        let graph = &self.graph;
+        self.resolving.retain(|&t| graph.is_waiting(t));
+        let mut rest = self.graph.clone();
+        for &t in &self.resolving {
+            rest.clear_wait(t);
+        }
+        assert!(
+            !rest.has_cycle(),
+            "a cycle has no resolving waiter (resolving {:?}): {}",
+            self.resolving,
+            self.graph.render()
+        );
     }
 }
 
@@ -258,6 +327,33 @@ mod tests {
         assert!(g.epoch() > before);
         assert!(g.redetect(t(2), 64).expect("t2 still waits").0.is_empty());
         g.check_consistent().unwrap();
+    }
+
+    #[cfg(feature = "invariants")]
+    #[test]
+    fn the_closing_waiter_resolves_until_its_wait_ends() {
+        let g = EpochGraph::new();
+        g.register_and_detect(t(1), e(10), &[t(2)], 64);
+        assert!(!g.is_resolving(t(1)));
+        g.register_and_detect(t(2), e(11), &[t(1)], 64);
+        assert!(g.is_resolving(t(2)), "the wait that closed the cycle resolves it");
+        assert!(g.redetect(t(2), 64).is_some_and(|(cycles, _)| !cycles.is_empty()));
+        assert!(g.is_resolving(t(2)), "a detection that finds the cycle keeps it resolving");
+        // t2 is rolled back: its wait ends, and with it the cycle.
+        g.queue_changed(&LockTable::with_policy(GrantPolicy::Barging), e(11), Some(t(2)), &[]);
+        assert!(!g.is_resolving(t(2)));
+    }
+
+    #[cfg(feature = "invariants")]
+    #[test]
+    #[should_panic(expected = "no resolving waiter")]
+    fn resolver_check_rejects_a_cycle_nobody_detected() {
+        let g = EpochGraph::new();
+        g.register_and_detect(t(1), e(10), &[t(2)], 64);
+        // Forge the state the invariant rules out: t2's wait closes the
+        // cycle, but no detection saw it.
+        g.lock().graph.set_wait(t(2), e(11), &[t(1)]);
+        g.queue_changed(&LockTable::with_policy(GrantPolicy::Barging), e(12), None, &[]);
     }
 
     #[cfg(feature = "invariants")]

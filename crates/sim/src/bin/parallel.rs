@@ -107,7 +107,6 @@ fn run_soak(o: &Options) -> ExitCode {
     let mut checked_edges = 0usize;
     let mut deadlocks_resolved = 0u64;
     let mut fast_grants = 0u64;
-    let mut poll_timeouts = 0u64;
     let mut wakes = 0u64;
     let mut capture_wait = LogHistogram::default();
     let start = Instant::now();
@@ -139,7 +138,6 @@ fn run_soak(o: &Options) -> ExitCode {
         };
         deadlocks_resolved += outcome.metrics.deadlocks;
         fast_grants += outcome.fast.fast_grants;
-        poll_timeouts += outcome.metrics.poll_timeouts;
         wakes += outcome.metrics.wakes;
         capture_wait.merge(&outcome.metrics.capture_wait);
         match check_outcome(&programs, &store_with(64, 100), &config, &outcome) {
@@ -179,19 +177,18 @@ fn run_soak(o: &Options) -> ExitCode {
         return ExitCode::FAILURE;
     }
     // Every run commits all its transactions, or the soak has failed.
-    let per_commit = |n: u64| n as f64 / (seeds * o.txns) as f64;
+    let commits = (seeds * o.txns) as f64;
     println!(
         "oracle soak passed: {seeds} seeds x {} txns on {} threads, \
          4 strategies x 2 grant policies x 3 skews x 3 paddings; \
          {deadlocks_resolved} deadlocks resolved, {fast_grants} fast-path grants, \
-         {poll_timeouts} poll timeouts and {wakes} wakes ({:.3} / {:.3} per commit), \
+         {wakes} wakes ({:.3} per commit), \
          {} slot captures waiting p50/p99/max \
          {}/{}/{} us, {checked_accesses} accesses, \
          {checked_edges} conflict edges verified acyclic ({:.1}s)",
         o.txns,
         o.threads,
-        per_commit(poll_timeouts),
-        per_commit(wakes),
+        wakes as f64 / commits,
         capture_wait.count(),
         capture_wait.p50(),
         capture_wait.p99(),

@@ -9,11 +9,13 @@
 //! cross-thread deadlocks) overwhelmingly likely even on one CPU.
 
 use partial_rollback::core::StrategyKind;
+use partial_rollback::par::ParError;
 use partial_rollback::prelude::*;
 use partial_rollback::sim::generator::{GeneratorConfig, ProgramGenerator};
 use partial_rollback::sim::oracle::{check_outcome, check_server_history};
 use partial_rollback::sim::runner::store_with;
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Serialises this file's tests: each runs engine threads that must
 /// interleave to form real deadlocks, and the harness's parallel test
@@ -311,6 +313,38 @@ fn each_wait_on_a_hot_entity_ends_in_one_promotion_wake() {
             assert!(waits > 0, "{case}: no waiter ever queued");
         }
     }
+}
+
+/// A failing transaction stops its batch at once. The holder of `a` runs
+/// past a program with no `COMMIT` while three increments are parked
+/// behind it; the failing worker wakes every slot, so the run returns the
+/// holder's `MissingOp` well inside the watchdog, not `Stuck` after it.
+#[test]
+fn a_failing_holder_stops_its_parked_waiters_at_once() {
+    let _cores = cores();
+    let a = EntityId::new(0);
+    let v = VarId::new(0);
+    // The holder's pad gives the waiters time to queue and park.
+    const PAD: usize = 100_000;
+    let mut ops = vec![Op::LockExclusive(a)];
+    ops.extend((0..PAD).map(|_| Op::Compute(Expr::lit(0))));
+    let end = ops.len();
+    let holder = TransactionProgram::from_parts(ops, vec![]);
+    let increment = TransactionProgram::try_from(vec![
+        Op::LockExclusive(a),
+        Op::Read { entity: a, into: v },
+        Op::Write { entity: a, expr: Expr::add(Expr::var(v), Expr::lit(1)) },
+        Op::Commit,
+    ])
+    .unwrap();
+    let mut programs = vec![holder];
+    programs.extend(std::iter::repeat_n(increment, 3));
+    let started = Instant::now();
+    let err = run_parallel(&programs, store_with(1, 0), &par_config(4, StrategyKind::Mcs))
+        .expect_err("a program without COMMIT fails the batch");
+    let took = started.elapsed();
+    assert_eq!(err, ParError::MissingOp { txn: TxnId::new(1), pc: end });
+    assert!(took < Duration::from_secs(1), "the batch took {took:?} to stop");
 }
 
 /// The stamped access history orders conflicting grants: stamps are
