@@ -162,7 +162,7 @@ pub fn find_cycles(programs: &[TransactionProgram]) -> Vec<CycleWitness> {
         }
     }
 
-    let sccs = tarjan_sccs(n, &adj);
+    let sccs = pr_lock::order::sccs(&adj, &vec![false; n]);
     let mut witnesses: Vec<CycleWitness> = Vec::new();
     let mut seen: HashSet<Vec<EdgeKey>> = HashSet::new();
     for scc in sccs {
@@ -188,85 +188,6 @@ pub fn find_cycles(programs: &[TransactionProgram]) -> Vec<CycleWitness> {
 
 const MAX_CYCLES_PER_SCC: usize = 32;
 const MAX_CYCLE_LEN: usize = 8;
-
-/// Tarjan's strongly connected components over `0..n` with adjacency
-/// `adj`; returns only components that can contain a cycle (size > 1, or
-/// size 1 with a self-loop — impossible in H since arcs need distinct
-/// txns, but kept for robustness).
-fn tarjan_sccs(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    struct State<'a> {
-        adj: &'a [Vec<usize>],
-        index: Vec<Option<usize>>,
-        lowlink: Vec<usize>,
-        on_stack: Vec<bool>,
-        stack: Vec<usize>,
-        next_index: usize,
-        sccs: Vec<Vec<usize>>,
-    }
-    // Iterative Tarjan (explicit call stack) so deep graphs cannot
-    // overflow the thread stack.
-    fn visit(st: &mut State<'_>, root: usize) {
-        let mut call: Vec<(usize, usize)> = vec![(root, 0)];
-        st.index[root] = Some(st.next_index);
-        st.lowlink[root] = st.next_index;
-        st.next_index += 1;
-        st.stack.push(root);
-        st.on_stack[root] = true;
-        while let Some(&mut (v, ref mut child)) = call.last_mut() {
-            if *child < st.adj[v].len() {
-                let w = st.adj[v][*child];
-                *child += 1;
-                match st.index[w] {
-                    None => {
-                        st.index[w] = Some(st.next_index);
-                        st.lowlink[w] = st.next_index;
-                        st.next_index += 1;
-                        st.stack.push(w);
-                        st.on_stack[w] = true;
-                        call.push((w, 0));
-                    }
-                    Some(wi) => {
-                        if st.on_stack[w] {
-                            st.lowlink[v] = st.lowlink[v].min(wi);
-                        }
-                    }
-                }
-            } else {
-                call.pop();
-                if let Some(&(parent, _)) = call.last() {
-                    st.lowlink[parent] = st.lowlink[parent].min(st.lowlink[v]);
-                }
-                if st.lowlink[v] == st.index[v].unwrap() {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = st.stack.pop().unwrap();
-                        st.on_stack[w] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    st.sccs.push(comp);
-                }
-            }
-        }
-    }
-    let mut st = State {
-        adj,
-        index: vec![None; n],
-        lowlink: vec![0; n],
-        on_stack: vec![false; n],
-        stack: Vec::new(),
-        next_index: 0,
-        sccs: Vec::new(),
-    };
-    for v in 0..n {
-        if st.index[v].is_none() {
-            visit(&mut st, v);
-        }
-    }
-    st.sccs
-}
 
 /// Enumerates simple cycles with pairwise-distinct transactions inside
 /// one SCC by DFS from each member, bounded in count and length.

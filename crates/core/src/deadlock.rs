@@ -1,4 +1,5 @@
-//! Deadlock events and resolution planning (§3's rule 3).
+//! Deadlock events, resolution planning (§3's rule 3), and the one
+//! record of each decision.
 
 use crate::config::{SystemConfig, VictimPolicyKind};
 use crate::runtime::RuntimeView;
@@ -6,6 +7,7 @@ use crate::victim;
 use pr_graph::{cutset, CandidateRollback, Cycle};
 use pr_lock::LockTable;
 use pr_model::{EntityId, LockMode, TxnId};
+use std::collections::BTreeMap;
 
 /// A detected deadlock: the request that would close cycle(s) in the
 /// concurrency graph.
@@ -32,23 +34,24 @@ pub struct ResolutionPlan {
     pub optimal: bool,
 }
 
-/// A complete record of one deadlock resolution, captured by the engine
-/// at planning time (before any rollback executes) when resolution
-/// auditing is enabled. External brute-force oracles — the `pr-explore`
-/// model checker in particular — replay the solver inputs recorded here to
-/// verify §3.1 victim-cost optimality and to measure the §3.2 cut
-/// heuristic's gap from the exact optimum.
+/// One deadlock as decided: the cycles a wait closes (§3), each member's
+/// rollback cost (§3.1), and the cut chosen over them (§3.2). Built by
+/// [`crate::kernel::Kernel::detect`] before any rollback executes, so it
+/// holds exactly what the plan was solved from. [`crate::System::history`]
+/// keeps one per resolved deadlock; the `pr-explore` brute-force oracles
+/// replay its instances to check §3.1 victim-cost optimality and measure
+/// the §3.2 cut heuristic's gap from the exact optimum.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ResolutionAudit {
+pub struct DeadlockRecord {
     /// The deadlock as detected.
     pub event: DeadlockEvent,
+    /// The candidate instance after the configured victim policy's
+    /// filtering, as handed to the cut-set solver (empty cycles dropped).
+    pub filtered: Vec<Vec<CandidateRollback>>,
     /// The candidate instance with *no* policy filtering (every cycle
     /// member, MinCost semantics) — the §3.1/§3.2 search space.
     pub unfiltered: Vec<Vec<CandidateRollback>>,
-    /// The instance after the configured victim policy's filtering, as
-    /// actually handed to the cut-set solver (empty cycles dropped).
-    pub filtered: Vec<Vec<CandidateRollback>>,
-    /// The plan the engine executed.
+    /// The plan solved over `filtered`.
     pub plan: ResolutionPlan,
     /// Whether every cycle member held its cycle entity *exclusively* at
     /// detection time — the §3.1 single-cycle regime where the chosen
@@ -56,23 +59,24 @@ pub struct ResolutionAudit {
     pub exclusive_only: bool,
     /// Entry order (ω rank) of every transaction on a cycle, for checking
     /// Theorem 2's victims-younger-than-causer restriction.
-    pub entry_orders: std::collections::BTreeMap<TxnId, u64>,
+    pub entry_orders: BTreeMap<TxnId, u64>,
 }
 
-impl ResolutionAudit {
-    /// Records the solver inputs behind `plan` from the runtimes and lock
-    /// table it was planned over; valid only before the plan's first
-    /// rollback executes.
-    pub fn capture<V: RuntimeView>(
-        event: &DeadlockEvent,
-        plan: &ResolutionPlan,
+impl DeadlockRecord {
+    /// Plans the resolution of `event` over the runtimes and lock table
+    /// as they stand, recording what the plan was solved from. Valid only
+    /// before the plan's first rollback executes: rollbacks change lock
+    /// modes and runtime costs.
+    pub fn plan<V: RuntimeView>(
+        event: DeadlockEvent,
         config: &SystemConfig,
         txns: &V,
         table: &LockTable,
     ) -> Self {
+        let filtered = policy_instance(&event, config, txns);
+        let plan = solve(&filtered, config);
         let members = || event.cycles.iter().flat_map(|c| c.members.iter());
-        ResolutionAudit {
-            event: event.clone(),
+        DeadlockRecord {
             unfiltered: victim::build_instance(
                 &event.cycles,
                 VictimPolicyKind::MinCost,
@@ -80,14 +84,15 @@ impl ResolutionAudit {
                 event.causer,
                 txns,
             ),
-            filtered: policy_instance(event, config, txns),
-            plan: plan.clone(),
             exclusive_only: members().all(|m| {
                 table.held_by(m.txn, m.holds).is_some_and(|h| h.mode == LockMode::Exclusive)
             }),
             entry_orders: members()
                 .filter_map(|m| txns.runtime(m.txn).map(|rt| (m.txn, rt.entry_order)))
                 .collect(),
+            event,
+            filtered,
+            plan,
         }
     }
 }
@@ -106,9 +111,19 @@ fn policy_instance<V: RuntimeView>(
     instance.into_iter().filter(|c| !c.is_empty()).collect()
 }
 
+/// Solves the minimum-cost vertex-cut problem over `instance`.
+fn solve(instance: &[Vec<CandidateRollback>], config: &SystemConfig) -> ResolutionPlan {
+    let solution = cutset::solve(instance, config.cutset_node_budget);
+    ResolutionPlan {
+        rollbacks: solution.rollbacks,
+        total_cost: solution.total_cost,
+        optimal: solution.optimal,
+    }
+}
+
 /// Plans the resolution of `event`: builds the policy-filtered candidate
 /// instance and solves the minimum-cost vertex-cut problem over the
-/// cycles.
+/// cycles. [`DeadlockRecord::plan`] does the same and keeps the inputs.
 ///
 /// For the exclusive-only case the instance has a single cycle and this
 /// reduces to §3.1's "traverse the cycle, pick the cheapest legal victim".
@@ -117,12 +132,7 @@ pub fn plan_resolution<V: RuntimeView>(
     config: &SystemConfig,
     txns: &V,
 ) -> ResolutionPlan {
-    let solution = cutset::solve(&policy_instance(event, config, txns), config.cutset_node_budget);
-    ResolutionPlan {
-        rollbacks: solution.rollbacks,
-        total_cost: solution.total_cost,
-        optimal: solution.optimal,
-    }
+    solve(&policy_instance(event, config, txns), config)
 }
 
 #[cfg(test)]

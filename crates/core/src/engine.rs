@@ -2,11 +2,11 @@
 //!
 //! [`System`] drives the [`Kernel`]'s transitions one scheduler step at a
 //! time and adds everything that is about *observing* them: metrics, the
-//! event log, the deadlock history, resolution audits, the
-//! acquisition-order certificate and the invariant sentinel.
+//! event log, the deadlock history, the acquisition-order certificate and
+//! the invariant sentinel.
 
 use crate::config::SystemConfig;
-use crate::deadlock::{DeadlockEvent, ResolutionAudit, ResolutionPlan};
+use crate::deadlock::DeadlockRecord;
 use crate::error::EngineError;
 use crate::event::{Event, EventLog};
 use crate::kernel::{Kernel, Release, MAX_RESOLUTION_ROUNDS};
@@ -32,10 +32,9 @@ pub enum StepOutcome {
     },
     /// The request would have deadlocked; the plan was executed.
     DeadlockResolved {
-        /// The detected deadlock.
-        event: DeadlockEvent,
-        /// The rollbacks performed.
-        plan: ResolutionPlan,
+        /// The step's first deadlock, with the plan executed for it (later
+        /// rounds of the same step are in [`System::history`]).
+        record: Arc<DeadlockRecord>,
     },
     /// The transaction committed.
     Committed,
@@ -51,9 +50,10 @@ pub enum StepOutcome {
 pub struct System {
     kernel: Kernel,
     metrics: Metrics,
-    /// Every deadlock the system resolved, with the plan used — the
-    /// scenario tests and figure reproductions assert on this log.
-    history: Vec<(DeadlockEvent, ResolutionPlan)>,
+    /// Every deadlock the system resolved, oldest first — the scenario
+    /// tests, figure reproductions and explorer oracles read this log.
+    /// Shared, so the explorer's per-branch clones stay cheap.
+    history: Vec<Arc<DeadlockRecord>>,
     /// Optional structured event log (off by default).
     events: EventLog,
     /// Step at which each currently blocked transaction blocked, for the
@@ -64,10 +64,6 @@ pub struct System {
     /// transactions.
     copies_cache: BTreeMap<TxnId, usize>,
     copies_total: usize,
-    /// When `Some`, every resolved deadlock also records a
-    /// [`ResolutionAudit`] — the raw solver inputs captured *before* the
-    /// rollbacks execute — for external optimality oracles. Off by default.
-    audits: Option<Vec<ResolutionAudit>>,
     /// The installed acquisition-order certificate, if any (only
     /// consulted under [`GrantPolicy::Ordered`]).
     certified_order: Option<EntityOrder>,
@@ -79,7 +75,7 @@ pub struct System {
     /// forever — no cycle can exist and there is nothing to detect.
     covered: BTreeSet<TxnId>,
     /// Runtime invariant sentinel (feature `invariants`): bounded event
-    /// trace plus workload facts for the Theorem 1 / ω-order checks.
+    /// tail plus workload facts for the Theorem 1 / ω-order checks.
     #[cfg(feature = "invariants")]
     sentinel: crate::sentinel::Sentinel,
 }
@@ -95,7 +91,6 @@ impl System {
             blocked_since: BTreeMap::new(),
             copies_cache: BTreeMap::new(),
             copies_total: 0,
-            audits: None,
             certified_order: None,
             covered: BTreeSet::new(),
             #[cfg(feature = "invariants")]
@@ -162,24 +157,6 @@ impl System {
         self.events.enable(capacity);
     }
 
-    /// Turns on resolution auditing: every deadlock resolved from now on
-    /// also records a [`ResolutionAudit`] with the exact solver inputs
-    /// (unfiltered and policy-filtered candidate instances, lock modes,
-    /// entry orders) captured before any rollback executes. The model
-    /// checker's optimality oracles consume these via
-    /// [`Self::take_resolution_audits`].
-    pub fn enable_resolution_audit(&mut self) {
-        if self.audits.is_none() {
-            self.audits = Some(Vec::new());
-        }
-    }
-
-    /// Drains the resolution audits recorded since the last call (empty
-    /// unless [`Self::enable_resolution_audit`] was called).
-    pub fn take_resolution_audits(&mut self) -> Vec<ResolutionAudit> {
-        self.audits.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
     /// The recorded events (empty unless enabled).
     pub fn events(&self) -> &EventLog {
         &self.events
@@ -197,13 +174,10 @@ impl System {
             self.covered.insert(id);
         }
         #[cfg(feature = "invariants")]
-        {
-            if rt.program.lock_requests().iter().any(|(_, _, m)| *m == LockMode::Shared) {
-                self.sentinel.note_shared_mode();
-            }
-            self.sentinel.record(format!("{id} admitted (entry order {})", rt.entry_order));
+        if rt.program.lock_requests().iter().any(|(_, _, m)| *m == LockMode::Shared) {
+            self.sentinel.note_shared_mode();
         }
-        self.events.record(self.metrics.steps, Event::Admitted { txn: id });
+        self.log(Event::Admitted { txn: id });
         Ok(id)
     }
 
@@ -297,16 +271,10 @@ impl System {
                 Ok(StepOutcome::Progressed)
             }
             RequestOutcome::Wait { holders, .. } => {
-                self.events.record(
-                    self.metrics.steps,
-                    Event::Waited { txn: id, entity, holders: holders.clone() },
-                );
+                self.log(Event::Waited { txn: id, entity, holders });
                 self.metrics.waits += 1;
                 self.metrics.note_queue_depth(entity, self.kernel.table().queue_depth(entity));
                 self.blocked_since.insert(id, self.metrics.steps);
-                #[cfg(feature = "invariants")]
-                self.sentinel
-                    .record(format!("{id} waits on {entity} held by {holders:?} ({mode:?})"));
                 // Certified fast path: when every blocked transaction is
                 // covered by the installed order, no cycle can exist, so
                 // detection is skipped outright. The kernel still recorded
@@ -319,7 +287,7 @@ impl System {
                     self.resolve_deadlocks(id)?
                 };
                 match resolved {
-                    Some((event, plan)) => Ok(StepOutcome::DeadlockResolved { event, plan }),
+                    Some(record) => Ok(StepOutcome::DeadlockResolved { record }),
                     None => Ok(StepOutcome::Blocked { entity }),
                 }
             }
@@ -328,68 +296,42 @@ impl System {
 
     /// Detects and resolves every cycle through the blocked transaction
     /// `causer`, looping because (a) the cycle cap may hide cycles and
-    /// (b) rollbacks reshape the graph. Returns the first event/plan pair
-    /// (subsequent rounds are appended to the history).
+    /// (b) rollbacks reshape the graph. Every round's record joins the
+    /// history; the first is returned.
     fn resolve_deadlocks(
         &mut self,
         causer: TxnId,
-    ) -> Result<Option<(DeadlockEvent, ResolutionPlan)>, EngineError> {
-        let mut first: Option<(DeadlockEvent, ResolutionPlan)> = None;
+    ) -> Result<Option<Arc<DeadlockRecord>>, EngineError> {
+        let mut first = None;
         for round in 0.. {
             if round >= MAX_RESOLUTION_ROUNDS {
                 return Err(EngineError::Stuck { blocked: self.blocked() });
             }
-            let Some((event, plan)) = self.kernel.detect(causer) else {
+            let Some(record) = self.kernel.detect(causer) else {
                 break;
             };
-            let (entity, cycles) = (event.entity, event.cycles.len());
+            let (entity, cycles) = (record.event.entity, record.event.cycles.len());
+            self.log(Event::DeadlockDetected { causer, entity, cycles });
+            // Theorem 1: with exclusive locks only and the paper's grant
+            // rule, the graph was a forest before this wait, so the new arcs
+            // can close at most one cycle. The fair queue deviates from that
+            // grant rule (a waiter may have arcs to both a holder and a
+            // queued predecessor), so the theorem's premise — and the check
+            // — only applies under barging.
             #[cfg(feature = "invariants")]
+            if self.sentinel.exclusive_only()
+                && self.config().grant_policy == GrantPolicy::Barging
+                && cycles > 1
             {
-                self.sentinel.record(format!(
-                    "deadlock: {causer}'s wait on {entity} closes {cycles} cycle(s)"
-                ));
-                // Theorem 1: with exclusive locks only and the paper's
-                // grant rule, the graph was a forest before this wait, so
-                // the new arcs can close at most one cycle. The fair queue
-                // deviates from that grant rule (a waiter may have arcs to
-                // both a holder and a queued predecessor), so the theorem's
-                // premise — and the check — only applies under barging.
-                if self.sentinel.exclusive_only()
-                    && self.config().grant_policy == GrantPolicy::Barging
-                    && cycles > 1
-                {
-                    self.sentinel.fail(
-                        "deadlock detection",
-                        &format!(
-                            "exclusive-only wait by {causer} closed {cycles} cycles; \
-                             Theorem 1 allows at most one"
-                        ),
-                    );
-                }
+                self.sentinel.fail(
+                    "deadlock detection",
+                    &format!(
+                        "exclusive-only wait by {causer} closed {cycles} cycles; \
+                         Theorem 1 allows at most one"
+                    ),
+                );
             }
-            self.metrics.deadlocks += 1;
-            self.events
-                .record(self.metrics.steps, Event::DeadlockDetected { causer, entity, cycles });
-            if let Some(audits) = &mut self.audits {
-                // Capture the solver's inputs *now*: the rollbacks below
-                // mutate lock modes and runtime costs, so a post-hoc audit
-                // could not reconstruct the instance the plan was built
-                // from.
-                let k = &self.kernel;
-                audits.push(ResolutionAudit::capture(
-                    &event,
-                    &plan,
-                    k.config(),
-                    k.txns(),
-                    k.table(),
-                ));
-            }
-            if plan.optimal {
-                self.metrics.cutset_optimal += 1;
-            } else {
-                self.metrics.cutset_greedy += 1;
-            }
-            if plan.rollbacks.is_empty() {
+            if record.plan.rollbacks.is_empty() {
                 // Defensive: cannot happen while every cycle member is
                 // rollbackable; surface as stuck rather than spinning.
                 return Err(EngineError::Stuck { blocked: self.blocked() });
@@ -402,7 +344,7 @@ impl System {
             if self.config().victim == crate::config::VictimPolicyKind::PartialOrder {
                 let entry = |txn| self.kernel.txn(txn).map(|rt| rt.entry_order);
                 let causer_entry = entry(causer).unwrap_or(u64::MAX);
-                for rb in &plan.rollbacks {
+                for rb in &record.plan.rollbacks {
                     let legal = rb.txn == causer || entry(rb.txn).is_some_and(|e| e > causer_entry);
                     if !legal {
                         self.sentinel.fail(
@@ -416,14 +358,14 @@ impl System {
                     }
                 }
             }
-            self.metrics.resolution_cost.record(plan.total_cost);
-            for rb in &plan.rollbacks {
-                self.execute_rollback(rb)?;
+            let mut states_lost = 0;
+            for rb in &record.plan.rollbacks {
+                states_lost += self.execute_rollback(rb)?;
             }
-            self.history.push((event.clone(), plan.clone()));
-            if first.is_none() {
-                first = Some((event, plan));
-            }
+            self.metrics.record_resolution(record.plan.optimal, states_lost);
+            let record = Arc::new(record);
+            self.history.push(Arc::clone(&record));
+            first.get_or_insert(record);
         }
         Ok(first)
     }
@@ -431,7 +373,8 @@ impl System {
     /// Performs one planned rollback and accounts for it in the order it
     /// happened: the cancellation's promotions, the rollback itself, then
     /// each release's promotions (the peak-copies metric depends on it).
-    fn execute_rollback(&mut self, rb: &CandidateRollback) -> Result<(), EngineError> {
+    /// Returns the states it lost.
+    fn execute_rollback(&mut self, rb: &CandidateRollback) -> Result<u64, EngineError> {
         let victim = rb.txn;
         let done = self.kernel.rollback(rb)?;
         if let Some(cancelled) = &done.cancelled {
@@ -439,28 +382,19 @@ impl System {
             self.note_promoted(cancelled);
         }
         let receipt = &done.receipt;
-        self.events.record(
-            self.metrics.steps,
-            Event::RolledBack { victim, target: receipt.target, cost: receipt.cost },
-        );
-        #[cfg(feature = "invariants")]
-        self.sentinel.record(format!(
-            "{victim} rolled back to lock state {} (cost {})",
-            receipt.target.raw(),
-            receipt.cost
-        ));
+        self.log(Event::RolledBack { victim, target: receipt.target, cost: receipt.cost });
         self.metrics.record_rollback(victim, self.config().strategy, receipt);
         self.update_peak_copies_for(victim);
         for release in &done.releases {
             self.note_promoted(release);
         }
-        Ok(())
+        Ok(u64::from(receipt.cost))
     }
 
     fn do_unlock(&mut self, id: TxnId, entity: EntityId) -> Result<StepOutcome, EngineError> {
         let release = self.kernel.unlock(id, entity)?;
         if release.published {
-            self.events.record(self.metrics.steps, Event::Published { txn: id, entity });
+            self.log(Event::Published { txn: id, entity });
         }
         self.update_peak_copies_for(id);
         self.note_promoted(&release);
@@ -476,9 +410,7 @@ impl System {
         let (replayed, reused) = commit.ledger;
         self.metrics.ops_replayed += replayed;
         self.metrics.ops_reused += reused;
-        self.events.record(self.metrics.steps, Event::Committed { txn: id });
-        #[cfg(feature = "invariants")]
-        self.sentinel.record(format!("{id} committed"));
+        self.log(Event::Committed { txn: id });
         self.update_peak_copies_for(id);
         self.metrics.ops_executed += 1;
         self.metrics.commits += 1;
@@ -489,11 +421,17 @@ impl System {
     // Grant accounting
     // ------------------------------------------------------------------
 
+    /// Records one engine action at the current step: in the event log
+    /// and, armed, in the sentinel's tail.
+    fn log(&mut self, event: Event) {
+        #[cfg(feature = "invariants")]
+        self.sentinel.observe(self.metrics.steps, &event);
+        self.events.record(self.metrics.steps, event);
+    }
+
     /// Accounts for a grant the kernel completed.
     fn note_grant(&mut self, id: TxnId, entity: EntityId, mode: LockMode) {
-        self.events.record(self.metrics.steps, Event::Granted { txn: id, entity, mode });
-        #[cfg(feature = "invariants")]
-        self.sentinel.record(format!("{id} granted {mode:?} lock on {entity}"));
+        self.log(Event::Granted { txn: id, entity, mode });
         self.metrics.ops_executed += 1;
         self.update_peak_copies_for(id);
     }
@@ -562,8 +500,8 @@ impl System {
         self.kernel.txns().keys().copied().collect()
     }
 
-    /// The deadlock/resolution log, oldest first.
-    pub fn history(&self) -> &[(DeadlockEvent, ResolutionPlan)] {
+    /// The record of every resolved deadlock, oldest first.
+    pub fn history(&self) -> &[Arc<DeadlockRecord>] {
         &self.history
     }
 
@@ -844,7 +782,7 @@ mod tests {
             Scripted::new(vec![t(1), t(1), t(2), t(2), t(2), t(2), t(2), t(2), t(2), t(1), t(2)]);
         sys.run(&mut sched).unwrap();
         assert!(sys.all_committed());
-        let (event, plan) = &sys.history()[0];
+        let DeadlockRecord { event, plan, .. } = &*sys.history()[0];
         assert_eq!(event.causer, t(2));
         assert_eq!(plan.rollbacks.len(), 1);
         assert_eq!(plan.rollbacks[0].txn, t(1));
@@ -923,7 +861,7 @@ mod tests {
         sys.run(&mut sched).unwrap();
         assert!(sys.all_committed());
         assert_eq!(sys.metrics().deadlocks, 1);
-        let (event, _plan) = &sys.history()[0];
+        let event = &sys.history()[0].event;
         assert_eq!(event.causer, t(1));
         assert_eq!(event.cycles.len(), 2, "both cycles pass through T1");
         sys.check_invariants().unwrap();
@@ -972,7 +910,7 @@ mod tests {
         let out = sys.step(id2).unwrap();
         assert!(matches!(out, StepOutcome::DeadlockResolved { .. }));
         assert!(sys.metrics().rollback_overshoot > 0, "SDG had to overshoot");
-        let (_, plan) = &sys.history()[0];
+        let plan = &sys.history()[0].plan;
         assert_eq!(plan.rollbacks[0].txn, id1);
         assert_eq!(plan.rollbacks[0].target, LockIndex::ZERO);
         sys.run(&mut RoundRobin::new()).unwrap();

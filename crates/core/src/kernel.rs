@@ -3,15 +3,15 @@
 //! runtimes, defined once (DESIGN §4, "One kernel, two users").
 //!
 //! Every method performs one transition and *returns what happened*, so
-//! [`crate::System`] adds its observation — metrics, events, audits, the
-//! sentinel — around the call without the kernel knowing about it. The
+//! [`crate::System`] adds its observation — metrics, events, the deadlock
+//! history, the sentinel — around the call without the kernel knowing about it. The
 //! kernel keeps table, graph and runtimes coherent: a promoted request is
 //! completed on its runtime before the promoting call returns, and a
 //! transaction is [`Phase::Blocked`] exactly while it has a queued request
 //! and arcs in the graph.
 
 use crate::config::SystemConfig;
-use crate::deadlock::{plan_resolution, DeadlockEvent, ResolutionPlan};
+use crate::deadlock::{DeadlockEvent, DeadlockRecord};
 use crate::error::EngineError;
 use crate::runtime::{Phase, RollbackReceipt, TxnRuntime};
 use pr_graph::cycles::cycles_on_wait;
@@ -132,7 +132,7 @@ impl Kernel {
         self.txns.get(&id)
     }
 
-    /// Every runtime by id — the view [`plan_resolution`] plans over.
+    /// Every runtime by id — the view [`DeadlockRecord::plan`] plans over.
     pub fn txns(&self) -> &BTreeMap<TxnId, TxnRuntime> {
         &self.txns
     }
@@ -320,11 +320,11 @@ impl Kernel {
     }
 
     /// One detection round for the blocked transaction `causer`: if its
-    /// wait closes cycles, the deadlock and the plan that resolves it
-    /// (nothing is executed). Callers loop — executing the plan, then
-    /// detecting again — because the cycle cap may hide cycles and
-    /// rollbacks reshape the graph.
-    pub fn detect(&mut self, causer: TxnId) -> Option<(DeadlockEvent, ResolutionPlan)> {
+    /// wait closes cycles, the record of the deadlock and the plan that
+    /// resolves it (nothing is executed). Callers loop — executing the
+    /// plan, then detecting again — because the cycle cap may hide cycles
+    /// and rollbacks reshape the graph.
+    pub fn detect(&mut self, causer: TxnId) -> Option<DeadlockRecord> {
         let rt = self.txns.get(&causer)?;
         if rt.phase != Phase::Blocked {
             return None; // granted (or rolled back) during a previous round
@@ -346,8 +346,7 @@ impl Kernel {
             return None;
         }
         let event = DeadlockEvent { causer, entity, cycles };
-        let plan = plan_resolution(&event, &self.config, &self.txns);
-        Some((event, plan))
+        Some(DeadlockRecord::plan(event, &self.config, &self.txns, &self.table))
     }
 
     /// Coherence of table, graph and runtimes: lock-table consistency,

@@ -29,7 +29,10 @@
 //!   **Youngest**, or **ConflictCauser**.
 //!
 //! Multi-cycle deadlocks (shared locks, §3.2) are resolved through the
-//! min-cost vertex-cut solvers in [`pr_graph::cutset`].
+//! min-cost vertex-cut solvers in [`pr_graph::cutset`]. Each deadlock is
+//! described once, by the [`DeadlockRecord`] built where its plan is made;
+//! [`System::history`] keeps them, and the `pr-explore` oracles check
+//! them.
 //!
 //! The engine is fully deterministic given a scheduler, which is what makes
 //! the paper's figures exactly reproducible (see `pr-sim`).
@@ -49,7 +52,7 @@ pub mod sentinel;
 pub mod victim;
 
 pub use config::{StrategyKind, SystemConfig, VictimPolicyKind};
-pub use deadlock::{DeadlockEvent, ResolutionAudit, ResolutionPlan};
+pub use deadlock::{DeadlockEvent, DeadlockRecord, ResolutionPlan};
 pub use engine::{StepOutcome, System};
 pub use error::EngineError;
 pub use event::{Event, EventLog};

@@ -140,7 +140,7 @@ pub struct Metrics {
     pub steps: u64,
     /// Atomic operations completed (state-index increments).
     pub ops_executed: u64,
-    /// Deadlocks detected.
+    /// Deadlocks resolved.
     pub deadlocks: u64,
     /// Rollbacks performed to a lock state `> 0`.
     pub partial_rollbacks: u64,
@@ -254,6 +254,19 @@ impl Metrics {
             self.repair_suffix.record(u64::from(receipt.cost));
         }
         self.record_preemption(victim);
+    }
+
+    /// Accounts for one resolved deadlock whose plan's rollbacks lost
+    /// `states_lost` states when executed, so the resolution-cost
+    /// histogram sums exactly to the states-lost counter.
+    pub fn record_resolution(&mut self, optimal: bool, states_lost: u64) {
+        self.deadlocks += 1;
+        if optimal {
+            self.cutset_optimal += 1;
+        } else {
+            self.cutset_greedy += 1;
+        }
+        self.resolution_cost.record(states_lost);
     }
 
     /// Raises `entity`'s queue-depth high-water mark to `depth` if deeper.

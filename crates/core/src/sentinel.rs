@@ -18,20 +18,23 @@
 //!   (by entry order) than the transaction whose request closed the
 //!   cycle, or be that transaction itself.
 //!
-//! On violation the sentinel panics with the failed claim *and* a bounded
-//! trace of the most recent engine events, so the report alone reproduces
-//! the path into the broken state.
+//! The engine hands the sentinel every [`Event`] it records, whether or
+//! not its [`crate::EventLog`] is enabled. On violation the sentinel
+//! panics with the failed claim *and* the bounded tail of those events,
+//! so the report alone reproduces the path into the broken state.
 
+use crate::event::Event;
 use std::collections::VecDeque;
 
 /// How many recent events the panic report retains.
 const TRACE_CAP: usize = 64;
 
-/// Bounded event trace plus the workload facts the invariants depend on.
+/// Bounded event tail plus the workload facts the invariants depend on.
 #[derive(Debug, Clone)]
 pub struct Sentinel {
-    trace: VecDeque<String>,
-    /// Total events ever recorded (the trace keeps only the tail).
+    /// The most recent events with the step each happened at.
+    tail: VecDeque<(u64, Event)>,
+    /// Total events ever observed (the tail keeps only the last ones).
     seen: u64,
     /// True until some admitted program requests a shared lock; Theorem 1's
     /// forest property and one-cycle-per-wait bound apply only while this
@@ -48,15 +51,15 @@ impl Default for Sentinel {
 impl Sentinel {
     /// A fresh sentinel for an empty system.
     pub fn new() -> Self {
-        Sentinel { trace: VecDeque::new(), seen: 0, exclusive_only: true }
+        Sentinel { tail: VecDeque::new(), seen: 0, exclusive_only: true }
     }
 
-    /// Appends an event to the bounded trace.
-    pub fn record(&mut self, event: String) {
-        if self.trace.len() == TRACE_CAP {
-            self.trace.pop_front();
+    /// Appends `event`, recorded at `step`, to the bounded tail.
+    pub fn observe(&mut self, step: u64, event: &Event) {
+        if self.tail.len() == TRACE_CAP {
+            self.tail.pop_front();
         }
-        self.trace.push_back(event);
+        self.tail.push_back((step, event.clone()));
         self.seen += 1;
     }
 
@@ -71,16 +74,17 @@ impl Sentinel {
         self.exclusive_only
     }
 
-    /// Panics with the violated claim and the recent event trace.
+    /// Panics with the violated claim and the recent event tail.
     pub fn fail(&self, context: &str, violation: &str) -> ! {
-        let shown = self.trace.len();
+        let shown = self.tail.len();
         let mut report = format!(
             "invariant sentinel tripped at {context}: {violation}\n\
              --- last {shown} of {} engine events ---\n",
             self.seen
         );
-        for (i, line) in self.trace.iter().enumerate() {
-            report.push_str(&format!("  {:>3}. {line}\n", self.seen as usize - shown + i + 1));
+        for (i, (step, event)) in self.tail.iter().enumerate() {
+            let n = self.seen as usize - shown + i + 1;
+            report.push_str(&format!("  {n:>3}. [{step:>6}] {event}\n"));
         }
         panic!("{report}");
     }
@@ -89,29 +93,34 @@ impl Sentinel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pr_model::TxnId;
 
-    #[test]
-    fn trace_is_bounded_but_counts_everything() {
-        let mut s = Sentinel::new();
-        for i in 0..(TRACE_CAP as u64 + 10) {
-            s.record(format!("event {i}"));
-        }
-        assert_eq!(s.seen, TRACE_CAP as u64 + 10);
-        assert_eq!(s.trace.len(), TRACE_CAP);
-        assert_eq!(s.trace.front().unwrap(), "event 10");
+    fn committed(i: u32) -> Event {
+        Event::Committed { txn: TxnId::new(i) }
     }
 
     #[test]
-    fn fail_reports_context_and_trace() {
+    fn tail_is_bounded_but_counts_everything() {
         let mut s = Sentinel::new();
-        s.record("T1 admitted".into());
+        for i in 0..(TRACE_CAP as u32 + 10) {
+            s.observe(u64::from(i), &committed(i));
+        }
+        assert_eq!(s.seen, TRACE_CAP as u64 + 10);
+        assert_eq!(s.tail.len(), TRACE_CAP);
+        assert_eq!(s.tail.front(), Some(&(10, committed(10))));
+    }
+
+    #[test]
+    fn fail_reports_context_and_tail() {
+        let mut s = Sentinel::new();
+        s.observe(3, &Event::Admitted { txn: TxnId::new(1) });
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             s.fail("unit test", "synthetic violation")
         }))
         .unwrap_err();
         let msg = err.downcast_ref::<String>().unwrap();
         assert!(msg.contains("synthetic violation"), "{msg}");
-        assert!(msg.contains("T1 admitted"), "{msg}");
+        assert!(msg.contains("    1. [     3] T1 admitted"), "{msg}");
     }
 
     #[test]

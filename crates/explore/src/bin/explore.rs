@@ -14,11 +14,12 @@
 
 use pr_core::config::{StrategyKind, SystemConfig, VictimPolicyKind};
 use pr_core::engine::System;
-use pr_core::{derive_order, GrantPolicy};
-use pr_explore::explorer::{explore, replay_lines, ExploreOptions, ExploreReport};
-use pr_explore::grid::{figure2_prefix_system, grid_cases, grid_store, GridCase};
+use pr_core::GrantPolicy;
+use pr_explore::explorer::{
+    explore, replay_lines, stats_table, workload_system, ExploreOptions, RunRecord,
+};
+use pr_explore::grid::{figure2_prefix_system, grid_cases, GridCase};
 use pr_model::TxnId;
-use pr_sim::report::Table;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -155,16 +156,7 @@ fn grid_system(
     grant: GrantPolicy,
 ) -> System {
     let config = SystemConfig::new(strategy, policy).with_grant_policy(grant);
-    let mut sys = System::new(grid_store(), config);
-    if grant == GrantPolicy::Ordered {
-        if let Ok(order) = derive_order(&case.programs()) {
-            sys.install_order(order);
-        }
-    }
-    for p in case.programs() {
-        sys.admit(p).expect("grid program is valid");
-    }
-    sys
+    workload_system(&case.programs(), 2, 0, config)
 }
 
 /// Writes one finding as an explore trace file.
@@ -199,13 +191,6 @@ fn write_artifact(
 
 fn schedule_string(schedule: &[TxnId]) -> String {
     schedule.iter().map(|t| t.raw().to_string()).collect::<Vec<_>>().join(",")
-}
-
-struct RunRecord {
-    name: String,
-    strategy: StrategyKind,
-    report: ExploreReport,
-    sym_states: Option<usize>,
 }
 
 fn run_one(
@@ -261,41 +246,6 @@ fn run_one(
     RunRecord { name: name.to_string(), strategy, report, sym_states }
 }
 
-fn print_table(records: &[RunRecord]) {
-    let mut t = Table::new([
-        "case",
-        "strategy",
-        "states",
-        "transitions",
-        "terminals",
-        "deadlocks",
-        "audited",
-        "excl-checked",
-        "multi-cycle",
-        "max-gap",
-        "sym-states",
-        "complete",
-    ])
-    .with_title("Exhaustive exploration statistics (T4)");
-    for r in records {
-        t.row([
-            r.name.clone(),
-            r.strategy.name(),
-            r.report.states.to_string(),
-            r.report.transitions.to_string(),
-            r.report.terminals.len().to_string(),
-            r.report.deadlocks.to_string(),
-            r.report.gaps.audited.to_string(),
-            r.report.gaps.exclusive_checked.to_string(),
-            r.report.gaps.multi_cycle.to_string(),
-            r.report.gaps.max_gap.to_string(),
-            r.sym_states.map_or_else(|| "-".into(), |s| s.to_string()),
-            if r.report.complete { "yes".into() } else { "NO".to_string() },
-        ]);
-    }
-    println!("{t}");
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let o = match parse_options(&args) {
@@ -320,13 +270,8 @@ fn main() -> ExitCode {
             .unlock(pr_explore::grid::A)
             .unlock(pr_explore::grid::B)
             .build_unchecked();
-        let mut sys = System::new(
-            grid_store(),
-            SystemConfig::new(StrategyKind::Mcs, VictimPolicyKind::MinCost),
-        );
-        for _ in 0..n {
-            sys.admit(prog.clone()).expect("identical program is valid");
-        }
+        let config = SystemConfig::new(StrategyKind::Mcs, VictimPolicyKind::MinCost);
+        let sys = workload_system(&vec![prog; n], 2, 0, config);
         let opts = ExploreOptions { max_states: o.max_states, ..Default::default() };
         let full = explore(&sys, &opts);
         let reduced = explore(&sys, &ExploreOptions { symmetry: true, ..opts });
@@ -398,7 +343,7 @@ fn main() -> ExitCode {
         }
         records.push(rec);
         if o.table {
-            print_table(&records);
+            println!("{}", stats_table(&records));
         }
         return if failures == 0 { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
@@ -458,7 +403,7 @@ fn main() -> ExitCode {
     }
 
     if o.table {
-        print_table(&records);
+        println!("{}", stats_table(&records));
     }
     let explored = records.len();
     println!("explore: {explored} explorations over {} cases, {failures} failures", cases.len());

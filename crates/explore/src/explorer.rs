@@ -24,20 +24,21 @@
 //! * **Optional txn-id symmetry** (statistics only; see
 //!   [`mod@pr_core::fingerprint`] for why it is unsound for oracles).
 //!
-//! Every newly discovered state is invariant-checked; every deadlock
-//! resolution is audited against the brute-force optimality oracles in
-//! [`crate::oracles`]; terminal states are collected for the
-//! cross-strategy equivalence comparison; and the finished state graph is
+//! Every newly discovered state is invariant-checked; the record of every
+//! deadlock resolution (read from [`System::history`]) is audited against
+//! the brute-force optimality oracles in [`crate::oracles`]; terminal
+//! states are collected for the cross-strategy equivalence comparison; and the finished state graph is
 //! analysed for livelock cycles (a strongly connected component
 //! containing a preemption edge — commits are monotone, so no cycle can
 //! contain a commit edge).
 
 use crate::oracles::{self, GapStats};
-use pr_core::config::VictimPolicyKind;
+use pr_core::config::{StrategyKind, SystemConfig, VictimPolicyKind};
 use pr_core::engine::{StepOutcome, System};
 use pr_core::fingerprint::{canonical_state, canonical_state_relabeled, fnv1a};
 use pr_core::runtime::Phase;
-use pr_model::{Op, TxnId, Value};
+use pr_model::{Op, TransactionProgram, TxnId, Value};
+use pr_sim::report::Table;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Exploration bounds and toggles.
@@ -49,8 +50,6 @@ pub struct ExploreOptions {
     pub max_depth: usize,
     /// Run [`System::check_invariants`] on every newly discovered state.
     pub check_invariants: bool,
-    /// Audit every deadlock resolution against the brute-force solvers.
-    pub audit_resolutions: bool,
     /// Canonicalise states up to permutations of identical-program
     /// transactions. Ignored (with `symmetry_applied = false` in the
     /// report) for entry-order-dependent victim policies, where ids are
@@ -64,7 +63,6 @@ impl Default for ExploreOptions {
             max_states: 1 << 20,
             max_depth: 100_000,
             check_invariants: true,
-            audit_resolutions: true,
             symmetry: false,
         }
     }
@@ -460,11 +458,7 @@ fn state_key(sys: &System, perms: Option<&[BTreeMap<TxnId, TxnId>]>) -> String {
 /// Exhaustively explores every schedule of `base`, which must already have
 /// its workload admitted (and any deterministic prefix applied).
 pub fn explore(base: &System, opts: &ExploreOptions) -> ExploreReport {
-    let mut root = base.clone();
-    if opts.audit_resolutions {
-        root.enable_resolution_audit();
-        root.take_resolution_audits(); // discard any prefix audits
-    }
+    let root = base.clone();
     let policy = root.config().victim;
     // Entry orders feed PartialOrder/Youngest victim selection, so ids are
     // not interchangeable there and symmetry must stay off.
@@ -561,6 +555,7 @@ pub fn explore(base: &System, opts: &ExploreOptions) -> ExploreReport {
             continue;
         }
         let was_local = next_op_is_local(&frame.sys, txn);
+        let resolved_before = frame.sys.history().len();
         let mut child = frame.sys.clone();
         let outcome = match child.step(txn) {
             Ok(o) => o,
@@ -583,23 +578,21 @@ pub fn explore(base: &System, opts: &ExploreOptions) -> ExploreReport {
             StepOutcome::DeadlockResolved { .. } => EdgeKind::Preemption,
             StepOutcome::Committed => EdgeKind::Commit,
         };
-        if opts.audit_resolutions {
-            for audit in child.take_resolution_audits() {
-                deadlocks += 1;
-                let mut schedule = graph.path_to(parent_node);
-                schedule.push(txn);
-                let verdict = oracles::check_audit(&audit, policy);
-                gaps.absorb(&verdict);
-                for detail in verdict.violations {
-                    // The deadlock fires on the edge `parent --txn-->`, so
-                    // the minimised witness is shortest-to-parent + txn.
-                    anchors.push((findings.len(), parent_node, Some(txn)));
-                    findings.push(Finding {
-                        kind: "resolution-oracle",
-                        detail,
-                        schedule: schedule.clone(),
-                    });
-                }
+        for record in &child.history()[resolved_before..] {
+            deadlocks += 1;
+            let mut schedule = graph.path_to(parent_node);
+            schedule.push(txn);
+            let verdict = oracles::check_audit(record, policy);
+            gaps.absorb(&verdict);
+            for detail in verdict.violations {
+                // The deadlock fires on the edge `parent --txn-->`, so the
+                // minimised witness is shortest-to-parent + txn.
+                anchors.push((findings.len(), parent_node, Some(txn)));
+                findings.push(Finding {
+                    kind: "resolution-oracle",
+                    detail,
+                    schedule: schedule.clone(),
+                });
             }
         }
         let key = state_key(&child, perms_ref);
@@ -669,7 +662,8 @@ pub fn replay_lines(base: &System, schedule: &[TxnId]) -> Vec<String> {
             Ok(StepOutcome::Blocked { entity }) => {
                 format!("{i:>4} step {txn} -> blocked on {entity}")
             }
-            Ok(StepOutcome::DeadlockResolved { plan, .. }) => {
+            Ok(StepOutcome::DeadlockResolved { record }) => {
+                let plan = &record.plan;
                 let victims: Vec<String> = plan
                     .rollbacks
                     .iter()
@@ -701,15 +695,14 @@ pub fn replay_lines(base: &System, schedule: &[TxnId]) -> Vec<String> {
     lines
 }
 
-/// Convenience: build a [`System`] over `entities` zero-padded entities
-/// initialised to `init`, admit `programs`, and explore it.
-pub fn explore_workload(
-    programs: &[pr_model::TransactionProgram],
+/// A [`System`] over `entities` entities initialised to `init`, with
+/// `programs` admitted.
+pub fn workload_system(
+    programs: &[TransactionProgram],
     entities: u32,
     init: i64,
-    config: pr_core::config::SystemConfig,
-    opts: &ExploreOptions,
-) -> ExploreReport {
+    config: SystemConfig,
+) -> System {
     let store = pr_storage::GlobalStore::with_entities(entities, Value::new(init));
     let mut sys = System::new(store, config);
     // Under `Ordered` the explorer plays the prover inline, exactly like
@@ -724,5 +717,53 @@ pub fn explore_workload(
     for p in programs {
         sys.admit(p.clone()).expect("workload program is valid");
     }
-    explore(&sys, opts)
+    sys
+}
+
+/// One exploration, as a row of the state-space statistics table.
+pub struct RunRecord {
+    /// Case name.
+    pub name: String,
+    /// Rollback strategy explored.
+    pub strategy: StrategyKind,
+    /// What the exploration found.
+    pub report: ExploreReport,
+    /// States visited under symmetry reduction, when that was also run.
+    pub sym_states: Option<usize>,
+}
+
+/// The state-space statistics table (EXPERIMENTS T4) over `records`.
+pub fn stats_table(records: &[RunRecord]) -> Table {
+    let mut t = Table::new([
+        "case",
+        "strategy",
+        "states",
+        "transitions",
+        "terminals",
+        "deadlocks",
+        "audited",
+        "excl-checked",
+        "multi-cycle",
+        "max-gap",
+        "sym-states",
+        "complete",
+    ])
+    .with_title("Exhaustive exploration statistics (T4)");
+    for r in records {
+        t.row([
+            r.name.clone(),
+            r.strategy.name(),
+            r.report.states.to_string(),
+            r.report.transitions.to_string(),
+            r.report.terminals.len().to_string(),
+            r.report.deadlocks.to_string(),
+            r.report.gaps.audited.to_string(),
+            r.report.gaps.exclusive_checked.to_string(),
+            r.report.gaps.multi_cycle.to_string(),
+            r.report.gaps.max_gap.to_string(),
+            r.sym_states.map_or_else(|| "-".into(), |s| s.to_string()),
+            if r.report.complete { "yes".into() } else { "NO".to_string() },
+        ]);
+    }
+    t
 }

@@ -33,8 +33,8 @@ pub mod grid;
 pub mod oracles;
 
 pub use explorer::{
-    explore, explore_workload, Edge, EdgeKind, ExploreOptions, ExploreReport, Finding,
-    LivelockWitness, StateGraph, TerminalOutcome,
+    explore, stats_table, workload_system, Edge, EdgeKind, ExploreOptions, ExploreReport, Finding,
+    LivelockWitness, RunRecord, StateGraph, TerminalOutcome,
 };
 pub use grid::{figure2_prefix_system, grid_cases, grid_store, GridCase, Shape};
 pub use oracles::{check_audit, AuditVerdict, GapStats};

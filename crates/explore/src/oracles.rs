@@ -1,9 +1,10 @@
-//! Brute-force optimality oracles over deadlock-resolution audits.
+//! Brute-force optimality oracles over deadlock records.
 //!
-//! The engine records a [`ResolutionAudit`] for every deadlock it resolves
-//! (solver inputs captured *before* any rollback executes). [`check_audit`]
-//! re-derives what the resolution *should* have been using solvers that are
-//! algorithmically independent of the production path:
+//! The engine keeps a [`DeadlockRecord`] for every deadlock it resolves
+//! (built where the plan is made, *before* any rollback executes), in
+//! [`pr_core::System::history`]. [`check_audit`] re-derives what the
+//! resolution *should* have been using solvers that are algorithmically
+//! independent of the production path:
 //!
 //! * **Coverage** — the executed plan must break every policy-filtered
 //!   cycle ([`pr_graph::solution_covers`]).
@@ -24,10 +25,11 @@
 //!   after the causer.
 //!
 //! The mutant self-tests at the bottom plant one bug of each class in a
-//! fabricated audit and assert the oracle catches it — guarding the guards.
+//! fabricated record and assert the oracle catches it — guarding the
+//! guards.
 
 use pr_core::config::VictimPolicyKind;
-use pr_core::deadlock::ResolutionAudit;
+use pr_core::deadlock::DeadlockRecord;
 use pr_graph::{solution_covers, solve_exhaustive};
 
 /// The oracle's verdict on one resolution.
@@ -86,11 +88,11 @@ impl GapStats {
     }
 }
 
-/// Checks one resolution audit against the brute-force oracles. `policy`
+/// Checks one deadlock record against the brute-force oracles. `policy`
 /// is the victim policy the engine ran under.
-pub fn check_audit(audit: &ResolutionAudit, policy: VictimPolicyKind) -> AuditVerdict {
-    let mut v = AuditVerdict { multi_cycle: audit.filtered.len() > 1, ..Default::default() };
-    let plan = &audit.plan;
+pub fn check_audit(record: &DeadlockRecord, policy: VictimPolicyKind) -> AuditVerdict {
+    let mut v = AuditVerdict { multi_cycle: record.filtered.len() > 1, ..Default::default() };
+    let plan = &record.plan;
 
     // Internal consistency: the reported total is the sum of the parts.
     let sum: u64 = plan.rollbacks.iter().map(|r| u64::from(r.cost)).sum();
@@ -100,7 +102,7 @@ pub fn check_audit(audit: &ResolutionAudit, policy: VictimPolicyKind) -> AuditVe
     }
 
     // Coverage: the executed rollbacks must break every filtered cycle.
-    for (i, cycle) in audit.filtered.iter().enumerate() {
+    for (i, cycle) in record.filtered.iter().enumerate() {
         if !solution_covers(&plan.rollbacks, cycle) {
             v.violations.push(format!(
                 "plan leaves cycle {i} unbroken (victims {:?})",
@@ -110,10 +112,10 @@ pub fn check_audit(audit: &ResolutionAudit, policy: VictimPolicyKind) -> AuditVe
     }
 
     // §3.2 exactness: compare against independent subset enumeration.
-    if audit.filtered.is_empty() {
+    if record.filtered.is_empty() {
         // Nothing to cut (defensive; the engine never records these).
     } else {
-        match solve_exhaustive(&audit.filtered) {
+        match solve_exhaustive(&record.filtered) {
             Some(exact) => {
                 if plan.total_cost < exact.total_cost {
                     v.violations.push(format!(
@@ -140,13 +142,13 @@ pub fn check_audit(audit: &ResolutionAudit, policy: VictimPolicyKind) -> AuditVe
     // §3.1 minimality: exclusive locks produce exactly one cycle, and the
     // chosen victim must be the cheapest member. Under MinCost the policy
     // filters nothing, so the unfiltered instance is the search space.
-    if audit.exclusive_only
+    if record.exclusive_only
         && policy == VictimPolicyKind::MinCost
-        && audit.unfiltered.len() == 1
-        && !audit.unfiltered[0].is_empty()
+        && record.unfiltered.len() == 1
+        && !record.unfiltered[0].is_empty()
     {
         v.exclusive_checked = true;
-        let min = audit.unfiltered[0].iter().map(|c| u64::from(c.cost)).min().expect("non-empty");
+        let min = record.unfiltered[0].iter().map(|c| u64::from(c.cost)).min().expect("non-empty");
         if plan.total_cost != min {
             v.violations.push(format!(
                 "§3.1: exclusive single-cycle deadlock resolved at cost {} but the \
@@ -165,13 +167,13 @@ pub fn check_audit(audit: &ResolutionAudit, policy: VictimPolicyKind) -> AuditVe
     // Theorem 2 (ω): PartialOrder victims are the causer or strictly
     // younger than the causer.
     if policy == VictimPolicyKind::PartialOrder {
-        let causer = audit.event.causer;
-        let causer_entry = audit.entry_orders.get(&causer).copied();
+        let causer = record.event.causer;
+        let causer_entry = record.entry_orders.get(&causer).copied();
         for r in &plan.rollbacks {
             if r.txn == causer {
                 continue;
             }
-            let ok = match (audit.entry_orders.get(&r.txn), causer_entry) {
+            let ok = match (record.entry_orders.get(&r.txn), causer_entry) {
                 (Some(&e), Some(ce)) => e > ce,
                 _ => false,
             };
@@ -179,7 +181,7 @@ pub fn check_audit(audit: &ResolutionAudit, policy: VictimPolicyKind) -> AuditVe
                 v.violations.push(format!(
                     "ω violation: victim {:?} is neither the causer {:?} nor younger \
                      than it (entry orders {:?})",
-                    r.txn, causer, audit.entry_orders
+                    r.txn, causer, record.entry_orders
                 ));
             }
         }
@@ -212,13 +214,13 @@ mod tests {
 
     /// A correct single-cycle exclusive-lock resolution: members cost 2
     /// and 3, the plan picks the cheaper.
-    fn clean_audit() -> ResolutionAudit {
+    fn clean_record() -> DeadlockRecord {
         let members = vec![
             CycleMember { txn: t(1), holds: EntityId::new(0) },
             CycleMember { txn: t(2), holds: EntityId::new(1) },
         ];
         let cands = vec![cand(1, 2), cand(2, 3)];
-        ResolutionAudit {
+        DeadlockRecord {
             event: DeadlockEvent {
                 causer: t(2),
                 entity: EntityId::new(0),
@@ -234,7 +236,7 @@ mod tests {
 
     #[test]
     fn clean_resolution_passes_every_oracle() {
-        let v = check_audit(&clean_audit(), VictimPolicyKind::MinCost);
+        let v = check_audit(&clean_record(), VictimPolicyKind::MinCost);
         assert!(v.violations.is_empty(), "unexpected violations: {:?}", v.violations);
         assert!(v.exclusive_checked);
         assert_eq!(v.gap, Some(0));
@@ -246,9 +248,9 @@ mod tests {
     /// comparison must flag it.
     #[test]
     fn mutant_off_by_one_cost_comparator_is_caught() {
-        let mut audit = clean_audit();
-        audit.plan = ResolutionPlan { rollbacks: vec![cand(2, 3)], total_cost: 3, optimal: true };
-        let v = check_audit(&audit, VictimPolicyKind::MinCost);
+        let mut record = clean_record();
+        record.plan = ResolutionPlan { rollbacks: vec![cand(2, 3)], total_cost: 3, optimal: true };
+        let v = check_audit(&record, VictimPolicyKind::MinCost);
         assert!(
             v.violations.iter().any(|m| m.contains("claims optimality")),
             "exhaustive comparison missed the mutant: {:?}",
@@ -267,17 +269,17 @@ mod tests {
     /// itself) — exactly what Theorem 2 forbids.
     #[test]
     fn mutant_omega_violating_victim_is_caught() {
-        let mut audit = clean_audit();
+        let mut record = clean_record();
         // Causer is t2 (entry 1); the mutant victimises t1 (entry 0).
-        audit.plan = ResolutionPlan { rollbacks: vec![cand(1, 2)], total_cost: 2, optimal: true };
-        let v = check_audit(&audit, VictimPolicyKind::PartialOrder);
+        record.plan = ResolutionPlan { rollbacks: vec![cand(1, 2)], total_cost: 2, optimal: true };
+        let v = check_audit(&record, VictimPolicyKind::PartialOrder);
         assert!(
             v.violations.iter().any(|m| m.contains("ω violation")),
             "ω check missed the mutant: {:?}",
             v.violations
         );
         // The same plan is fine for MinCost, where ω does not apply.
-        let v = check_audit(&audit, VictimPolicyKind::MinCost);
+        let v = check_audit(&record, VictimPolicyKind::MinCost);
         assert!(!v.violations.iter().any(|m| m.contains("ω")));
     }
 
@@ -297,7 +299,7 @@ mod tests {
         ];
         let cycle_a = vec![cand(1, 5), cand(2, 1)];
         let cycle_b = vec![cand(1, 5), cand(3, 1)];
-        let audit = ResolutionAudit {
+        let record = DeadlockRecord {
             event: DeadlockEvent {
                 causer: t(1),
                 entity: EntityId::new(9),
@@ -310,7 +312,7 @@ mod tests {
             exclusive_only: false,
             entry_orders: BTreeMap::from([(t(1), 0), (t(2), 1), (t(3), 2)]),
         };
-        let v = check_audit(&audit, VictimPolicyKind::MinCost);
+        let v = check_audit(&record, VictimPolicyKind::MinCost);
         assert!(
             v.violations.iter().any(|m| m.contains("unbroken")),
             "coverage check missed the mutant: {:?}",
@@ -326,9 +328,9 @@ mod tests {
 
     #[test]
     fn inconsistent_total_cost_is_caught() {
-        let mut audit = clean_audit();
-        audit.plan.total_cost = 7;
-        let v = check_audit(&audit, VictimPolicyKind::MinCost);
+        let mut record = clean_record();
+        record.plan.total_cost = 7;
+        let v = check_audit(&record, VictimPolicyKind::MinCost);
         assert!(v.violations.iter().any(|m| m.contains("sum of rollback costs")));
     }
 

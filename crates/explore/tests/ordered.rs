@@ -12,7 +12,7 @@
 
 use pr_core::config::{StrategyKind, SystemConfig, VictimPolicyKind};
 use pr_core::{derive_order, GrantPolicy};
-use pr_explore::{explore_workload, grid_cases, EdgeKind, ExploreOptions, ExploreReport};
+use pr_explore::{explore, grid_cases, workload_system, EdgeKind, ExploreOptions, ExploreReport};
 use pr_model::Value;
 use pr_sim::run_serial;
 use pr_storage::GlobalStore;
@@ -36,7 +36,7 @@ fn ordered_grid_certifiable_cases_never_deadlock_and_stay_serializable() {
     let mut fallback_deadlocks = 0usize;
     for case in &cases {
         let programs = case.programs();
-        let report = explore_workload(&programs, 2, 0, config, &ExploreOptions::default());
+        let report = explore(&workload_system(&programs, 2, 0, config), &ExploreOptions::default());
         assert!(report.complete, "{}: truncated", case.name);
         assert!(report.findings.is_empty(), "{}: {:?}", case.name, report.findings);
         assert!(report.livelock.is_none(), "{}: livelock under ordered", case.name);

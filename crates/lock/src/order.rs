@@ -177,10 +177,11 @@ pub fn derive_order(programs: &[TransactionProgram]) -> Result<EntityOrder, Vec<
             cycles.push(vec![entities[v]]);
         }
     }
-    for scc in sccs_of(n, &adj, &removed) {
+    for mut scc in sccs(&adj, &removed) {
         if scc.len() < 2 {
             continue;
         }
+        scc.sort_unstable(); // `shortest_cycle` binary-searches members
         if let Some(cycle) = shortest_cycle(&scc, &adj) {
             cycles.push(cycle.into_iter().map(|v| entities[v]).collect());
         }
@@ -189,9 +190,13 @@ pub fn derive_order(programs: &[TransactionProgram]) -> Result<EntityOrder, Vec<
     Err(cycles)
 }
 
-/// Strongly connected components of the not-yet-removed subgraph
-/// (iterative Tarjan), returned with members sorted ascending.
-fn sccs_of(n: usize, adj: &[Vec<usize>], removed: &[bool]) -> Vec<Vec<usize>> {
+/// Strongly connected components of the graph `adj` over `0..adj.len()`
+/// with the `removed` vertices (and their arcs) left out, by iterative
+/// Tarjan, so deep graphs cannot overflow the thread stack. Components
+/// come in completion order (reverse topological), each in the order
+/// Tarjan pops it off its stack; callers that need another order sort.
+pub fn sccs(adj: &[Vec<usize>], removed: &[bool]) -> Vec<Vec<usize>> {
+    let n = adj.len();
     let mut idx = vec![usize::MAX; n];
     let mut low = vec![0usize; n];
     let mut on_stack = vec![false; n];
@@ -240,13 +245,11 @@ fn sccs_of(n: usize, adj: &[Vec<usize>], removed: &[bool]) -> Vec<Vec<usize>> {
                             break;
                         }
                     }
-                    comp.sort_unstable();
                     sccs.push(comp);
                 }
             }
         }
     }
-    sccs.sort();
     sccs
 }
 

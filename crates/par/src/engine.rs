@@ -436,21 +436,13 @@ impl Core {
             // rather than spin.
             return Err(ParError::Unresolvable { txn: id });
         }
-        local.deadlocks += 1;
-        if plan.optimal {
-            local.cutset_optimal += 1;
-        } else {
-            local.cutset_greedy += 1;
-        }
         let mut to_wake: BTreeSet<TxnId> = BTreeSet::new();
-        let mut actual_cost: u64 = 0;
+        let mut states_lost: u64 = 0;
         for rb in &plan.rollbacks {
-            actual_cost += self.execute_rollback(*rb, &mut held, &mut to_wake, local)?;
+            states_lost += self.execute_rollback(*rb, &mut held, &mut to_wake, local)?;
         }
-        // Recorded from executed costs so the resolution-cost histogram
-        // sums exactly to the states-lost counter (and to the per-victim
-        // runtime totals), with no drift from raced-in grants.
-        local.resolution_cost.record(actual_cost);
+        // Executed, not planned, costs: no drift from raced-in grants.
+        local.record_resolution(plan.optimal, states_lost);
         to_wake.remove(&id); // we are awake, running this very loop
         let g = held.swap_remove(at).1;
         drop(held);

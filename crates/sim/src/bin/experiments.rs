@@ -7,10 +7,10 @@
 //! With `--csv <dir>`, every table is additionally written as a CSV file
 //! into the directory (created if missing).
 
-use pr_core::{StrategyKind, VictimPolicyKind};
+use pr_core::VictimPolicyKind;
 use pr_sim::experiments as exp;
 use pr_sim::report::{f2, Table};
-use pr_sim::scenarios::{figure1, figure2, figure3, figure4, figure5};
+use pr_sim::scenarios::{figure3, figure4};
 
 fn emit(table: &Table, name: &str, csv_dir: Option<&std::path::Path>) {
     println!("{table}");
@@ -37,35 +37,14 @@ fn main() {
     println!("# Partial-rollback deadlock removal — experiment suite\n");
 
     // ---------------- Figures ----------------
-    let f1 = figure1::run(StrategyKind::Mcs);
-    let mut t = Table::new(["txn", "cost (paper)", "cost (measured)"])
-        .with_title("F1 — Figure 1: rollback costs and victim choice");
-    for (txn, paper) in [(2u32, 4u32), (3, 6), (4, 5)] {
-        t.row([
-            format!("T{txn}"),
-            paper.to_string(),
-            f1.costs[&pr_model::TxnId::new(txn)].to_string(),
-        ]);
-    }
+    let (t, f1) = exp::f1_table();
     emit(&t, "f1-figure1", csv);
     println!(
         "  victim: {} (paper: T2), cost {} (paper: 4); T1 unblocked: {}\n",
         f1.victim, f1.victim_cost, f1.t1_unblocked
     );
 
-    let (mincost, partial) = figure2::run(20_000);
-    let mut t = Table::new(["policy", "completed", "deadlocks", "rollbacks", "max preemptions"])
-        .with_title("F2 — Figure 2: potentially infinite mutual preemption");
-    for (name, o) in [("min-cost", &mincost), ("partial-order", &partial)] {
-        t.row([
-            name.to_string(),
-            o.completed.to_string(),
-            o.deadlocks.to_string(),
-            o.rollbacks.to_string(),
-            o.max_preemptions.to_string(),
-        ]);
-    }
-    emit(&t, "f2-figure2", csv);
+    emit(&exp::f2_table(), "f2-figure2", csv);
 
     let a = figure3::run_a();
     println!("F3a — Figure 3(a): acyclic non-forest without deadlock");
@@ -93,22 +72,7 @@ fn main() {
     println!("  original T1: {wd_orig:?} (paper: only 0 and 6)");
     println!("  one write deleted: {wd_mod:?} (paper: lock state 4 becomes well-defined)\n");
 
-    let (spread, clustered) = figure5::run();
-    let mut t = Table::new(["victim shape", "rollback target", "states lost", "overshoot"])
-        .with_title("F5 — Figure 5: write clustering under the SDG strategy");
-    t.row([
-        "spread (T1 shape)".to_string(),
-        spread.target.to_string(),
-        spread.states_lost.to_string(),
-        spread.overshoot.to_string(),
-    ]);
-    t.row([
-        "clustered (T2 shape)".to_string(),
-        clustered.target.to_string(),
-        clustered.states_lost.to_string(),
-        clustered.overshoot.to_string(),
-    ]);
-    emit(&t, "f5-figure5", csv);
+    emit(&exp::f5_table(), "f5-figure5", csv);
 
     // ---------------- Quantitative sweeps ----------------
     let seeds = exp::default_seeds();

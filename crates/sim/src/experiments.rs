@@ -1,11 +1,14 @@
 //! Quantitative experiments behind the paper's claims.
 //!
-//! Each function performs a parameter sweep and returns structured rows;
-//! the `experiments` binary renders them as the tables recorded in
-//! `EXPERIMENTS.md`.
+//! Each sweep function returns structured rows, which the `experiments`
+//! binary renders as the tables recorded in `EXPERIMENTS.md`. The figure
+//! tables ([`f1_table`], [`f2_table`], [`f5_table`]) are built here
+//! whole, so `tests/golden.rs` can check them against `results/`.
 
 use crate::generator::{Clustering, GeneratorConfig, ProgramGenerator};
+use crate::report::Table;
 use crate::runner::{run_workload, store_with, SchedulerKind};
+use crate::scenarios::{figure1, figure2, figure5};
 use pr_core::{StrategyKind, SystemConfig, VictimPolicyKind};
 use pr_graph::{cutset, CandidateRollback};
 use pr_model::{LockIndex, StateIndex, TxnId};
@@ -21,6 +24,54 @@ fn base_config(strategy: StrategyKind, victim: VictimPolicyKind) -> SystemConfig
     let mut c = SystemConfig::new(strategy, victim);
     c.max_steps = 2_000_000;
     c
+}
+
+/// **F1 — Figure 1.** Each member's rollback cost against the paper's,
+/// with the run they were measured in (its victim is printed beside the
+/// table).
+pub fn f1_table() -> (Table, figure1::Figure1Outcome) {
+    let f1 = figure1::run(StrategyKind::Mcs);
+    let mut t = Table::new(["txn", "cost (paper)", "cost (measured)"])
+        .with_title("F1 — Figure 1: rollback costs and victim choice");
+    for (txn, paper) in [(2u32, 4u32), (3, 6), (4, 5)] {
+        t.row([format!("T{txn}"), paper.to_string(), f1.costs[&TxnId::new(txn)].to_string()]);
+    }
+    (t, f1)
+}
+
+/// **F2 — Figure 2.** Min-cost victims preempt each other without end;
+/// the partial-order policy completes.
+pub fn f2_table() -> Table {
+    let (mincost, partial) = figure2::run(20_000);
+    let mut t = Table::new(["policy", "completed", "deadlocks", "rollbacks", "max preemptions"])
+        .with_title("F2 — Figure 2: potentially infinite mutual preemption");
+    for (name, o) in [("min-cost", &mincost), ("partial-order", &partial)] {
+        t.row([
+            name.to_string(),
+            o.completed.to_string(),
+            o.deadlocks.to_string(),
+            o.rollbacks.to_string(),
+            o.max_preemptions.to_string(),
+        ]);
+    }
+    t
+}
+
+/// **F5 — Figure 5.** Spread writes leave the SDG strategy no
+/// well-defined state near the ideal target; clustered writes do.
+pub fn f5_table() -> Table {
+    let (spread, clustered) = figure5::run();
+    let mut t = Table::new(["victim shape", "rollback target", "states lost", "overshoot"])
+        .with_title("F5 — Figure 5: write clustering under the SDG strategy");
+    for (shape, o) in [("spread (T1 shape)", spread), ("clustered (T2 shape)", clustered)] {
+        t.row([
+            shape.to_string(),
+            o.target.to_string(),
+            o.states_lost.to_string(),
+            o.overshoot.to_string(),
+        ]);
+    }
+    t
 }
 
 /// One row of the Q1 lost-progress sweep.

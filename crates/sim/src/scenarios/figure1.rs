@@ -81,10 +81,11 @@ pub fn run(strategy: StrategyKind) -> Figure1Outcome {
 
     // T2 requests e — the cycle T2 → T3 → T4 closes.
     let outcome = sys.step(t2).unwrap();
-    let (event, plan) = match outcome {
-        StepOutcome::DeadlockResolved { event, plan } => (event, plan),
+    let record = match outcome {
+        StepOutcome::DeadlockResolved { record } => record,
         other => panic!("expected deadlock, got {other:?}"),
     };
+    let (event, plan) = (&record.event, &record.plan);
     let cycle = event.cycles[0].txns();
     let victim = plan.rollbacks[0].txn;
     let victim_cost = plan.total_cost;

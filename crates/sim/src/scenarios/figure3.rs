@@ -209,10 +209,11 @@ pub fn run_c(t1_pads: usize, holder_pads: usize) -> MultiCycleOutcome {
 }
 
 fn finish(mut sys: System, out: StepOutcome) -> MultiCycleOutcome {
-    let (event, plan) = match out {
-        StepOutcome::DeadlockResolved { event, plan } => (event, plan),
+    let record = match out {
+        StepOutcome::DeadlockResolved { record } => record,
         other => panic!("expected deadlock, got {other:?}"),
     };
+    let (event, plan) = (&record.event, &record.plan);
     let mut in_all: Vec<TxnId> = event.cycles[0].txns();
     for c in &event.cycles[1..] {
         let txns = c.txns();

@@ -96,7 +96,7 @@ pub fn run_variant(victim: TransactionProgram) -> Figure5Outcome {
     // T2 requests c — deadlock; T1 must release c (ideal: lock state 2).
     let out = sys.step(t2).unwrap();
     let plan = match out {
-        StepOutcome::DeadlockResolved { plan, .. } => plan,
+        StepOutcome::DeadlockResolved { record } => record.plan.clone(),
         other => panic!("expected deadlock, got {other:?}"),
     };
     assert_eq!(plan.rollbacks[0].txn, t1, "the victim shape is the min-cost choice");

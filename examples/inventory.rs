@@ -103,7 +103,8 @@ fn main() {
 
     // Multi-cycle deadlocks (if any occurred) all passed through their
     // causer — print the shapes.
-    for (event, plan) in system.history() {
+    for record in system.history() {
+        let (event, plan) = (&record.event, &record.plan);
         println!(
             "deadlock by {} on {}: {} cycle(s), victims {:?}",
             event.causer,

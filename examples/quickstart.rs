@@ -43,13 +43,13 @@ fn main() {
     println!("T1 requesting bob: {blocked:?}");
     let resolved = system.step(t2).unwrap(); // T2: LX(alice) → deadlock!
     match &resolved {
-        StepOutcome::DeadlockResolved { event, plan } => {
+        StepOutcome::DeadlockResolved { record } => {
             println!(
                 "deadlock: {} caused a cycle over {:?}; victim(s) {:?} at cost {}",
-                event.causer,
-                event.cycles[0].txns(),
-                plan.rollbacks.iter().map(|r| r.txn).collect::<Vec<_>>(),
-                plan.total_cost,
+                record.event.causer,
+                record.event.cycles[0].txns(),
+                record.plan.rollbacks.iter().map(|r| r.txn).collect::<Vec<_>>(),
+                record.plan.total_cost,
             );
         }
         other => println!("unexpected: {other:?}"),

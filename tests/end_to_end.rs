@@ -166,6 +166,6 @@ fn deadlock_history_is_consistent_with_metrics() {
     sys.step(t2).unwrap(); // deadlock
     sys.run(&mut RoundRobin::new()).unwrap();
     assert_eq!(sys.history().len() as u64, sys.metrics().deadlocks);
-    let planned: u64 = sys.history().iter().map(|(_, p)| p.rollbacks.len() as u64).sum();
+    let planned: u64 = sys.history().iter().map(|r| r.plan.rollbacks.len() as u64).sum();
     assert_eq!(planned, sys.metrics().rollbacks());
 }

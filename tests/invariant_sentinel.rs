@@ -68,8 +68,9 @@ fn barging_shared_grant_keeps_waiter_arcs_fresh_under_the_sentinel() {
 }
 
 /// A deliberately corrupted waits-for graph — a forged arc with no
-/// matching wait record — must make the sentinel panic with its event
-/// trace, even when driven through the facade crate.
+/// matching wait record — must make the sentinel panic with the tail of
+/// the engine's structured events, even when driven through the facade
+/// crate (whose event log is off).
 #[test]
 fn forged_graph_edge_trips_the_sentinel() {
     let a = EntityId::new(0);
@@ -85,4 +86,7 @@ fn forged_graph_edge_trips_the_sentinel() {
     .expect_err("sentinel must catch the forged arc");
     let msg = err.downcast_ref::<String>().expect("panic payload is the report");
     assert!(msg.contains("invariant sentinel tripped"), "{msg}");
+    assert!(msg.contains("--- last 2 of 2 engine events ---"), "{msg}");
+    assert!(msg.contains("    1. [     0] T1 admitted\n"), "{msg}");
+    assert!(msg.contains("    2. [     1] T1 granted X-lock on a\n"), "{msg}");
 }
