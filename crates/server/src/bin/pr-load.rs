@@ -316,7 +316,9 @@ fn parse_child_output(text: &str) -> Result<LoadResult, String> {
 /// What one fully checked cell produced.
 struct CellOutcome {
     result: LoadResult,
-    report: Option<OracleReport>,
+    /// The oracle's verdict and the transaction range the fetched
+    /// history covered (`None` when it was empty).
+    report: Option<(OracleReport, Option<(u32, u32)>)>,
     batches: u64,
 }
 
@@ -344,7 +346,11 @@ fn run_cell(o: &Options) -> Result<CellOutcome, String> {
     let mut ctl = Client::connect(&cfg.addr).map_err(|e| format!("control connect: {e}"))?;
     let report = if o.oracle {
         let (accesses, snapshot) = ctl.history().map_err(|e| format!("history fetch: {e}"))?;
-        Some(oracle_check(&cfg, &result.mapping, &accesses, &snapshot)?)
+        // The server keeps a bounded window of its newest batches: a run
+        // longer than the window is checked over a suffix, and says so.
+        let txns = accesses.iter().map(|a| a.txn.raw());
+        let range = txns.clone().min().zip(txns.max());
+        Some((oracle_check(&cfg, &result.mapping, &accesses, &snapshot)?, range))
     } else {
         None
     };
@@ -380,9 +386,14 @@ fn print_cell(o: &Options, cell: &CellOutcome) {
         r.latency.p95(),
         r.latency.p99(),
         match &cell.report {
-            Some(rep) => format!(
-                ", oracle green ({} accesses, {} conflict edges)",
-                rep.accesses, rep.conflict_edges
+            Some((rep, range)) => format!(
+                ", oracle green ({}, {} accesses, {} conflict edges)",
+                match range {
+                    Some((lo, hi)) => format!("history txns {lo}..={hi}"),
+                    None => "empty history".into(),
+                },
+                rep.accesses,
+                rep.conflict_edges
             ),
             None => String::new(),
         },

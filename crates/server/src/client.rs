@@ -11,8 +11,10 @@ use pr_par::CommittedAccess;
 use std::io::Write;
 use std::net::TcpStream;
 
-/// What [`Client::history`] returns: the server's full stamped access
-/// history plus the final `(entity, value)` snapshot.
+/// What [`Client::history`] returns: the server's history window (its
+/// newest whole batches of stamped accesses, each checked online; the
+/// whole history when the server's lifetime fits the window) plus the
+/// current `(entity, value)` snapshot.
 pub type HistoryDump = (Vec<CommittedAccess>, Vec<(EntityId, i64)>);
 
 /// One blocking connection to a pr-server.
@@ -65,9 +67,9 @@ impl Client {
         }
     }
 
-    /// `HISTORY` round trip: reassembles all chunks into the full access
-    /// history and the final snapshot. Same no-in-flight caveat as
-    /// [`Client::stats`].
+    /// `HISTORY` round trip: reassembles all chunks into the history
+    /// window and the snapshot (see [`HistoryDump`]). Same no-in-flight
+    /// caveat as [`Client::stats`].
     pub fn history(&mut self) -> std::io::Result<HistoryDump> {
         self.send(&Request::History)?;
         let mut all = Vec::new();

@@ -8,8 +8,9 @@
 //! batch's COMMITTED replies publish. [`recover`] replays the durable
 //! prefix of a log directory into a fresh store and hands back everything
 //! a server needs to resume exactly where the dead process stopped: txn
-//! and stamp high-water marks, the recovered access history for the
-//! HISTORY surface, and the sealed log ready for further appends.
+//! and stamp high-water marks, the newest whole batches of the recovered
+//! access history for the HISTORY window, and the sealed log ready for
+//! further appends.
 //!
 //! The invariant the test battery proves: under the `per-batch` flush
 //! policy, **acknowledged ⇒ replayed** — any transaction whose COMMITTED
@@ -18,6 +19,7 @@
 //! N−1 *whole* acknowledged batches; `off` leaves durability to graceful
 //! drain (which always syncs before SHUTDOWN_ACK).
 
+use crate::history::{HistoryWindow, HISTORY_WINDOW};
 use pr_model::{EntityId, LockMode, TxnId, Value};
 use pr_par::CommittedAccess;
 use pr_storage::wal::{replay, seal, FlushPolicy, LogDir, Wal, WalAccess, WalError, WalStats};
@@ -73,30 +75,36 @@ pub struct Recovery {
     pub summary: RecoverySummary,
     /// The store with every durable batch's deltas applied.
     pub store: GlobalStore,
-    /// The recovered access history, typed for the HISTORY surface and
-    /// the serializability oracle.
-    pub accesses: Vec<CommittedAccess>,
+    /// The tail of the recovered access history: the newest whole durable
+    /// batches that fit [`HISTORY_WINDOW`], with the log's stamp
+    /// high-water mark as the floor the next batch must stamp above.
+    pub history: HistoryWindow,
 }
 
 /// Replays the durable prefix of `dir` over a fresh
 /// `GlobalStore::with_entities(entities, init)` and seals the log so a
-/// reopened writer appends strictly after valid data.
+/// reopened writer appends strictly after valid data. Only the history
+/// window's tail of the recovered accesses is kept.
 pub fn recover(dir: &dyn LogDir, entities: u32, init: i64) -> Result<Recovery, WalError> {
     let outcome = replay(dir)?;
     let mut store = GlobalStore::with_entities(entities, Value::new(init));
     outcome.apply(&mut store)?;
     seal(dir, &outcome)?;
-    let accesses = outcome
-        .batches
-        .iter()
-        .flat_map(|b| b.accesses.iter())
-        .map(|a| CommittedAccess {
-            txn: TxnId::new(a.txn),
-            entity: EntityId::new(a.entity),
-            mode: if a.exclusive { LockMode::Exclusive } else { LockMode::Shared },
-            stamp: a.stamp,
-        })
-        .collect();
+    let mut history = HistoryWindow::new(HISTORY_WINDOW, outcome.stamp_hwm());
+    for batch in &outcome.batches {
+        history.push(
+            batch
+                .accesses
+                .iter()
+                .map(|a| CommittedAccess {
+                    txn: TxnId::new(a.txn),
+                    entity: EntityId::new(a.entity),
+                    mode: if a.exclusive { LockMode::Exclusive } else { LockMode::Shared },
+                    stamp: a.stamp,
+                })
+                .collect(),
+        );
+    }
     Ok(Recovery {
         summary: RecoverySummary {
             batches: outcome.batches.len() as u64,
@@ -107,7 +115,7 @@ pub fn recover(dir: &dyn LogDir, entities: u32, init: i64) -> Result<Recovery, W
             torn_tail: !outcome.tail.is_clean(),
         },
         store,
-        accesses,
+        history,
     })
 }
 
@@ -226,5 +234,35 @@ mod tests {
             .map(|b| b.deltas.iter().map(|&(e, v)| (e.raw(), v.raw())).collect())
             .collect();
         assert_eq!(deltas, vec![vec![(1, 5), (2, 7), (5, 0)], vec![(3, 9)]]);
+    }
+
+    /// Recovery hands back the logged batches as the history window, and
+    /// the log's stamp high-water mark as the floor the next batch must
+    /// clear — above every recovered access, since rolled-back grants
+    /// also draw stamps.
+    #[test]
+    fn recovery_seeds_the_history_window_and_its_stamp_floor() {
+        let dir = MemDir::new();
+        let config = DurabilityConfig::default();
+        let mut journal =
+            Journal::open(Arc::new(dir.clone()), &config, snap(&[(0, 1)]), 0).unwrap();
+        let access = |txn: u32, stamp: u64| CommittedAccess {
+            txn: TxnId::new(txn),
+            entity: EntityId::new(0),
+            mode: LockMode::Exclusive,
+            stamp,
+        };
+        let batches = [vec![access(1, 1), access(2, 2)], vec![access(3, 4)]];
+        journal.log_batch(0, &[1, 2], 3, &snap(&[(0, 2)]), &batches[0]).unwrap();
+        journal.log_batch(2, &[3], 6, &snap(&[(0, 3)]), &batches[1]).unwrap();
+
+        let rec = recover(&dir, 1, 1).unwrap();
+        let kept: Vec<CommittedAccess> = rec.history.iter().copied().collect();
+        assert_eq!(kept, batches.concat());
+        assert_eq!(
+            rec.history.check(&[access(4, 6)]),
+            Err(pr_sim::oracle::OracleViolation::StampRegression { stamp: 6, floor: 6 })
+        );
+        rec.history.check(&[access(4, 7)]).unwrap();
     }
 }

@@ -7,8 +7,9 @@
 //! concurrently submitting short transactions against one lock manager
 //! with partial-rollback deadlock resolution — while keeping every piece
 //! auditable by the same differential serializability oracle the
-//! in-process experiments use: the server records the grant-stamped
-//! access history across batches, and `pr-load` fetches it post-run and
+//! in-process experiments use: the server checks each batch's
+//! grant-stamped access history as it commits, keeps a fixed window of
+//! the newest batches, and `pr-load` fetches that window post-run and
 //! replays a serial reference against it.
 //!
 //! * [`wire`] — frame format, request/reply codecs, incremental
@@ -21,6 +22,8 @@
 //! * [`load`] — the closed-loop multi-client load driver behind
 //!   `pr-load`: Zipf skew, think times, latency histograms, multi-process
 //!   fan-out, and the post-run oracle check;
+//! * [`history`] — the online per-batch serializability check and the
+//!   fixed window of newest batches behind `HISTORY`;
 //! * [`durable`] — the group-commit journal over `pr_storage::wal` and
 //!   the `--recover` crash-recovery replay;
 //! * [`crashsim`] — the in-process crash-injection harness behind the
@@ -30,6 +33,7 @@ pub mod batch;
 pub mod client;
 pub mod crashsim;
 pub mod durable;
+pub mod history;
 pub mod load;
 pub mod server;
 pub mod wire;

@@ -11,10 +11,11 @@
 //!   engine-touching requests go through the executor so the session
 //!   stays single-owner.
 //! * **executor thread** — pulls batches, runs each through
-//!   [`Session::execute`] (one quiescent engine run per batch), and
-//!   writes `COMMITTED` replies for the whole batch after the run — that
-//!   is the group commit: no client hears success before its whole batch
-//!   is durable in the slab.
+//!   [`Session::execute`] (one quiescent engine run per batch), checks
+//!   the batch's history online ([`HistoryWindow::check`]), and writes
+//!   `COMMITTED` replies for the whole batch after the run — that is the
+//!   group commit: no client hears success before its whole batch is
+//!   checked and durable in the slab.
 //!
 //! Connection writers are a `Mutex<TcpStream>` per connection: frames
 //! are written whole under the lock, so replies from the executor and the
@@ -30,12 +31,13 @@
 
 use crate::batch::{Batcher, FlushReason};
 use crate::durable::{recover, DurabilityConfig, Journal, Recovery};
+use crate::history::{HistoryWindow, HISTORY_WINDOW};
 use crate::wire::{
     decode_request, encode_reply, frame, AbortReason, FrameAssembler, Reply, Request,
     HISTORY_CHUNK_ACCESSES,
 };
 use pr_core::{GrantPolicy, ServerMetrics, SystemConfig};
-use pr_model::{EntityId, LockMode, TransactionProgram, TxnId, Value};
+use pr_model::{TransactionProgram, TxnId, Value};
 use pr_par::{CommittedAccess, FastPathStats, ParConfig, ParError, Session};
 use pr_storage::wal::{FsDir, LogDir};
 use pr_storage::GlobalStore;
@@ -429,14 +431,12 @@ fn executor_loop(
         Some(rec) => {
             let session =
                 Session::resume(&rec.store, par_config, rec.summary.txn_hwm, rec.summary.stamp_hwm);
-            let history: Vec<RetainedAccess> =
-                rec.accesses.iter().map(RetainedAccess::pack).collect();
-            (rec.store, history, rec.summary.txns, rec.summary.last_batch_id, session)
+            (rec.store, rec.history, rec.summary.txns, rec.summary.last_batch_id, session)
         }
         None => {
             let store = GlobalStore::with_entities(config.entities, Value::new(config.init));
             let session = Session::new(&store, par_config);
-            (store, Vec::new(), 0u64, 0u64, session)
+            (store, HistoryWindow::new(HISTORY_WINDOW, 0), 0u64, 0u64, session)
         }
     };
     let mut session = session;
@@ -486,6 +486,14 @@ fn executor_loop(
             };
             match session.execute(&programs) {
                 Ok(outcome) => {
+                    // Online verification: the batch is serializable and
+                    // stamped after every batch before it, so the whole
+                    // history since boot is. Checked before anything is
+                    // logged or acknowledged.
+                    if let Err(v) = history.check(&outcome.accesses) {
+                        let e = ParError::Inconsistent(format!("online history check: {v}"));
+                        return Err(fail_batch(e, &shared));
+                    }
                     // Write-ahead: the batch's redo record and commit
                     // marker are appended (and fsynced, per policy)
                     // *before* any COMMITTED reply publishes.
@@ -503,7 +511,7 @@ fn executor_loop(
                         }
                     }
                     commits += outcome.commits() as u64;
-                    history.extend(outcome.accesses.iter().map(RetainedAccess::pack));
+                    history.push(outcome.accesses);
                     // Group commit: every reply in the batch goes out
                     // after the whole batch reached quiescence.
                     for (i, (request_id, conn)) in submitters.iter().enumerate() {
@@ -560,90 +568,53 @@ fn executor_loop(
     Ok(ServerSummary { commits, batches, fast })
 }
 
-/// One committed access as the executor retains it for the server's
-/// lifetime: 16 bytes against [`CommittedAccess`]'s 24, with the lock mode
-/// in the stamp's top bit. Expanded again per chunk by [`send_history`].
-#[derive(Clone, Copy)]
-struct RetainedAccess {
-    txn: u32,
-    entity: u32,
-    stamp_and_mode: u64,
-}
-
-impl RetainedAccess {
-    const EXCLUSIVE: u64 = 1 << 63;
-
-    fn pack(a: &CommittedAccess) -> Self {
-        assert!(a.stamp < Self::EXCLUSIVE, "grant stamp {} overflows 63 bits", a.stamp);
-        let mode = if a.mode == LockMode::Exclusive { Self::EXCLUSIVE } else { 0 };
-        RetainedAccess { txn: a.txn.raw(), entity: a.entity.raw(), stamp_and_mode: a.stamp | mode }
-    }
-
-    fn unpack(self) -> CommittedAccess {
-        let exclusive = self.stamp_and_mode & Self::EXCLUSIVE != 0;
-        CommittedAccess {
-            txn: TxnId::new(self.txn),
-            entity: EntityId::new(self.entity),
-            mode: if exclusive { LockMode::Exclusive } else { LockMode::Shared },
-            stamp: self.stamp_and_mode & !Self::EXCLUSIVE,
-        }
-    }
-}
-
-/// Streams the full history in bounded chunks; the last chunk carries
+/// Streams the history window in bounded chunks; the last chunk carries
 /// the snapshot.
 fn send_history(
     conn: &Arc<ConnWriter>,
     shared: &Arc<Shared>,
-    history: &[RetainedAccess],
+    history: &HistoryWindow,
     session: &Session,
 ) {
-    let mut chunks = history.chunks(HISTORY_CHUNK_ACCESSES).peekable();
-    if chunks.peek().is_none() {
-        let snapshot: Vec<_> = session.snapshot().iter().map(|(e, v)| (e, v.raw())).collect();
-        conn.send(shared, &Reply::HistoryChunk { last: true, accesses: vec![], snapshot });
-        return;
-    }
-    while let Some(chunk) = chunks.next() {
-        let last = chunks.peek().is_none();
-        let snapshot = if last {
-            session.snapshot().iter().map(|(e, v)| (e, v.raw())).collect()
-        } else {
-            Vec::new()
-        };
-        let accesses = chunk.iter().map(|a| a.unpack()).collect();
-        conn.send(shared, &Reply::HistoryChunk { last, accesses, snapshot });
+    let mut accesses = history.iter().copied();
+    let mut left = history.len();
+    loop {
+        let chunk: Vec<CommittedAccess> = accesses.by_ref().take(HISTORY_CHUNK_ACCESSES).collect();
+        left -= chunk.len();
+        if left == 0 {
+            let snapshot = session.snapshot().iter().map(|(e, v)| (e, v.raw())).collect();
+            conn.send(shared, &Reply::HistoryChunk { last: true, accesses: chunk, snapshot });
+            return;
+        }
+        conn.send(shared, &Reply::HistoryChunk { last: false, accesses: chunk, snapshot: vec![] });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Client;
+    use pr_model::{EntityId, Op};
 
+    /// A lifetime that fits the window gets its whole history back: every
+    /// committed transaction, across every batch, in one stamp order.
     #[test]
-    fn retained_access_is_16_bytes_and_round_trips() {
-        assert_eq!(std::mem::size_of::<RetainedAccess>(), 16);
-        for mode in [LockMode::Shared, LockMode::Exclusive] {
-            for stamp in [0, 1, u64::MAX >> 1] {
-                let access = CommittedAccess {
-                    txn: TxnId::new(u32::MAX),
-                    entity: EntityId::new(u32::MAX - 1),
-                    mode,
-                    stamp,
-                };
-                assert_eq!(RetainedAccess::pack(&access).unpack(), access);
-            }
+    fn a_lifetime_shorter_than_the_window_gets_its_whole_history() {
+        let server = Server::start(ServerConfig { entities: 4, threads: 2, ..Default::default() })
+            .expect("bind");
+        let mut c = Client::connect(&server.local_addr().to_string()).expect("connect");
+        let n = 12u32;
+        for i in 0..n {
+            // One at a time, so each transaction is its own batch.
+            let e = EntityId::new(i % 4);
+            c.submit(vec![Op::LockExclusive(e), Op::Unlock(e), Op::Commit]).expect("submit");
+            assert!(matches!(c.recv().expect("recv"), Ok(Reply::Committed { .. })));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "overflows 63 bits")]
-    fn a_stamp_that_would_collide_with_the_mode_bit_is_refused() {
-        RetainedAccess::pack(&CommittedAccess {
-            txn: TxnId::new(1),
-            entity: EntityId::new(0),
-            mode: LockMode::Shared,
-            stamp: 1 << 63,
-        });
+        let (accesses, _) = c.history().expect("history");
+        let txns: Vec<u32> = accesses.iter().map(|a| a.txn.raw()).collect();
+        assert_eq!(txns, (1..=n).collect::<Vec<_>>());
+        assert!(accesses.windows(2).all(|w| w[0].stamp < w[1].stamp));
+        c.shutdown().expect("shutdown");
+        assert_eq!(server.wait().expect("drain").batches, u64::from(n));
     }
 }

@@ -23,6 +23,12 @@
 //! SHUTDOWN_ACK 0x87  commits:u64
 //! ```
 //!
+//! `HISTORY` streams the server's history window: the newest whole
+//! batches, up to [`HISTORY_WINDOW`](crate::history::HISTORY_WINDOW)
+//! accesses, each already checked for conflict-serializability when it
+//! executed (see [`crate::history`]). A server whose lifetime fits the
+//! window sends its whole history.
+//!
 //! Transaction programs travel as their raw [`Op`] list (tags 0–7);
 //! expressions are a recursive prefix encoding (tags 0–4) with hard depth
 //! and node-count limits, so a malicious frame cannot blow the decoder's
@@ -140,7 +146,7 @@ pub enum Request {
     },
     /// Ask for the server metrics JSON.
     Stats,
-    /// Ask for the full committed access history and final snapshot.
+    /// Ask for the history window and the current snapshot.
     History,
     /// Ask the server to drain, quiesce, and exit.
     Shutdown,
@@ -168,8 +174,8 @@ pub enum Reply {
         /// `pr-server-metrics-v1` JSON object.
         json: String,
     },
-    /// One slice of the committed access history; the final chunk
-    /// (`last`) carries the database snapshot.
+    /// One slice of the history window; the final chunk (`last`)
+    /// carries the database snapshot.
     HistoryChunk {
         /// Whether this is the final chunk.
         last: bool,

@@ -35,7 +35,7 @@ pub mod stress;
 pub use generator::{Clustering, GeneratorConfig, ProgramGenerator};
 pub use oracle::{
     check_accounting, check_conflict_serializable, check_outcome, check_server_history,
-    conflict_graph, OracleReport, OracleViolation,
+    OracleReport, OracleViolation,
 };
 pub use report::Table;
 pub use runner::{

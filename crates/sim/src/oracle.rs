@@ -29,7 +29,6 @@ use pr_core::{GrantPolicy, StrategyKind, SystemConfig};
 use pr_model::{EntityId, LockMode, TransactionProgram, TxnId};
 use pr_par::{CommittedAccess, ParOutcome};
 use pr_storage::GlobalStore;
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A serializability / consistency violation found by the oracle. Any of
@@ -48,6 +47,14 @@ pub enum OracleViolation {
     DuplicateStamp {
         /// The colliding stamp value.
         stamp: u64,
+    },
+    /// A batch's lowest grant stamp is not above the highest stamp of the
+    /// batches before it, so its conflicts with them may point backwards.
+    StampRegression {
+        /// The batch's lowest stamp.
+        stamp: u64,
+        /// The highest stamp checked before it.
+        floor: u64,
     },
     /// The parallel run's final snapshot disagrees with the deterministic
     /// reference run.
@@ -82,6 +89,10 @@ impl fmt::Display for OracleViolation {
             OracleViolation::DuplicateStamp { stamp } => {
                 write!(f, "two committed accesses share grant stamp {stamp}")
             }
+            OracleViolation::StampRegression { stamp, floor } => write!(
+                f,
+                "batch's lowest grant stamp {stamp} is not above the previous batches' {floor}"
+            ),
             OracleViolation::SnapshotMismatch { entity, parallel, reference } => write!(
                 f,
                 "final value of {entity} diverged: parallel {parallel}, reference {reference}"
@@ -107,85 +118,122 @@ pub struct OracleReport {
     pub txns: usize,
     /// Committed accesses in the history.
     pub accesses: usize,
-    /// Edges in the rebuilt conflict graph.
+    /// Distinct edges in the linear conflict graph the check ran on. That
+    /// graph keeps the reachability of the full conflict graph (an edge
+    /// for every conflicting pair), not every edge, so this can be
+    /// smaller than the number of conflicting transaction pairs.
     pub conflict_edges: usize,
 }
 
-/// Rebuilds the conflict graph from a stamped access history: an edge
-/// `a → b` for every pair of accesses to one entity where `a` precedes
-/// `b` in stamp order, the transactions differ, and at least one side is
-/// exclusive. Returns the adjacency and the edge count.
-pub fn conflict_graph(accesses: &[CommittedAccess]) -> (BTreeMap<TxnId, BTreeSet<TxnId>>, usize) {
-    let mut by_entity: BTreeMap<EntityId, Vec<&CommittedAccess>> = BTreeMap::new();
-    for a in accesses {
-        by_entity.entry(a.entity).or_default().push(a);
-    }
-    let mut adj: BTreeMap<TxnId, BTreeSet<TxnId>> = BTreeMap::new();
-    for a in accesses {
-        adj.entry(a.txn).or_default();
-    }
-    let mut edges = 0;
-    for list in by_entity.values_mut() {
-        // `ParOutcome::accesses` is sorted by stamp once at history
-        // assembly (`AccessHistory::into_accesses`), so these per-entity
-        // sublists already arrive in stamp order; re-sorting them on
-        // every oracle check was pure overhead in soak loops. The
-        // fallback sort only fires for hand-assembled histories.
-        if list.windows(2).any(|w| w[0].stamp > w[1].stamp) {
-            list.sort_by_key(|a| a.stamp);
+/// The distinct values in ascending order; a value's dense id is its
+/// index, found by binary search.
+fn dense_ids<T: Ord>(values: impl Iterator<Item = T>) -> Vec<T> {
+    let mut ids: Vec<T> = values.collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+/// Builds the linear conflict graph of a stamp-sorted history: the
+/// transactions in id order (dense node `i` is `nodes[i]`) and the
+/// distinct edges, sorted. Per entity, in stamp order, the walk keeps
+/// the last writer and the readers since that write. A shared access
+/// gets an edge from the last writer; an exclusive access gets edges
+/// from the last writer and every reader since, and becomes the last
+/// writer. Each access adds at most one writer edge and each read at
+/// most one reader edge, yet a path joins every conflicting pair in
+/// stamp order, so the graph has a cycle exactly when the full conflict
+/// graph does.
+fn conflict_edges(history: &[CommittedAccess]) -> (Vec<TxnId>, Vec<(u32, u32)>) {
+    const NONE: u32 = u32::MAX;
+    let nodes = dense_ids(history.iter().map(|a| a.txn));
+    let entities = dense_ids(history.iter().map(|a| a.entity));
+    let mut writer = vec![NONE; entities.len()];
+    // The readers since an entity's last write are a list threaded
+    // through the accesses: `first_reader[e]`, then `next_reader[i]`.
+    let mut first_reader = vec![NONE; entities.len()];
+    let mut next_reader = vec![NONE; history.len()];
+    let mut node_at = Vec::with_capacity(history.len());
+    let mut edges = Vec::new();
+    for (i, a) in history.iter().enumerate() {
+        let t = nodes.binary_search(&a.txn).expect("every txn has a node") as u32;
+        let e = entities.binary_search(&a.entity).expect("every entity has an id");
+        node_at.push(t);
+        if writer[e] != NONE && writer[e] != t {
+            edges.push((writer[e], t));
         }
-        for (i, earlier) in list.iter().enumerate() {
-            for later in &list[i + 1..] {
-                let conflicts =
-                    earlier.mode == LockMode::Exclusive || later.mode == LockMode::Exclusive;
-                if conflicts
-                    && earlier.txn != later.txn
-                    && adj.entry(earlier.txn).or_default().insert(later.txn)
-                {
-                    edges += 1;
+        if a.mode == LockMode::Exclusive {
+            let mut r = std::mem::replace(&mut first_reader[e], NONE);
+            while r != NONE {
+                let reader = node_at[r as usize];
+                if reader != t {
+                    edges.push((reader, t));
                 }
+                r = next_reader[r as usize];
             }
+            writer[e] = t;
+        } else {
+            next_reader[i] = first_reader[e];
+            first_reader[e] = i as u32;
         }
     }
-    (adj, edges)
+    edges.sort_unstable();
+    edges.dedup();
+    (nodes, edges)
 }
 
 /// Checks the stamped history for conflict-serializability: unique
-/// stamps, then Kahn's algorithm on the rebuilt conflict graph. Returns
-/// the edge count on success.
+/// stamps, then Kahn's algorithm over the linear conflict graph (per
+/// entity, the last writer and the readers since it), whose size grows
+/// with the history rather than with the square of each entity's access
+/// list. Apart from sorting the ids and edges, every step is one pass.
+/// The input may be in any order; a duplicate reports the smallest
+/// shared stamp. Returns the distinct edge count on success.
 pub fn check_conflict_serializable(accesses: &[CommittedAccess]) -> Result<usize, OracleViolation> {
-    let mut seen = BTreeSet::new();
-    for a in accesses {
-        if !seen.insert(a.stamp) {
-            return Err(OracleViolation::DuplicateStamp { stamp: a.stamp });
-        }
+    // `ParOutcome::accesses` is sorted by stamp at history assembly
+    // (`AccessHistory::into_accesses`); only hand-assembled histories
+    // pay for a sorted copy.
+    let mut sorted = Vec::new();
+    let history = if accesses.windows(2).all(|w| w[0].stamp <= w[1].stamp) {
+        accesses
+    } else {
+        sorted.extend_from_slice(accesses);
+        sorted.sort_by_key(|a| a.stamp);
+        &sorted
+    };
+    if let Some(w) = history.windows(2).find(|w| w[0].stamp == w[1].stamp) {
+        return Err(OracleViolation::DuplicateStamp { stamp: w[0].stamp });
     }
-    let (adj, edges) = conflict_graph(accesses);
-    let mut indegree: BTreeMap<TxnId, usize> = adj.keys().map(|&t| (t, 0)).collect();
-    for succs in adj.values() {
-        for &s in succs {
-            *indegree.get_mut(&s).expect("edge target is a node") += 1;
-        }
+    let (nodes, edges) = conflict_edges(history);
+    // Compressed adjacency: `edges` is sorted by source, so node `i`'s
+    // successors are `edges[first[i]..first[i + 1]]`.
+    let mut first = vec![0usize; nodes.len() + 1];
+    let mut indegree = vec![0usize; nodes.len()];
+    for &(from, to) in &edges {
+        first[from as usize + 1] += 1;
+        indegree[to as usize] += 1;
     }
-    let mut ready: Vec<TxnId> =
-        indegree.iter().filter(|&(_, &d)| d == 0).map(|(&t, _)| t).collect();
+    for i in 0..nodes.len() {
+        first[i + 1] += first[i];
+    }
+    let mut ready: Vec<usize> = (0..nodes.len()).filter(|&i| indegree[i] == 0).collect();
     let mut peeled = 0;
-    while let Some(t) = ready.pop() {
+    while let Some(i) = ready.pop() {
         peeled += 1;
-        for &s in &adj[&t] {
-            let d = indegree.get_mut(&s).expect("edge target is a node");
+        for &(_, to) in &edges[first[i]..first[i + 1]] {
+            let d = &mut indegree[to as usize];
             *d -= 1;
             if *d == 0 {
-                ready.push(s);
+                ready.push(to as usize);
             }
         }
     }
-    if peeled != adj.len() {
+    if peeled != nodes.len() {
         let members: Vec<TxnId> =
-            indegree.iter().filter(|&(_, &d)| d > 0).map(|(&t, _)| t).collect();
+            (0..nodes.len()).filter(|&i| indegree[i] > 0).map(|i| nodes[i]).collect();
         return Err(OracleViolation::ConflictCycle { members });
     }
-    Ok(edges)
+    Ok(edges.len())
 }
 
 /// Full differential check of one parallel run: commit completeness,
@@ -422,7 +470,11 @@ pub fn check_accounting(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generator::{GeneratorConfig, ProgramGenerator};
     use pr_model::LockMode;
+    use pr_par::{ParConfig, Session};
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn acc(txn: u32, entity: u32, mode: LockMode, stamp: u64) -> CommittedAccess {
         CommittedAccess { txn: TxnId::new(txn), entity: EntityId::new(entity), mode, stamp }
@@ -499,9 +551,9 @@ mod tests {
         ));
     }
 
-    /// The sort-only-if-unsorted optimisation must not change verdicts:
-    /// any insertion order of the same history yields the same edges and
-    /// the same accept/reject outcome.
+    /// The stamp sort must not change verdicts: any insertion order of
+    /// the same history yields the same edges and the same
+    /// accept/reject outcome.
     #[test]
     fn access_insertion_order_does_not_change_verdicts() {
         let serial = vec![
@@ -527,17 +579,224 @@ mod tests {
                 "shuffle must actually change the order"
             );
             assert_eq!(check_conflict_serializable(&shuffled), sorted_verdict);
-            let (adj_a, edges_a) = conflict_graph(&history);
-            let (adj_b, edges_b) = conflict_graph(&shuffled);
-            assert_eq!(adj_a, adj_b);
-            assert_eq!(edges_a, edges_b);
+            assert_eq!(reference_check(&shuffled), reference_check(&history));
         }
+    }
+
+    /// The quadratic reference: an edge `a → b` for every pair of
+    /// accesses to one entity where `a` precedes `b` in stamp order, the
+    /// transactions differ, and at least one side is exclusive.
+    fn conflict_graph(accesses: &[CommittedAccess]) -> BTreeMap<TxnId, BTreeSet<TxnId>> {
+        let mut by_entity: BTreeMap<EntityId, Vec<&CommittedAccess>> = BTreeMap::new();
+        for a in accesses {
+            by_entity.entry(a.entity).or_default().push(a);
+        }
+        let mut adj: BTreeMap<TxnId, BTreeSet<TxnId>> =
+            accesses.iter().map(|a| (a.txn, BTreeSet::new())).collect();
+        for list in by_entity.values_mut() {
+            list.sort_by_key(|a| a.stamp);
+            for (i, earlier) in list.iter().enumerate() {
+                for later in &list[i + 1..] {
+                    let conflicts =
+                        earlier.mode == LockMode::Exclusive || later.mode == LockMode::Exclusive;
+                    if conflicts && earlier.txn != later.txn {
+                        adj.get_mut(&earlier.txn).expect("node").insert(later.txn);
+                    }
+                }
+            }
+        }
+        adj
+    }
+
+    /// The reference verdict: the smallest duplicate stamp, else Kahn's
+    /// algorithm on the quadratic graph (`Ok(())` when acyclic).
+    fn reference_check(accesses: &[CommittedAccess]) -> Result<(), OracleViolation> {
+        let mut seen = BTreeSet::new();
+        if let Some(stamp) = accesses.iter().map(|a| a.stamp).filter(|&s| !seen.insert(s)).min() {
+            return Err(OracleViolation::DuplicateStamp { stamp });
+        }
+        let adj = conflict_graph(accesses);
+        let mut indegree: BTreeMap<TxnId, usize> = adj.keys().map(|&t| (t, 0)).collect();
+        for &s in adj.values().flatten() {
+            *indegree.get_mut(&s).expect("node") += 1;
+        }
+        let mut ready: Vec<TxnId> =
+            indegree.iter().filter(|&(_, &d)| d == 0).map(|(&t, _)| t).collect();
+        while let Some(t) = ready.pop() {
+            for s in &adj[&t] {
+                let d = indegree.get_mut(s).expect("node");
+                *d -= 1;
+                if *d == 0 {
+                    ready.push(*s);
+                }
+            }
+        }
+        let members: Vec<TxnId> =
+            indegree.iter().filter(|&(_, &d)| d > 0).map(|(&t, _)| t).collect();
+        if members.is_empty() {
+            Ok(())
+        } else {
+            Err(OracleViolation::ConflictCycle { members })
+        }
+    }
+
+    /// Pairs `(from, to)` with a non-empty path, by depth-first search.
+    fn closure(adj: &BTreeMap<TxnId, BTreeSet<TxnId>>) -> BTreeSet<(TxnId, TxnId)> {
+        let mut pairs = BTreeSet::new();
+        for &from in adj.keys() {
+            let mut stack: Vec<TxnId> = adj[&from].iter().copied().collect();
+            while let Some(t) = stack.pop() {
+                if pairs.insert((from, t)) {
+                    stack.extend(adj[&t].iter().copied());
+                }
+            }
+        }
+        pairs
+    }
+
+    /// Asserts the linear check agrees with the quadratic reference, and
+    /// (for unique stamps) that both graphs have the same reachability
+    /// with the linear one's edges a subset of the reference's.
+    fn assert_matches_reference(history: &[CommittedAccess]) -> Result<(), TestCaseError> {
+        let verdict = check_conflict_serializable(history).map(|_| ());
+        prop_assert_eq!(&verdict, &reference_check(history), "{:?}", history);
+        if matches!(verdict, Err(OracleViolation::DuplicateStamp { .. })) {
+            return Ok(());
+        }
+        let mut sorted = history.to_vec();
+        sorted.sort_by_key(|a| a.stamp);
+        let (nodes, edges) = conflict_edges(&sorted);
+        let mut linear: BTreeMap<TxnId, BTreeSet<TxnId>> =
+            nodes.iter().map(|&t| (t, BTreeSet::new())).collect();
+        for &(from, to) in &edges {
+            linear.get_mut(&nodes[from as usize]).expect("node").insert(nodes[to as usize]);
+        }
+        let full = conflict_graph(history);
+        for (from, succs) in &linear {
+            prop_assert!(succs.is_subset(&full[from]), "linear edge {from} → {succs:?}");
+        }
+        prop_assert_eq!(closure(&linear), closure(&full));
+        Ok(())
+    }
+
+    /// A deterministic Fisher–Yates shuffle driven by `seed`.
+    fn shuffle(history: &mut [CommittedAccess], mut seed: u64) {
+        for i in (1..history.len()).rev() {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            history.swap(i, (seed >> 33) as usize % (i + 1));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random shared/exclusive histories over a few transactions and
+        /// entities: serial-ish blocks (mostly acyclic) or free
+        /// interleavings (mostly cyclic), presented in shuffled order,
+        /// sometimes with one stamp duplicated.
+        #[test]
+        fn linear_check_matches_the_quadratic_reference(
+            raw in prop::collection::vec((1u32..=6, 0u32..5, any::<bool>()), 0..40),
+            serial in any::<bool>(),
+            shuffle_seed in prop_oneof![Just(0u64), any::<u64>()],
+            duplicate in prop_oneof![Just(None), (0usize..40, 0usize..40).prop_map(Some)],
+        ) {
+            let mut history: Vec<CommittedAccess> = raw
+                .iter()
+                .map(|&(txn, entity, exclusive)| {
+                    let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
+                    acc(txn, entity, mode, 0)
+                })
+                .collect();
+            if serial {
+                history.sort_by_key(|a| a.txn);
+            }
+            for (i, a) in history.iter_mut().enumerate() {
+                a.stamp = 10 * (i as u64 + 1);
+            }
+            if let (Some((i, j)), false) = (duplicate, history.is_empty()) {
+                let n = history.len();
+                history[i % n].stamp = history[j % n].stamp;
+            }
+            if shuffle_seed != 0 {
+                shuffle(&mut history, shuffle_seed);
+            }
+            assert_matches_reference(&history)?;
+        }
+    }
+
+    /// Real histories: a two-thread session per seed under every
+    /// strategy, Repair included, on a small hot entity set so deadlocks
+    /// and rollbacks happen (programs padded so a session outlasts the
+    /// helper thread's start-up). Each real history is serializable; its
+    /// planted mutants (two accesses' stamps swapped, a shared access
+    /// made exclusive, a stamp duplicated) often are not, and both
+    /// checkers must say the same about every one.
+    #[test]
+    fn linear_check_matches_the_reference_on_planted_mutants() {
+        let strategies =
+            [StrategyKind::Total, StrategyKind::Mcs, StrategyKind::Sdg, StrategyKind::Repair];
+        let gen = GeneratorConfig {
+            num_entities: 6,
+            exclusive_per_mille: 600,
+            pad_between: 200,
+            ..GeneratorConfig::default()
+        };
+        let initial = GlobalStore::with_entities(6, pr_model::Value::new(10));
+        let mut rng = 0x5EED_u64;
+        let mut next = |n: usize| {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (rng >> 33) as usize % n
+        };
+        let (mut rolled_back, mut cycles, mut duplicates, mut accepted) = (0, 0, 0, 0);
+        // At least 64 sessions; past them, only until the first rollback
+        // (a slow scheduler forms few deadlocks), up to a cap.
+        let mut seed = 0;
+        while seed < 64 || (rolled_back == 0 && seed < 2_000) {
+            let strategy = strategies[seed as usize % strategies.len()];
+            let programs = ProgramGenerator::new(gen, seed).generate_workload(12);
+            let config = ParConfig {
+                system: SystemConfig { strategy, ..SystemConfig::default() },
+                ..ParConfig::with_threads(2)
+            };
+            let outcome = Session::new(&initial, config).execute(&programs).expect("session");
+            rolled_back += outcome.metrics.total_rollbacks + outcome.metrics.partial_rollbacks;
+            let history = outcome.accesses;
+            assert_eq!(check_conflict_serializable(&history).map(|_| ()), Ok(()));
+            assert_matches_reference(&history).unwrap();
+            let mut mutant = history.clone();
+            for _ in 0..4 {
+                let (i, j) = (next(mutant.len()), next(mutant.len()));
+                match next(3) {
+                    0 => {
+                        let (a, b) = (mutant[i].stamp, mutant[j].stamp);
+                        mutant[i].stamp = b;
+                        mutant[j].stamp = a;
+                    }
+                    1 => mutant[i].mode = LockMode::Exclusive,
+                    _ => mutant[i].stamp = mutant[j].stamp,
+                }
+                assert_matches_reference(&mutant).unwrap();
+                match check_conflict_serializable(&mutant) {
+                    Ok(_) => accepted += 1,
+                    Err(OracleViolation::ConflictCycle { .. }) => cycles += 1,
+                    Err(_) => duplicates += 1,
+                }
+            }
+            seed += 1;
+        }
+        eprintln!("{rolled_back} rollbacks in {seed} sessions");
+        assert!(rolled_back > 0, "no session rolled anything back in {seed}");
+        assert!(
+            accepted > 0 && cycles > 0 && duplicates > 0,
+            "mutants must reach every verdict: {accepted} accepted, {cycles} cyclic, \
+             {duplicates} duplicate"
+        );
     }
 
     #[test]
     fn server_history_check_accepts_a_real_session_and_catches_tampering() {
         use pr_model::{Expr, Op, Value, VarId};
-        use pr_par::{ParConfig, Session};
 
         let increment = |entity: u32, delta: i64| {
             TransactionProgram::try_from(vec![
