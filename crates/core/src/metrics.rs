@@ -193,11 +193,10 @@ pub struct Metrics {
     /// (committed transactions only). In a clean pure-Repair run,
     /// `ops_replayed + ops_reused == states_lost`.
     pub ops_reused: u64,
-    /// Wakes sent to parked workers, counted by the waking worker: one per
-    /// promoted waiter and one per rollback victim other than the resolver
-    /// itself (parallel engine only). A parked worker has no timeout, so
-    /// these are its only wakes, apart from the uncounted ones that stop
-    /// a failed batch.
+    /// Ready-queue pushes, counted by the pushing worker: one per promoted
+    /// waiter and one per rollback victim (parallel engine only).
+    /// A waiting transaction is data, not a thread, and these pushes are
+    /// the only way it runs again.
     pub wakes: u64,
     /// Microseconds a resolver spent blocked capturing a cycle's slots,
     /// one sample per capture (parallel engine only).

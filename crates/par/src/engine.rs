@@ -1,25 +1,24 @@
-//! The multi-threaded executor: worker-per-transaction over the lock-word
-//! fast path + sharded lock table, with concurrent deadlock detection and
-//! partial rollback.
+//! The multi-threaded executor: a few workers run many in-flight
+//! transactions over the lock-word fast path + sharded lock table, with
+//! concurrent deadlock detection and partial rollback.
 //!
 //! ## Execution model
 //!
-//! A [`Session`] owns `threads − 1` helper threads for its whole
-//! lifetime; the thread that calls [`Session::execute`] is worker 0. Each
-//! batch gets a fresh core — slots, shards, waits-for graph, history —
-//! over the session's persistent [`EntitySlab`], and `min(threads, n)`
-//! workers run it: the caller plus that many helpers less one, woken for
-//! this batch. A worker starts
-//! claiming transactions as soon as it wakes; there is no start barrier.
-//! Each claims a transaction, holds its slot mutex, and executes its
-//! operations exactly as the deterministic engine does — same runtime
-//! calls, same lock-table semantics, same §4 rollback procedure — so the
-//! two engines are behaviourally interchangeable and the differential
-//! oracle can compare them. In-flight transactions never exceed the worker
-//! count, so every lock holder and waiter always has a live thread behind
-//! it. [`run_parallel`] is a one-batch session. A worker that panics fails
-//! the batch with [`ParError::Panicked`] and stops its siblings, rather
-//! than leaving them waiting on a transaction nobody runs.
+//! A [`Session`] owns `min(threads, max(2, cores)) − 1` helper threads
+//! for its whole lifetime; the thread that calls [`Session::execute`] is
+//! worker 0. `threads` is the multiprogramming level (MPL): at most that
+//! many transactions are in flight, whatever the worker count. Each batch
+//! gets a fresh core — slots, shards, waits-for graph, history, scheduler
+//! — over the session's persistent [`EntitySlab`], and up to `n` of the
+//! session's workers run it. A worker starts as soon as it wakes; there
+//! is no start barrier. It asks the batch's scheduler (`sched.rs`)
+//! for a ready transaction or a fresh one, holds that transaction's slot
+//! mutex, and executes its operations exactly as the deterministic engine
+//! does — same runtime calls, same lock-table semantics, same §4 rollback
+//! procedure — so the two engines are behaviourally interchangeable and
+//! the differential oracle can compare them. [`run_parallel`] is a
+//! one-batch session. A worker that panics fails the batch with
+//! [`ParError::Panicked`] and stops its siblings.
 //!
 //! ## The grant fast path
 //!
@@ -35,18 +34,31 @@
 //!
 //! ## Blocking and waking
 //!
-//! A blocked worker registers its waits-for arcs and detects cycles
-//! *atomically* (see [`EpochGraph`]), then parks on its slot. It is woken
-//! only to run: by the releaser that promoted it or the resolver that
-//! rolled it back. Re-pointing its arcs at new blockers is silent, since
-//! a re-point never closes a cycle (see [`EpochGraph::queue_changed`]).
-//! Wakes are lock-free ([`TxnSlot::wake`]) and therefore never dropped.
-//! A parked worker has no poll timeout: every cycle is closed by a wait,
-//! and the waiter that closes it keeps resolving until no cycle passes
+//! Waiting is data. A blocked transaction registers its waits-for arcs
+//! and detects cycles *atomically* (see [`EpochGraph`]), resolves any
+//! cycle its wait closed, and is then *set down*: its slot is marked not
+//! owned and its worker moves on to other work. A transaction is *owned*
+//! while a worker runs it or resolves for it — even while the resolver
+//! has dropped its guard to capture slots in id order — and *parked*
+//! otherwise. It becomes runnable only by a promotion or a rollback: the
+//! releaser pushes each waiter it promotes onto the scheduler's ready
+//! FIFO, and a resolver pushes each victim it rolls back if that victim is
+//! parked. An owned victim — the resolver's own transaction, or one whose
+//! worker dropped its guard to capture — is pushed by its own worker once
+//! that worker holds the guard again: every victim resumes from the FIFO,
+//! behind work already waiting there, so a worker cannot starve a
+//! promoted lock holder by re-running its own victim into the same cycle
+//! forever. A worker that pops an entry takes the slot mutex and discards
+//! the entry if the transaction is owned, committed, or still waiting
+//! without a grant; otherwise it completes the grant, or resumes from the
+//! rolled-back `pc`. Re-pointing arcs at new blockers pushes nothing,
+//! since a re-point never closes a cycle (see
+//! [`EpochGraph::queue_changed`]): every cycle is closed by a wait, and
+//! the waiter that closes it keeps resolving until no cycle passes
 //! through it, so nobody else needs to re-detect. A worker that fails the
-//! batch wakes every slot, so its parked siblings stop at once. A worker
-//! parked past the watchdog limit fails the run with [`ParError::Stuck`]
-//! rather than hanging.
+//! batch stops the scheduler, so idle workers stop at once. When every
+//! worker idles, nothing is ready and transactions are still in flight,
+//! the batch fails with [`ParError::Stuck`]: nothing could ever run again.
 //!
 //! ## Resolution
 //!
@@ -61,14 +73,15 @@
 //! deterministic engine uses (over a borrowed
 //! [`RuntimeView`](pr_core::RuntimeView) assembled from the held guards),
 //! and executes the rollbacks. Holding every member's slot freezes the
-//! cycle: member promotions would need a member's release, which only the
-//! members' own (captured) threads or this resolver could perform. A
+//! cycle: member promotions would need a member's release, which only a
+//! worker holding that member's slot or this resolver could perform. A
 //! competing resolver simply waits its turn on the lowest contested slot;
 //! no resolver sleeps.
 
 use crate::history::{AccessHistory, CommittedAccess};
 use crate::outcome::{ParConfig, ParError, ParOutcome, TxnStats};
 use crate::pool::{Job, Pool};
+use crate::sched::{Next, Sched};
 use crate::session::Session;
 use crate::shard::Shards;
 use crate::slot::{capture, SlotState, TxnSlot};
@@ -82,14 +95,9 @@ use pr_lock::RequestOutcome;
 use pr_model::{EntityId, LockMode, Op, TransactionProgram, TxnId, Value};
 use pr_storage::GlobalStore;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// How long a blocked worker stays parked without a wake before it fails
-/// the run with [`ParError::Stuck`]: a liveness bug becomes a failed run
-/// instead of a hang.
-const WATCHDOG: Duration = Duration::from_secs(10);
 
 /// One batch's shared state, handed to every worker of the batch.
 struct Core {
@@ -104,7 +112,7 @@ struct Core {
     config: ParConfig,
     abort: AtomicBool,
     error: Mutex<Option<ParError>>,
-    next: AtomicUsize,
+    sched: Sched,
     /// Global id of the transaction before this batch's first: slot `i`
     /// runs transaction `txn_base + i + 1`.
     txn_base: u32,
@@ -116,7 +124,7 @@ struct Core {
 }
 
 impl Job for Core {
-    /// Timing excludes workers that never claimed a transaction: on an
+    /// Timing excludes workers that never committed a transaction: on an
     /// oversubscribed box a helper can wake long after its siblings drained
     /// the whole batch, and its empty span would measure scheduler wake
     /// latency, not execution.
@@ -140,80 +148,139 @@ impl Job for Core {
 }
 
 impl Core {
-    fn slot_of(&self, txn: TxnId) -> &TxnSlot {
-        &self.slots[(txn.raw() - 1 - self.txn_base) as usize]
+    /// A fresh batch core over `slab` for `programs`, run by `workers`
+    /// workers with at most `config.threads` transactions in flight.
+    fn new(
+        programs: &[TransactionProgram],
+        slab: &Arc<EntitySlab>,
+        config: &ParConfig,
+        workers: usize,
+        txn_base: u32,
+        stamp_base: u64,
+    ) -> Core {
+        let slots = programs
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                TxnSlot::new(TxnRuntime::new(
+                    TxnId::new(txn_base + i as u32 + 1),
+                    Arc::new(p.clone()),
+                    u64::from(txn_base) + i as u64,
+                    config.system.strategy,
+                ))
+            })
+            .collect();
+        Core {
+            shards: Shards::new(config.effective_shards(), config.system.grant_policy),
+            slab: Arc::clone(slab),
+            slots,
+            wfg: EpochGraph::new(),
+            history: AccessHistory::with_base(stamp_base),
+            shared: Mutex::new(Metrics::default()),
+            config: config.clone(),
+            abort: AtomicBool::new(false),
+            error: Mutex::new(None),
+            sched: Sched::new(programs.len(), config.threads, workers),
+            txn_base,
+            epoch: Instant::now(),
+            spans: Mutex::new(Vec::with_capacity(workers)),
+        }
     }
 
-    /// Records the batch's first error and stops every worker, waking
-    /// each slot so a parked worker sees the abort now, not at the
-    /// watchdog.
+    fn index_of(&self, txn: TxnId) -> usize {
+        (txn.raw() - 1 - self.txn_base) as usize
+    }
+
+    /// Records the batch's first error and stops every worker; idle ones
+    /// stop at once.
     fn fail(&self, e: ParError) {
         self.abort.store(true, Ordering::Release);
         self.error.lock().expect("error mutex poisoned").get_or_insert(e);
-        for slot in &self.slots {
-            slot.wake();
-        }
+        self.sched.stop();
     }
 
     fn aborted(&self) -> bool {
         self.abort.load(Ordering::Acquire)
     }
 
-    /// Wakes every transaction in `txns` (lock-free; never dropped),
-    /// counting each wake in `local`.
+    /// Pushes every transaction in `txns` onto the ready FIFO, counting
+    /// each push as a wake in `local`.
     fn wake_all(&self, txns: impl IntoIterator<Item = TxnId>, local: &mut Metrics) {
-        for t in txns {
-            self.slot_of(t).wake();
+        let mut txns = txns.into_iter().peekable();
+        if txns.peek().is_none() {
+            return; // most releases promote nobody: skip the scheduler mutex
+        }
+        self.sched.push(txns.map(|t| {
             local.wakes += 1;
-        }
+            self.index_of(t)
+        }));
     }
 
-    /// Worker main loop: claim transactions until the queue drains or the
-    /// run aborts. Committed accesses accumulate in `acc` (merged into
-    /// the global history once, when the worker's share is done).
+    /// Worker main loop: run what the scheduler hands out until the batch
+    /// is done or stopped. Committed accesses accumulate in `acc` (merged
+    /// into the global history once, when the worker's share is done).
     fn worker(&self, local: &mut Metrics, acc: &mut Vec<CommittedAccess>) {
+        let mut committed = false;
+        let mut promoted = Vec::new();
         loop {
-            if self.aborted() {
-                return;
-            }
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= self.slots.len() {
-                return;
-            }
-            self.slots[i].claim();
-            if let Err(e) = self.run_txn(i, local, acc) {
-                self.fail(e);
-                return;
+            let (idx, fresh) = match self.sched.next(committed, promoted.drain(..)) {
+                Next::Fresh(i) => (i, true),
+                Next::Ready(i) => (i, false),
+                Next::Done => return,
+                Next::Stuck => return self.fail(ParError::Stuck { txn: self.lowest_waiting() }),
+            };
+            match self.run_txn(idx, fresh, local, acc, &mut promoted) {
+                Ok(c) => committed = c,
+                Err(e) => return self.fail(e),
             }
         }
     }
 
-    /// Executes transaction `idx` to commit (or returns early on abort).
+    /// The lowest waiting transaction — or, if none waits, the lowest
+    /// uncommitted one — named by a stuck batch. Only called once every
+    /// worker is idle, so no slot is held.
+    fn lowest_waiting(&self) -> TxnId {
+        self.slots
+            .iter()
+            .map(|s| {
+                let g = s.lock();
+                (g.rt.phase, g.rt.id)
+            })
+            .filter(|&(phase, _)| phase != Phase::Committed)
+            .min_by_key(|&(phase, id)| (phase != Phase::Blocked, id))
+            .map_or(TxnId::new(self.txn_base + 1), |(_, id)| id)
+    }
+
+    /// Runs transaction `idx` — a fresh claim, or a popped ready entry —
+    /// until it commits (`Ok(true)`, with the waiters its commit promoted
+    /// in `promoted`, for the worker to push), is set down waiting, or the
+    /// batch stops. A stale ready entry returns at once.
     fn run_txn(
         &self,
         idx: usize,
+        fresh: bool,
         local: &mut Metrics,
         acc: &mut Vec<CommittedAccess>,
-    ) -> Result<(), ParError> {
-        let slot = &self.slots[idx];
+        promoted: &mut Vec<usize>,
+    ) -> Result<bool, ParError> {
         let id = TxnId::new(self.txn_base + idx as u32 + 1);
-        let mut g = slot.lock();
+        let mut g = self.slots[idx].lock();
+        if !fresh && !self.resume(&mut g, id, local) {
+            return Ok(false);
+        }
+        g.owned = true;
         // Program text is shared, never copied: one reference-count bump
         // per transaction lets every op be borrowed while `g` is mutated.
         let program = Arc::clone(&g.rt.program);
         loop {
             if self.aborted() {
-                return Ok(());
+                return Ok(false);
             }
-            match g.rt.phase {
-                Phase::Committed => return Ok(()),
-                Phase::Running => {}
-                Phase::Blocked => {
-                    return Err(ParError::Inconsistent(format!(
-                        "{id} re-entered the step loop in phase {:?}",
-                        g.rt.phase
-                    )));
-                }
+            if g.rt.phase != Phase::Running {
+                return Err(ParError::Inconsistent(format!(
+                    "{id} re-entered the step loop in phase {:?}",
+                    g.rt.phase
+                )));
             }
             let pc = g.rt.pc;
             let Some(op) = program.op(pc) else {
@@ -221,18 +288,22 @@ impl Core {
             };
             local.steps += 1;
             match *op {
-                Op::LockShared(entity) => {
-                    g = self.op_lock(slot, g, id, entity, LockMode::Shared, local)?;
-                }
-                Op::LockExclusive(entity) => {
-                    g = self.op_lock(slot, g, id, entity, LockMode::Exclusive, local)?;
+                Op::LockShared(entity) | Op::LockExclusive(entity) => {
+                    let mode = match *op {
+                        Op::LockShared(_) => LockMode::Shared,
+                        _ => LockMode::Exclusive,
+                    };
+                    match self.op_lock(g, id, entity, mode, local)? {
+                        Some(next) => g = next,
+                        None => return Ok(false), // set down waiting
+                    }
                 }
                 Op::Unlock(entity) => {
                     g = self.op_unlock(g, id, entity, local)?;
                 }
                 Op::Commit => {
-                    self.op_commit(g, id, local, acc)?;
-                    return Ok(());
+                    self.op_commit(g, id, local, acc, promoted)?;
+                    return Ok(true);
                 }
                 ref op => {
                     // 2PL: a `Read` holds a lock on its entity here, so
@@ -245,6 +316,33 @@ impl Core {
                 }
             }
         }
+    }
+
+    /// Decides a popped ready entry under the transaction's slot guard:
+    /// whether the transaction is parked and runnable. A rolled-back one
+    /// resumes from its reset `pc`; a promoted one completes its grant
+    /// first. Owned, committed, and still-waiting ones are stale entries.
+    fn resume(&self, g: &mut SlotState, id: TxnId, local: &mut Metrics) -> bool {
+        match g.rt.phase {
+            _ if g.owned => false,
+            Phase::Committed => false,
+            Phase::Running => true,
+            Phase::Blocked => self.take_grant(g, id, local),
+        }
+    }
+
+    /// Completes `id`'s pending request if its shard — the authority on
+    /// promotion — shows it granted; returns whether it did.
+    fn take_grant(&self, g: &mut SlotState, id: TxnId, local: &mut Metrics) -> bool {
+        let entity = g.rt.blocked_on.expect("blocked transactions record their entity");
+        let shard = self.shards.guard(entity);
+        let Some(h) = shard.table.held_by(id, entity) else {
+            return false;
+        };
+        let global = self.slab.read(entity);
+        drop(shard);
+        self.finish_grant(g, entity, h.mode, global, local);
+        true
     }
 
     /// Completes a granted lock on the worker's own runtime.
@@ -296,24 +394,24 @@ impl Core {
     }
 
     /// One lock-request operation: optimistic lock-word grant, else
-    /// request under the entity's shard, then — if blocked — alternate
-    /// resolution attempts with parking until granted or rolled back.
+    /// request under the entity's shard, then — if blocked — resolve any
+    /// cycle the wait closed. Returns the guard to keep running, or `None`
+    /// once the transaction is set down waiting (its guard dropped).
     fn op_lock<'a>(
         &'a self,
-        slot: &'a TxnSlot,
         mut g: MutexGuard<'a, SlotState>,
         id: TxnId,
         entity: EntityId,
         mode: LockMode,
         local: &mut Metrics,
-    ) -> Result<MutexGuard<'a, SlotState>, ParError> {
+    ) -> Result<Option<MutexGuard<'a, SlotState>>, ParError> {
         if self.config.fast_path
             && self.slab.try_fast_lock(entity, id, mode, g.rt.state, g.rt.lock_index())
                 == FastPath::Done
         {
             let global = self.slab.read(entity);
             self.finish_grant(&mut g, entity, mode, global, local);
-            return Ok(g);
+            return Ok(Some(g));
         }
         let cap = self.config.system.cycle_cap;
         let mut cycles;
@@ -331,7 +429,7 @@ impl Core {
                     self.wfg.queue_changed(&shard.table, entity, None, &[]);
                     drop(shard);
                     self.finish_grant(&mut g, entity, mode, global, local);
-                    return Ok(g);
+                    return Ok(Some(g));
                 }
                 RequestOutcome::Wait { holders, .. } => {
                     g.rt.phase = Phase::Blocked;
@@ -347,44 +445,44 @@ impl Core {
         }
         loop {
             if self.aborted() {
-                return Ok(g);
+                return Ok(Some(g)); // the op loop stops
             }
-            // Rolled back by a resolver (possibly after it completed a
-            // raced-in grant on our behalf): pc/state were reset; resume
-            // the op loop from there.
+            // Rolled back — by this worker's own resolution or by another
+            // resolver, possibly after it completed a raced-in grant on our
+            // behalf: pc/state were reset. Like every victim, it resumes
+            // from a ready entry, behind the work already waiting there; a
+            // worker that ran its own victim on at once could starve a
+            // promoted lock holder and re-close the same cycle forever.
             if g.rt.phase == Phase::Running {
                 g.blocked_since = None;
-                return Ok(g);
+                g.owned = false;
+                drop(g);
+                self.wake_all([id], local);
+                return Ok(None);
             }
-            // The shard is the authority on promotion.
-            {
-                let shard = self.shards.guard(entity);
-                if let Some(h) = shard.table.held_by(id, entity) {
-                    let global = self.slab.read(entity);
-                    drop(shard);
-                    self.finish_grant(&mut g, entity, h.mode, global, local);
-                    return Ok(g);
-                }
+            if self.take_grant(&mut g, id, local) {
+                return Ok(Some(g));
             }
             if cycles.is_empty() {
-                // Woken when granted, rolled back or aborted, as the loop
-                // top checks, or by a stale hint from an earlier wait. No
-                // re-detection: the wait that closes a cycle sees it.
+                // Set down as data. The guard has been held since the
+                // grant check above, so a promotion from here on comes
+                // with a ready entry that finds the transaction parked.
+                // No re-detection: the wait that closes a cycle sees it.
                 #[cfg(feature = "invariants")]
-                assert!(!self.wfg.is_resolving(id), "{id} parked while resolving a deadlock");
-                g = slot.park(g, WATCHDOG).ok_or(ParError::Stuck { txn: id })?;
-            } else {
-                g = self.resolve(g, id, entity, &cycles, local)?;
-                // Empty once `id` no longer waits.
-                cycles = self.wfg.redetect(id, cap).map(|(c, _)| c).unwrap_or_default();
+                assert!(!self.wfg.is_resolving(id), "{id} set down while resolving a deadlock");
+                g.owned = false;
+                return Ok(None);
             }
+            g = self.resolve(g, id, entity, &cycles, local)?;
+            // Empty once `id` no longer waits.
+            cycles = self.wfg.redetect(id, cap).map(|(c, _)| c).unwrap_or_default();
         }
     }
 
     /// Resolves the deadlock `cycles` report for `id`, blocked on
     /// `entity` (see the module docs), and returns `id`'s guard. Whether
     /// or not a plan ran, the caller re-detects next: to retry with the
-    /// fresh members, or to find no cycle left and park.
+    /// fresh members, or to find no cycle left and set `id` down.
     fn resolve<'a>(
         &'a self,
         g: MutexGuard<'a, SlotState>,
@@ -396,14 +494,18 @@ impl Core {
         let members: BTreeSet<TxnId> = cycles.iter().flat_map(Cycle::txns).chain([id]).collect();
         let mut held = Vec::with_capacity(members.len());
         // Our own guard may stay only if it comes first in id order;
-        // otherwise it is dropped here and re-taken in turn.
+        // otherwise it is dropped here and re-taken in turn. `id` stays
+        // owned meanwhile, so no worker runs it from a ready entry.
         if members.first() == Some(&id) {
             held.push((id, g));
         } else {
             drop(g);
         }
         let since = Instant::now();
-        capture(members.iter().skip(held.len()).map(|&m| (m, self.slot_of(m))), &mut held);
+        capture(
+            members.iter().skip(held.len()).map(|&m| (m, &self.slots[self.index_of(m)])),
+            &mut held,
+        );
         local.capture_wait.record(since.elapsed().as_micros() as u64);
         let at = held.iter().position(|(m, _)| *m == id).expect("own slot is captured");
         // Rolled back by another resolver while our slot was released.
@@ -443,7 +545,7 @@ impl Core {
         }
         // Executed, not planned, costs: no drift from raced-in grants.
         local.record_resolution(plan.optimal, states_lost);
-        to_wake.remove(&id); // we are awake, running this very loop
+        to_wake.remove(&id); // we own it, running this very loop
         let g = held.swap_remove(at).1;
         drop(held);
         self.wake_all(to_wake, local);
@@ -474,13 +576,7 @@ impl Core {
             if let Some(h) = shard.table.held_by(victim, went) {
                 let global = self.slab.read(went);
                 drop(shard);
-                let stamp = self.history.next_stamp();
-                vs.rt.complete_lock(went, h.mode, global);
-                vs.stamps.insert(went, stamp);
-                if let Some(since) = vs.blocked_since.take() {
-                    local.grant_latency.record(since.elapsed().as_micros() as u64);
-                }
-                local.ops_executed += 1;
+                self.finish_grant(vs, went, h.mode, global, local);
             } else {
                 let promoted = shard.table.cancel_wait(victim, went)?;
                 self.wfg.queue_changed(&shard.table, went, Some(victim), &promoted);
@@ -502,9 +598,13 @@ impl Core {
             // table grant; release_lock handles both, never publishing.
             to_wake.extend(self.release_lock(victim, ls.entity, None)?);
         }
-        // The victim's thread is parked in its own op_lock loop; wake it
-        // so it resumes from the reset pc (the resolver drops itself).
-        to_wake.insert(victim);
+        // A parked victim resumes from its reset pc once a worker pops
+        // it. An owned one is in a resolver's hands — this one's, or one
+        // that dropped its guard to capture — which sees the rollback when
+        // it holds the guard again and pushes it then.
+        if !vs.owned {
+            to_wake.insert(victim);
+        }
         Ok(u64::from(receipt.cost))
     }
 
@@ -520,25 +620,29 @@ impl Core {
         let published = g.rt.complete_unlock(entity);
         let wake = self.release_lock(id, entity, published)?;
         local.ops_executed += 1;
-        // Wakes are lock-free; no need to drop our own slot first.
+        // The scheduler's mutex is innermost; no need to drop our slot.
         self.wake_all(wake, local);
         Ok(g)
     }
 
     /// Commit: release every held lock (publishing exclusive finals),
-    /// buffer the access history, wake promoted waiters.
+    /// buffer the access history, and collect the promoted waiters' slots
+    /// in `promoted`, each counted as a wake.
     fn op_commit(
         &self,
         mut g: MutexGuard<'_, SlotState>,
         id: TxnId,
         local: &mut Metrics,
         acc: &mut Vec<CommittedAccess>,
+        promoted: &mut Vec<usize>,
     ) -> Result<(), ParError> {
         let held_entities: Vec<EntityId> = g.rt.held.iter().copied().collect();
-        let mut to_wake: Vec<TxnId> = Vec::new();
         for entity in held_entities {
             let published = g.rt.commit_release(entity);
-            to_wake.extend(self.release_lock(id, entity, published)?);
+            for t in self.release_lock(id, entity, published)? {
+                promoted.push(self.index_of(t));
+                local.wakes += 1;
+            }
         }
         // Harvest the repair ledger at commit: the per-worker totals merge
         // into the run-level metrics.
@@ -553,15 +657,14 @@ impl Core {
         }));
         local.ops_executed += 1;
         local.commits += 1;
-        drop(g);
-        self.wake_all(to_wake, local);
+        g.owned = false;
         Ok(())
     }
 }
 
-/// Runs `programs` to completion on `config.threads` workers over the
-/// lock-word slab + sharded lock table seeded from `store`: a one-batch
-/// [`Session`].
+/// Runs `programs` to completion, at most `config.threads` in flight,
+/// over the lock-word slab + sharded lock table seeded from `store`: a
+/// one-batch [`Session`].
 ///
 /// On success every transaction has committed; the outcome carries the
 /// final snapshot, the stamped access history for the serializability
@@ -600,35 +703,8 @@ pub(crate) fn run_batch(
     txn_base: u32,
     stamp_base: u64,
 ) -> Result<(ParOutcome, u64), ParError> {
-    let workers = config.threads.max(1).min(programs.len().max(1));
-    let shard_count = config.effective_shards();
-    let slots: Vec<TxnSlot> = programs
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            TxnSlot::new(TxnRuntime::new(
-                TxnId::new(txn_base + i as u32 + 1),
-                Arc::new(p.clone()),
-                u64::from(txn_base) + i as u64,
-                config.system.strategy,
-            ))
-        })
-        .collect();
-    let core = Arc::new(Core {
-        shards: Shards::new(shard_count, config.system.grant_policy),
-        slab: Arc::clone(slab),
-        slots,
-        wfg: EpochGraph::new(),
-        history: AccessHistory::with_base(stamp_base),
-        shared: Mutex::new(Metrics::default()),
-        config: config.clone(),
-        abort: AtomicBool::new(false),
-        error: Mutex::new(None),
-        next: AtomicUsize::new(0),
-        txn_base,
-        epoch: Instant::now(),
-        spans: Mutex::new(Vec::with_capacity(workers)),
-    });
+    let workers = pool.workers().min(programs.len().max(1));
+    let core = Arc::new(Core::new(programs, slab, config, workers, txn_base, stamp_base));
     pool.run(&core, workers);
     let core = Arc::try_unwrap(core)
         .map_err(|_| ParError::Inconsistent("a worker outlived its batch".into()))?;
@@ -681,7 +757,7 @@ pub(crate) fn run_batch(
             snapshot,
             elapsed,
             threads: workers,
-            shards: shard_count,
+            shards: config.effective_shards(),
             fast: core.slab.stats(),
         },
         stamp_high_water,
@@ -691,7 +767,7 @@ pub(crate) fn run_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pr_core::{StrategyKind, SystemConfig};
+    use pr_core::{StrategyKind, SystemConfig, VictimPolicyKind};
     use pr_model::{Expr, Value, VarId};
 
     fn e(i: u32) -> EntityId {
@@ -871,6 +947,155 @@ mod tests {
         let per_reused: u64 = out.per_txn.iter().map(|t| t.ops_reused).sum();
         assert_eq!(per_replayed, out.metrics.ops_replayed);
         assert_eq!(per_reused, out.metrics.ops_reused);
+    }
+
+    /// A batch core over `entities` zeroed entities, for driving
+    /// `run_txn` by hand on the test thread, as a worker would.
+    fn core(programs: &[TransactionProgram], entities: u32, mpl: usize, workers: usize) -> Core {
+        core_with(programs, entities, mpl, workers, VictimPolicyKind::MinCost)
+    }
+
+    fn core_with(
+        programs: &[TransactionProgram],
+        entities: u32,
+        mpl: usize,
+        workers: usize,
+        victim: VictimPolicyKind,
+    ) -> Core {
+        let store = GlobalStore::with_entities(entities, Value::ZERO);
+        let system =
+            SystemConfig { strategy: StrategyKind::Mcs, victim, ..SystemConfig::default() };
+        let config = ParConfig { threads: mpl, shards: 4, system, fast_path: true };
+        Core::new(programs, &Arc::new(EntitySlab::from_store(&store)), &config, workers, 0, 0)
+    }
+
+    fn program(ops: Vec<Op>) -> TransactionProgram {
+        TransactionProgram::try_from(ops).unwrap()
+    }
+
+    /// Grants `txn` (slot `idx`) its first op's exclusive lock by hand and
+    /// leaves it parked, runnable at pc 1.
+    fn hand_lock(core: &Core, idx: usize, entity: EntityId, local: &mut Metrics) {
+        let g = core.op_lock(
+            core.slots[idx].lock(),
+            TxnId::new(idx as u32 + 1),
+            entity,
+            LockMode::Exclusive,
+            local,
+        );
+        assert!(g.unwrap().is_some(), "an uncontended lock is granted");
+    }
+
+    /// `(phase, pc, owned)` of slot `idx`.
+    fn state(core: &Core, idx: usize) -> (Phase, usize, bool) {
+        let g = core.slots[idx].lock();
+        (g.rt.phase, g.rt.pc, g.owned)
+    }
+
+    /// A popped ready entry runs its transaction only if it is parked and
+    /// granted: one still waiting, one a worker owns, and one committed
+    /// are all discarded untouched.
+    #[test]
+    fn stale_ready_entries_are_discarded() {
+        let lock_commit = || program(vec![Op::LockExclusive(e(0)), Op::Commit]);
+        let core = core(&[lock_commit(), lock_commit()], 1, 2, 2);
+        let (mut local, mut acc, mut promoted) = (Metrics::default(), Vec::new(), Vec::new());
+        hand_lock(&core, 0, e(0), &mut local);
+        // T2 waits behind T1 and is set down.
+        assert_eq!(core.run_txn(1, true, &mut local, &mut acc, &mut promoted), Ok(false));
+        assert_eq!(state(&core, 1), (Phase::Blocked, 0, false));
+        assert_eq!(local.waits, 1);
+        assert_eq!(core.lowest_waiting(), TxnId::new(2));
+        // Still waiting without a grant.
+        assert_eq!(core.run_txn(1, false, &mut local, &mut acc, &mut promoted), Ok(false));
+        assert_eq!(state(&core, 1), (Phase::Blocked, 0, false));
+        // T1 commits and hands its worker the promoted waiter to push: one
+        // wake per wait.
+        assert_eq!(core.run_txn(0, true, &mut local, &mut acc, &mut promoted), Ok(true));
+        assert_eq!((&promoted[..], local.wakes), (&[1][..], 1));
+        // Already running: its owner, not the popper, takes the grant.
+        core.slots[1].lock().owned = true;
+        assert_eq!(core.run_txn(1, false, &mut local, &mut acc, &mut promoted), Ok(false));
+        assert_eq!(state(&core, 1), (Phase::Blocked, 0, true));
+        // Parked and granted: the popper completes the grant and commits.
+        core.slots[1].lock().owned = false;
+        assert_eq!(core.run_txn(1, false, &mut local, &mut acc, &mut promoted), Ok(true));
+        assert_eq!(state(&core, 1).0, Phase::Committed);
+        // Committed.
+        assert_eq!(core.run_txn(1, false, &mut local, &mut acc, &mut promoted), Ok(false));
+        assert_eq!(local.commits, 2);
+        assert_eq!(core.slab.read(e(0)), Value::ZERO);
+    }
+
+    /// T2 is set down holding `b` and waiting for `a`; T1 holds `a` and
+    /// closes the cycle by requesting `b`, so its worker resolves, and
+    /// min-cost picks T2 — owned meanwhile by a worker resolving for it.
+    /// The resolver does not push it, and a popped entry does not run it.
+    #[test]
+    fn a_victim_owned_by_a_resolving_worker_is_not_run_by_another() {
+        let a_then_b = {
+            let mut ops = vec![Op::LockExclusive(e(0))];
+            ops.extend((0..8).map(|i| Op::Write { entity: e(0), expr: Expr::lit(i) }));
+            ops.extend([Op::LockExclusive(e(1)), Op::Commit]);
+            program(ops)
+        };
+        let b_then_a = program(vec![Op::LockExclusive(e(1)), Op::LockExclusive(e(0)), Op::Commit]);
+        let core = core(&[a_then_b, b_then_a], 2, 2, 2);
+        let (mut local, mut acc, mut promoted) = (Metrics::default(), Vec::new(), Vec::new());
+        hand_lock(&core, 0, e(0), &mut local);
+        assert_eq!(core.run_txn(1, true, &mut local, &mut acc, &mut promoted), Ok(false));
+        assert_eq!(state(&core, 1), (Phase::Blocked, 1, false));
+        // T2's worker has dropped its guard to capture slots in id order.
+        core.slots[1].lock().owned = true;
+        assert_eq!(core.run_txn(0, true, &mut local, &mut acc, &mut promoted), Ok(true));
+        assert_eq!(local.deadlocks, 1);
+        assert_eq!(state(&core, 1), (Phase::Running, 0, true), "T2 was the victim");
+        assert_eq!(core.sched.ready(), Vec::<usize>::new(), "an owned victim is not pushed");
+        assert_eq!(core.run_txn(1, false, &mut local, &mut acc, &mut promoted), Ok(false));
+        assert_eq!(state(&core, 1), (Phase::Running, 0, true), "a second worker ran T2");
+        // T2's own worker sets it down and pushes it, like every victim;
+        // the worker that pops it resumes it from the reset pc.
+        core.slots[1].lock().owned = false;
+        assert_eq!(core.run_txn(1, false, &mut local, &mut acc, &mut promoted), Ok(true));
+        assert_eq!(local.commits, 2);
+    }
+
+    /// T2 holds `b` and closes the cycle with T1 by requesting `a`; as the
+    /// younger causer it yields under the partial order and rolls itself
+    /// back. Its worker then sets it down and pushes it behind T1, the
+    /// holder its rollback promoted, instead of running it on at once.
+    #[test]
+    fn a_worker_pushes_its_own_victim_behind_the_ready_work() {
+        let two_locks =
+            |x, y| program(vec![Op::LockExclusive(x), Op::LockExclusive(y), Op::Commit]);
+        let programs = [two_locks(e(0), e(1)), two_locks(e(1), e(0))];
+        let core = core_with(&programs, 2, 2, 2, VictimPolicyKind::PartialOrder);
+        let (mut local, mut acc, mut promoted) = (Metrics::default(), Vec::new(), Vec::new());
+        hand_lock(&core, 1, e(1), &mut local);
+        assert_eq!(core.run_txn(0, true, &mut local, &mut acc, &mut promoted), Ok(false));
+        assert_eq!(core.run_txn(1, true, &mut local, &mut acc, &mut promoted), Ok(false));
+        assert_eq!(local.deadlocks, 1);
+        assert_eq!(state(&core, 1), (Phase::Running, 0, false), "T2 rolled itself back");
+        assert_eq!(core.sched.ready(), vec![0, 1], "the promoted holder first, then the victim");
+        assert_eq!(core.run_txn(0, false, &mut local, &mut acc, &mut promoted), Ok(true));
+        assert_eq!(core.run_txn(1, false, &mut local, &mut acc, &mut promoted), Ok(true));
+    }
+
+    /// Two transactions wait behind a lock nobody will release (granted by
+    /// hand to a third that is never claimed): with the in-flight cap
+    /// reached and its only worker idle, the batch fails `Stuck` at once,
+    /// naming the lowest waiter.
+    #[test]
+    fn a_batch_whose_workers_all_idle_is_stuck_at_once() {
+        let lock_commit = || program(vec![Op::LockExclusive(e(0)), Op::Commit]);
+        let core = core(&[lock_commit(), lock_commit(), lock_commit()], 1, 2, 1);
+        hand_lock(&core, 2, e(0), &mut Metrics::default());
+        let started = Instant::now();
+        core.work();
+        assert!(started.elapsed() < Duration::from_secs(1));
+        let err = core.error.lock().unwrap().clone();
+        assert_eq!(err, Some(ParError::Stuck { txn: TxnId::new(1) }));
+        assert_eq!(state(&core, 1), (Phase::Blocked, 0, false));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! # pr-par — multi-threaded sharded-lock-table executor
 //!
 //! A true multi-threaded counterpart to the deterministic engine in
-//! `pr-core`: N worker threads execute whole transactions against a
-//! **lock-word fast path** backed by a **sharded lock table**. Uncontended
+//! `pr-core`: one worker thread per core runs many in-flight transactions
+//! against a **lock-word fast path** backed by a **sharded lock table**.
+//! A waiting transaction is data, not a parked thread. Uncontended
 //! locks are granted by a single CAS on a per-entity atomic word in a
 //! preallocated slab — no shard mutex, no allocation; contention or an
 //! existing wait queue *inflates* the entity into its shard's lock table
@@ -26,22 +27,25 @@
 //! * [`word`] — the per-entity lock words, reader registries, published
 //!   values, and the inflate/deflate handoff to the lock table;
 //! * [`shard`] — per-shard mutexes, hashing, ordered two-shard locking;
-//! * [`slot`] — per-transaction mutex plus the lock-free wake protocol
-//!   and the crate's lock-ordering rules;
+//! * [`slot`] — per-transaction mutex, whether a worker owns it, and the
+//!   crate's lock-ordering rules;
 //! * [`wfg`] — the epoch-stamped concurrent waits-for graph;
-//! * [`engine`] — the worker loop, blocked-wait state machine, and the
-//!   resolver that captures a cycle's slots in id order and executes its
-//!   partial rollbacks across threads;
+//! * [`engine`] — the worker loop, the wait that sets a transaction down
+//!   as data, and the resolver that captures a cycle's slots in id order
+//!   and executes its partial rollbacks across threads;
+//! * `sched` — each batch's ready FIFO and in-flight cap, and the exact
+//!   `Stuck` check;
 //! * [`history`] — grant-stamped access records for the oracle;
-//! * [`session`] — the long-lived submission API (persistent slab,
-//!   worker threads spawned once per session, global txn ids and stamp
-//!   clock) servers batch through;
+//! * [`session`] — the long-lived submission API (persistent slab, one
+//!   worker thread per core spawned once per session, global txn ids and
+//!   stamp clock) servers batch through;
 //! * [`outcome`] — configuration, errors, and result types.
 
 pub mod engine;
 pub mod history;
 pub mod outcome;
 mod pool;
+mod sched;
 pub mod session;
 pub mod shard;
 pub mod slot;

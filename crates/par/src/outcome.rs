@@ -12,10 +12,11 @@ use std::time::Duration;
 /// Configuration for one parallel run.
 #[derive(Clone, Debug)]
 pub struct ParConfig {
-    /// Workers (each runs whole transactions; in-flight transactions never
-    /// exceed this), clamped to at least 1. The thread that executes a
-    /// batch is one of them: a session spawns `threads − 1` helper
-    /// threads.
+    /// The multiprogramming level (MPL): at most this many transactions
+    /// are in flight at once, clamped to at least 1. It is not the thread
+    /// count: a waiting transaction holds no thread, and a session runs
+    /// `min(threads, max(2, cores))` OS workers, the thread that executes
+    /// a batch among them.
     pub threads: usize,
     /// Lock-table shards; 0 selects `4 × threads` (rounded up to a power
     /// of two either way).
@@ -78,7 +79,8 @@ pub struct ParOutcome {
     /// Wall-clock execution time: from the first start to the last finish
     /// among the workers that committed a transaction.
     pub elapsed: Duration,
-    /// Workers actually used (the calling thread included).
+    /// Workers that ran the batch (the calling thread included); not the
+    /// multiprogramming level, which is [`ParConfig::threads`].
     pub threads: usize,
     /// Shards actually used.
     pub shards: usize,
@@ -117,11 +119,12 @@ pub enum ParError {
         /// The out-of-range program counter.
         pc: usize,
     },
-    /// A blocked transaction stayed parked, with no wake, for the
-    /// watchdog limit — a liveness bug: a lost wake, or a cycle nobody
-    /// resolved. Nothing re-detects on the way to this error.
+    /// Every worker went idle with nothing ready and transactions still
+    /// in flight, so nothing could ever run again — a liveness bug: a lost
+    /// wake, or a cycle nobody resolved. Nothing re-detects on the way to
+    /// this error.
     Stuck {
-        /// The starved transaction.
+        /// The lowest waiting transaction.
         txn: TxnId,
     },
     /// Deadlock resolution produced an empty plan (no rollbackable
@@ -153,7 +156,7 @@ impl fmt::Display for ParError {
                 write!(f, "{txn} has no operation at pc {pc}")
             }
             ParError::Stuck { txn } => {
-                write!(f, "{txn} starved: blocked past the watchdog limit")
+                write!(f, "{txn} starved: waiting while every worker is idle")
             }
             ParError::Unresolvable { txn } => {
                 write!(f, "deadlock at {txn} has no rollbackable victim")

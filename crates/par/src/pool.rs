@@ -1,5 +1,8 @@
-//! The worker pool a [`Session`](crate::Session) owns: `threads − 1` helper
-//! threads spawned once, with the calling thread as worker 0.
+//! The worker pool a [`Session`](crate::Session) owns: one helper thread
+//! fewer than its workers, spawned once, with the calling thread as worker
+//! 0. A session has one worker per core (at least two, at most its
+//! multiprogramming level); the transactions in flight are data its
+//! workers pick up, not threads.
 //!
 //! Each helper blocks on its own job channel. [`Pool::run`] hands one
 //! batch's shared job to exactly the helpers that batch needs, runs worker
@@ -43,10 +46,10 @@ pub(crate) struct Pool {
 }
 
 impl Pool {
-    /// Spawns `threads − 1` helpers (none for `threads ≤ 1`).
-    pub(crate) fn new(threads: usize) -> Pool {
+    /// Spawns `workers − 1` helpers (none for `workers ≤ 1`).
+    pub(crate) fn new(workers: usize) -> Pool {
         let (done_tx, done) = mpsc::channel();
-        let helpers = (1..threads)
+        let helpers = (1..workers)
             .map(|i| {
                 let (jobs, inbox) = mpsc::channel::<Arc<dyn Job>>();
                 let done = done_tx.clone();
@@ -66,6 +69,11 @@ impl Pool {
             })
             .collect();
         Pool { helpers, done }
+    }
+
+    /// Workers the pool can run a job on: its helpers plus the caller.
+    pub(crate) fn workers(&self) -> usize {
+        self.helpers.len() + 1
     }
 
     /// Runs `job` on `workers` workers — the caller as worker 0 plus the

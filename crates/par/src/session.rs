@@ -5,9 +5,13 @@
 //! run ends at quiescence. A *server* front end has none of those
 //! luxuries — transactions arrive over the wire for as long as clients
 //! keep submitting. A [`Session`] bridges the two worlds: it owns the
-//! [`EntitySlab`] (the database) and a pool of `threads − 1` helper
-//! threads for its whole lifetime, and executes successive **batches** on
-//! them, each running to quiescence. The thread that calls
+//! [`EntitySlab`] (the database) and a pool of worker threads for its
+//! whole lifetime, and executes successive **batches** on them, each
+//! running to quiescence. `threads` is the multiprogramming level — at
+//! most that many transactions in flight — and the workers number
+//! `min(threads, max(2, cores))`: one per core, since a waiting
+//! transaction needs no thread, and at least two, so real-thread
+//! deadlocks still form on one CPU. The thread that calls
 //! [`Session::execute`] is worker 0; helpers are spawned once, woken per
 //! batch, and joined when the session is finished or dropped. A one-batch
 //! session is exactly a standalone run.
@@ -59,8 +63,8 @@ const _: () = {
 
 impl Session {
     /// Opens a session over the entities (and initial values) of `store`
-    /// and starts its `threads − 1` helper threads. The entity universe is
-    /// fixed from here on.
+    /// and starts its helper threads, one fewer than its workers (see the
+    /// module docs). The entity universe is fixed from here on.
     pub fn new(store: &GlobalStore, config: ParConfig) -> Session {
         Session::resume(store, config, 0, 0)
     }
@@ -71,7 +75,8 @@ impl Session {
     /// extend the pre-crash history monotonically — the concatenation is
     /// one valid oracle input, exactly as if the process had never died.
     pub fn resume(store: &GlobalStore, config: ParConfig, admitted: u32, stamp: u64) -> Session {
-        let pool = Pool::new(config.threads);
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let pool = Pool::new(config.threads.max(1).min(cores.max(2)));
         Session {
             slab: Arc::new(EntitySlab::from_store(store)),
             config,
@@ -117,8 +122,8 @@ impl Session {
         }
     }
 
-    /// Executes one batch to quiescence on `min(threads, n)` workers: the
-    /// calling thread plus that many helpers less one. On success every
+    /// Executes one batch to quiescence on up to `n` of the session's
+    /// workers, the calling thread among them. On success every
     /// transaction in `programs` committed; `per_txn` and `accesses` carry
     /// the global transaction ids (offset by [`Self::admitted`] at entry)
     /// and stamps continuing the session clock. On error the batch's

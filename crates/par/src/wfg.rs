@@ -20,8 +20,8 @@
 //! * **Every cycle has a resolver.** A re-point never closes a cycle
 //!   ([`EpochGraph::queue_changed`]), so every cycle is closed by a wait,
 //!   whose waiter detects it at registration and keeps resolving and
-//!   re-detecting until no cycle passes through it. That is why a parked
-//!   waiter never needs to re-detect. The `invariants` build tracks the
+//!   re-detecting until no cycle passes through it. That is why a waiter
+//!   set down as data never needs to re-detect. The `invariants` build tracks the
 //!   resolving waiters and asserts the claim after every detection and
 //!   queue change.
 //!
@@ -126,8 +126,8 @@ impl EpochGraph {
     /// the graph change atomically with respect to other shard users.
     ///
     /// Re-pointing is silent: it never closes a cycle (the lemma on
-    /// `pr_core`'s `Kernel::repoint_waiters`), so no survivor needs a wake
-    /// to re-detect — only the promoted do, to run. The `invariants`
+    /// `pr_core`'s `Kernel::repoint_waiters`), so no survivor needs to be
+    /// made ready to re-detect — only the promoted do, to run. The `invariants`
     /// build asserts the lemma's premise here.
     pub fn queue_changed(
         &self,
@@ -156,7 +156,7 @@ impl EpochGraph {
 
     /// Whether `waiter` is resolving: its latest detection found cycles
     /// and neither a later detection nor the end of its wait has cleared
-    /// it. A resolving waiter must not park.
+    /// it. A resolving waiter must not be set down.
     #[cfg(feature = "invariants")]
     pub fn is_resolving(&self, waiter: TxnId) -> bool {
         self.lock().resolving.contains(&waiter)
@@ -197,7 +197,8 @@ impl Inner {
         self.check_resolvers();
     }
 
-    /// The invariant that lets a waiter park without a timeout: every
+    /// The invariant that lets a waiter be set down with no re-detection
+    /// pending: every
     /// cycle passes through a resolving waiter. A waiter whose wait ended
     /// resolves nothing; dropping the waits of those still resolving must
     /// leave the graph acyclic. A cycle without one would stand forever,

@@ -41,7 +41,8 @@ options
   --policy NAME        self-hosted grant policy: barging | fair-queue
   --strategy NAME      self-hosted rollback strategy:
                        total | mcs | sdg | repair | bounded-K (default mcs)
-  --threads N          self-hosted engine threads per batch (default 8)
+  --threads N          self-hosted: transactions in flight per batch
+                       (default 8); OS workers = min(N, max(2, cores))
   --batch-max N        self-hosted group-commit flush threshold (default 256)
   --batch-deadline-us N  self-hosted group-commit deadline (default 2000)
   --no-oracle          skip the post-run serializability check

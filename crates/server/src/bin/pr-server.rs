@@ -20,7 +20,8 @@ usage: pr-server [OPTIONS]
   --addr HOST:PORT     bind address (default 127.0.0.1:7878; port 0 = ephemeral)
   --entities N         entity universe size (default 256)
   --init V             initial entity value (default 100)
-  --threads N          engine worker threads per batch (default 8)
+  --threads N          transactions in flight per batch (default 8);
+                       OS workers = min(N, max(2, cores))
   --strategy NAME      rollback strategy: total | mcs | sdg | repair | bounded-K (default mcs)
   --victim NAME        victim policy: min-cost | partial-order | youngest | causer
   --policy NAME        grant policy: barging | fair-queue (default fair-queue)

@@ -39,7 +39,7 @@ pub struct SimConfig {
     pub flush: FlushPolicy,
     /// Engine knobs (grant policy, strategy, victim).
     pub system: SystemConfig,
-    /// Engine worker threads per batch.
+    /// Transactions in flight per batch (`ParConfig::threads`).
     pub threads: usize,
     /// Entity universe size.
     pub entities: u32,

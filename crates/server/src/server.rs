@@ -71,7 +71,7 @@ pub struct ServerConfig {
     pub entities: u32,
     /// Initial value of every entity.
     pub init: i64,
-    /// Engine worker threads per batch.
+    /// Transactions in flight per batch (`ParConfig::threads`).
     pub threads: usize,
     /// Lock-table shards (0 = auto).
     pub shards: usize,

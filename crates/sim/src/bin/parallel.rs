@@ -26,7 +26,8 @@ const USAGE: &str = "\
 usage: parallel --soak N [OPTIONS]
   --soak N           oracle soak: N seeded runs rotating through all
                      4 strategies x 2 grant policies x 3 skews x 3 paddings
-  --threads N        worker threads (default 8)
+  --threads N        transactions in flight per batch (default 8);
+                     OS workers = min(N, max(2, cores))
   --txns N           transactions per run (default 64)
   --strategy NAME    restrict the soak to one strategy:
                      total | mcs | sdg | repair | bounded-K
@@ -148,7 +149,7 @@ fn run_soak(o: &Options) -> ExitCode {
             Err(v) => {
                 eprintln!(
                     "parallel: ORACLE VIOLATION at seed {seed} \
-                     ({} / {} / zipf {zipf}, {} threads): {v}",
+                     ({} / {} / zipf {zipf}, {} in flight): {v}",
                     strategy.name(),
                     policy.name(),
                     o.threads
@@ -179,7 +180,7 @@ fn run_soak(o: &Options) -> ExitCode {
     // Every run commits all its transactions, or the soak has failed.
     let commits = (seeds * o.txns) as f64;
     println!(
-        "oracle soak passed: {seeds} seeds x {} txns on {} threads, \
+        "oracle soak passed: {seeds} seeds x {} txns, {} in flight, \
          4 strategies x 2 grant policies x 3 skews x 3 paddings; \
          {deadlocks_resolved} deadlocks resolved, {fast_grants} fast-path grants, \
          {wakes} wakes ({:.3} per commit), \
