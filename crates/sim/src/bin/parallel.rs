@@ -9,10 +9,16 @@
 //! 2 grant policies × 3 skews × 3 paddings grid, each run oracle-checked
 //! (conflict-graph acyclicity over the stamped access history,
 //! rollback-accounting reconciliation, and final-snapshot equality against
-//! a deterministic single-threaded run of the same workload); the first
-//! violation aborts with a reproduction line. This is the CI
-//! `parallel-soak` job's entry point. Wall-clock numbers for the same
+//! a serial run of the same programs in index order); the first violation
+//! aborts with a reproduction line. The serial reference costs one pass
+//! over the programs, so the soak's time is the engine's own. This is the
+//! CI `parallel-soak` job's entry point. Wall-clock numbers for the same
 //! engine come from `benchmark/` (`par-uniform-mcs`, `par-hot-*`).
+//!
+//! The summary line also names the run that resolved the most deadlocks
+//! (its seed and grid cell) and counts the runs that resolved more than
+//! ten deadlocks per transaction: the barging thrash, where one
+//! 64-transaction run can resolve thousands.
 
 use pr_core::{GrantPolicy, LogHistogram, StrategyKind, SystemConfig, VictimPolicyKind};
 use pr_par::{run_parallel, ParConfig};
@@ -110,6 +116,9 @@ fn run_soak(o: &Options) -> ExitCode {
     let mut fast_grants = 0u64;
     let mut wakes = 0u64;
     let mut capture_wait = LogHistogram::default();
+    // The run with the most deadlocks: (count, seed, cell).
+    let mut worst = (0u64, 0u64, String::new());
+    let mut thrashing_runs = 0usize;
     let start = Instant::now();
     for seed in 0..seeds as u64 {
         let strategy = o.strategy.unwrap_or(STRATEGIES[(seed % 4) as usize]);
@@ -137,7 +146,15 @@ fn run_soak(o: &Options) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        deadlocks_resolved += outcome.metrics.deadlocks;
+        let deadlocks = outcome.metrics.deadlocks;
+        deadlocks_resolved += deadlocks;
+        if deadlocks > worst.0 || seed == 0 {
+            let cell = format!("{} / {} / zipf {zipf} / pad {pad}", strategy.name(), policy.name());
+            worst = (deadlocks, seed, cell);
+        }
+        if deadlocks > 10 * o.txns as u64 {
+            thrashing_runs += 1;
+        }
         fast_grants += outcome.fast.fast_grants;
         wakes += outcome.metrics.wakes;
         capture_wait.merge(&outcome.metrics.capture_wait);
@@ -182,13 +199,17 @@ fn run_soak(o: &Options) -> ExitCode {
     println!(
         "oracle soak passed: {seeds} seeds x {} txns, {} in flight, \
          4 strategies x 2 grant policies x 3 skews x 3 paddings; \
-         {deadlocks_resolved} deadlocks resolved, {fast_grants} fast-path grants, \
+         {deadlocks_resolved} deadlocks resolved (most in one run: {} at seed {} ({}); \
+         {thrashing_runs} runs over 10 per txn), {fast_grants} fast-path grants, \
          {wakes} wakes ({:.3} per commit), \
          {} slot captures waiting p50/p99/max \
          {}/{}/{} us, {checked_accesses} accesses, \
          {checked_edges} conflict edges verified acyclic ({:.1}s)",
         o.txns,
         o.threads,
+        worst.0,
+        worst.1,
+        worst.2,
         wakes as f64 / commits,
         capture_wait.count(),
         capture_wait.p50(),

@@ -1,12 +1,13 @@
 //! Quantitative experiments behind the paper's claims.
 //!
-//! Each sweep function returns structured rows, which the `experiments`
-//! binary renders as the tables recorded in `EXPERIMENTS.md`. The figure
-//! tables ([`f1_table`], [`f2_table`], [`f5_table`]) are built here
-//! whole, so `tests/golden.rs` can check them against `results/`.
+//! Each sweep function returns structured rows; the `*_table` functions
+//! ([`f1_table`] … [`r1_table`]) render them, at the default sizes and
+//! seeds, as the tables recorded in `EXPERIMENTS.md`. The `experiments`
+//! binary only prints them and writes their CSVs, so `tests/golden.rs`
+//! checks every committed `results/*.csv` through the same calls.
 
 use crate::generator::{Clustering, GeneratorConfig, ProgramGenerator};
-use crate::report::Table;
+use crate::report::{f2, Table};
 use crate::runner::{run_workload, store_with, SchedulerKind};
 use crate::scenarios::{figure1, figure2, figure5};
 use pr_core::{StrategyKind, SystemConfig, VictimPolicyKind};
@@ -70,6 +71,117 @@ pub fn f5_table() -> Table {
             o.states_lost.to_string(),
             o.overshoot.to_string(),
         ]);
+    }
+    t
+}
+
+/// **Q1** table: [`lost_progress_sweep`] over 6, 10, 16 and 32 entities.
+pub fn q1_table() -> Table {
+    let mut t = Table::new([
+        "entities",
+        "strategy",
+        "deadlocks",
+        "states lost",
+        "cost/deadlock",
+        "waste ratio",
+    ])
+    .with_title("Q1 — lost progress: partial vs total rollback");
+    for r in &lost_progress_sweep(&[6, 10, 16, 32], DEFAULT_SEEDS) {
+        t.row([
+            r.num_entities.to_string(),
+            r.strategy.to_string(),
+            f2(r.deadlocks),
+            f2(r.states_lost),
+            f2(r.cost_per_deadlock),
+            f2(r.waste_ratio),
+        ]);
+    }
+    t
+}
+
+/// **Q2** table: [`strategy_tradeoff`].
+pub fn q2_table() -> Table {
+    let mut t = Table::new(["strategy", "peak copies", "states lost", "overshoot", "restarts"])
+        .with_title("Q2 — storage vs rollback precision (§4 trade-off)");
+    for r in &strategy_tradeoff(DEFAULT_SEEDS) {
+        t.row([
+            r.strategy.to_string(),
+            f2(r.peak_copies),
+            f2(r.states_lost),
+            f2(r.overshoot),
+            f2(r.total_rollbacks),
+        ]);
+    }
+    t
+}
+
+/// **Q3** table: [`cutset_comparison`] over 2 to 16 cycles.
+pub fn q3_table() -> Table {
+    let mut t = Table::new(["cycles", "members", "exact cost", "greedy cost", "exact solved"])
+        .with_title("Q3 — min-cost vertex cut: exact vs greedy (§3.2)");
+    for r in &cutset_comparison(&[(2, 3), (4, 4), (8, 5), (16, 6)], DEFAULT_SEEDS) {
+        t.row([
+            r.cycles.to_string(),
+            r.members.to_string(),
+            f2(r.exact_cost),
+            f2(r.greedy_cost),
+            f2(r.exact_solved),
+        ]);
+    }
+    t
+}
+
+/// **Q4** table: [`clustering_sweep`].
+pub fn q4_table() -> Table {
+    let mut t = Table::new(["write placement", "well-defined states", "overshoot", "states lost"])
+        .with_title("Q4 — write clustering and three-phase structure (§5)");
+    for r in &clustering_sweep(DEFAULT_SEEDS) {
+        t.row([r.clustering.clone(), f2(r.well_defined), f2(r.overshoot), f2(r.states_lost)]);
+    }
+    t
+}
+
+/// **Q5** table: [`concurrency_sweep`] over 4, 8, 16 and 32 transactions.
+pub fn q5_table() -> Table {
+    let mut t = Table::new(["txns", "deadlocks / commit", "states lost / commit"])
+        .with_title("Q5 — deadlock frequency vs concurrency (§1 motivation)");
+    for r in &concurrency_sweep(&[4, 8, 16, 32], DEFAULT_SEEDS) {
+        t.row([r.txns.to_string(), f2(r.deadlocks_per_commit), f2(r.lost_per_commit)]);
+    }
+    t
+}
+
+/// **E1** table: [`budget_sweep`] over budgets 1, 2, 4 and 8.
+pub fn e1_table() -> Table {
+    let mut t = Table::new(["strategy", "peak copies", "overshoot", "states lost"])
+        .with_title("E1 — bounded extra copies (the paper's closing open question)");
+    for r in &budget_sweep(&[1, 2, 4, 8], DEFAULT_SEEDS) {
+        t.row([r.strategy.clone(), f2(r.peak_copies), f2(r.overshoot), f2(r.states_lost)]);
+    }
+    t
+}
+
+/// **Q6** table: [`policy_comparison`].
+pub fn q6_table() -> Table {
+    let mut t = Table::new(["policy", "completion rate", "max preemptions", "states lost"])
+        .with_title("Q6 — victim policies on a hot workload (Theorem 2)");
+    for r in &policy_comparison(DEFAULT_SEEDS) {
+        t.row([
+            r.policy.to_string(),
+            f2(r.completion_rate),
+            f2(r.max_preemptions),
+            f2(r.states_lost),
+        ]);
+    }
+    t
+}
+
+/// **R1** table: [`restructure_comparison`].
+pub fn r1_table() -> Table {
+    let mut t = Table::new(["program form", "well-defined states", "overshoot", "states lost"])
+        .with_title("R1 — compile-time restructuring (§5): same transactions, reordered");
+    for r in &restructure_comparison(DEFAULT_SEEDS) {
+        t.row([r.form.to_string(), f2(r.well_defined), f2(r.overshoot), f2(r.states_lost)]);
     }
     t
 }
@@ -614,26 +726,6 @@ pub fn restructure_comparison(seeds: u64) -> Vec<RestructureRow> {
         });
     }
     rows
-}
-
-/// Default sweep parameters used by the binary and the integration tests.
-pub fn default_entity_counts() -> Vec<u32> {
-    vec![6, 10, 16, 32]
-}
-
-/// Default concurrency levels.
-pub fn default_txn_counts() -> Vec<usize> {
-    vec![4, 8, 16, 32]
-}
-
-/// Default cut-set instance sizes.
-pub fn default_cutset_sizes() -> Vec<(usize, usize)> {
-    vec![(2, 3), (4, 4), (8, 5), (16, 6)]
-}
-
-/// Default seed count.
-pub fn default_seeds() -> u64 {
-    DEFAULT_SEEDS
 }
 
 #[cfg(test)]

@@ -13,19 +13,26 @@
 //! [`check_outcome`] layers three further checks on top:
 //!
 //! * **differential** — the final database snapshot must equal the one a
-//!   deterministic single-threaded engine run produces over the same
-//!   programs. Valid because the generator's workloads are
-//!   *delta-additive*: every entity write publishes `value-read + c` for a
-//!   program constant `c`, so all serial orders (and hence all
-//!   serializable executions) agree on the final state;
+//!   serial run of the same programs, one at a time in index order
+//!   ([`run_serial`]), produces. Valid because the generator's workloads
+//!   are *delta-additive*: every entity write publishes `value-read + c`
+//!   for a program constant `c`, so all serial orders (and hence all
+//!   serializable executions) agree on the final state. The serial run
+//!   cannot deadlock, so the reference costs one pass over the programs
+//!   however contended the checked run was;
 //! * **accounting** — the shared metrics, the per-transaction rollback
 //!   ledgers, and the resolution-cost histogram must tell the same story
 //!   (`states_lost` three ways, preemption counts two ways);
 //! * **per-strategy invariants** — e.g. the total-rollback strategy may
 //!   never record a partial rollback.
+//!
+//! [`check_server_history`] makes the conflict and differential checks
+//! for a server's history; [`check_outcome`] runs it after its own
+//! completeness and accounting checks, so both oracles share one
+//! reference.
 
-use crate::runner::{run_serial, run_workload, SchedulerKind};
-use pr_core::{GrantPolicy, StrategyKind, SystemConfig};
+use crate::runner::run_serial;
+use pr_core::{StrategyKind, SystemConfig};
 use pr_model::{EntityId, LockMode, TransactionProgram, TxnId};
 use pr_par::{CommittedAccess, ParOutcome};
 use pr_storage::GlobalStore;
@@ -56,14 +63,14 @@ pub enum OracleViolation {
         /// The highest stamp checked before it.
         floor: u64,
     },
-    /// The parallel run's final snapshot disagrees with the deterministic
+    /// The parallel run's final snapshot disagrees with the serial
     /// reference run.
     SnapshotMismatch {
         /// First entity (in id order) whose values differ.
         entity: EntityId,
         /// Value the parallel engine left behind.
         parallel: i64,
-        /// Value the deterministic reference produced.
+        /// Value the serial reference produced.
         reference: i64,
     },
     /// Not every admitted transaction committed.
@@ -73,8 +80,9 @@ pub enum OracleViolation {
         /// Transactions that committed.
         committed: usize,
     },
-    /// The deterministic reference run itself failed or hit its step
-    /// limit, so there is nothing sound to compare against.
+    /// The serial reference run itself failed (a program that cannot run
+    /// alone, or one that overran its step budget), so there is nothing
+    /// sound to compare against.
     ReferenceFailed(String),
     /// A metrics/ledger reconciliation or per-strategy invariant failed.
     Accounting(String),
@@ -101,7 +109,7 @@ impl fmt::Display for OracleViolation {
                 write!(f, "only {committed} of {expected} transactions committed")
             }
             OracleViolation::ReferenceFailed(e) => {
-                write!(f, "deterministic reference run failed: {e}")
+                write!(f, "serial reference run failed: {e}")
             }
             OracleViolation::Accounting(e) => write!(f, "accounting violation: {e}"),
         }
@@ -237,15 +245,17 @@ pub fn check_conflict_serializable(accesses: &[CommittedAccess]) -> Result<usize
 }
 
 /// Full differential check of one parallel run: commit completeness,
-/// conflict-serializability of the stamped history, metrics/ledger
-/// reconciliation, per-strategy invariants, and snapshot equality
-/// against a deterministic single-threaded reference run over the same
-/// programs and initial store.
+/// metrics/ledger reconciliation and per-strategy invariants
+/// ([`check_accounting`]), then [`check_server_history`] over the run's
+/// stamped history and final snapshot: conflict-serializability, and
+/// snapshot equality against a serial run of the same programs in index
+/// order over the same initial store.
 ///
 /// The snapshot comparison assumes a delta-additive workload (every
 /// entity write publishes `read value + constant`), which is what
 /// [`crate::generator::ProgramGenerator`] emits; for such workloads all
-/// serializable executions share one final state.
+/// serializable executions share one final state, so the serial run is
+/// as discriminating a reference as any concurrent schedule.
 pub fn check_outcome(
     programs: &[TransactionProgram],
     initial: &GlobalStore,
@@ -256,94 +266,26 @@ pub fn check_outcome(
     if committed != programs.len() {
         return Err(OracleViolation::MissingCommits { expected: programs.len(), committed });
     }
-
-    let conflict_edges = check_conflict_serializable(&outcome.accesses)?;
-
     check_accounting(config, outcome)?;
-
-    // Deterministic reference run over a rebuilt copy of the initial
-    // store (GlobalStore is deliberately not Clone). Round-robin first;
-    // under heavy skew its lockstep retries can thrash deadlock
-    // detection into the step limit (an interleaving artifact, not an
-    // engine bug), so step-limited attempts fall back to seeded random
-    // schedules — any completing serializable reference is sound for a
-    // delta-additive workload.
-    // The last two attempts also switch the reference to fair queueing:
-    // the final snapshot is grant-policy-independent for a delta-additive
-    // workload (any serializable execution agrees), and the fair queue
-    // sidesteps barging's contention collapse, where starved writers keep
-    // re-forming the same deadlocks for millions of steps.
-    let attempts = [
-        (SchedulerKind::RoundRobin, config.grant_policy),
-        (SchedulerKind::Random { seed: 0xD1FF_0001 }, config.grant_policy),
-        (SchedulerKind::Random { seed: 0xD1FF_0002 }, GrantPolicy::FairQueue),
-        (SchedulerKind::Random { seed: 0xD1FF_0003 }, GrantPolicy::FairQueue),
-    ];
-    // A thrashing schedule would otherwise burn the full engine step
-    // budget (default 10M) before the fallback gets a turn. Most
-    // completing runs take a small multiple of the workload's op count,
-    // but heavy-skew contention can legitimately need millions of steps,
-    // so the budget escalates across attempts up to the configured limit.
-    let total_ops: u64 = programs.iter().map(|p| p.ops().len() as u64).sum();
-    let base = (total_ops * 100).max(200_000);
-    let mut reference = None;
-    for (i, (schedule, grant_policy)) in attempts.into_iter().enumerate() {
-        let mut ref_config = *config;
-        ref_config.grant_policy = grant_policy;
-        let budget = base.saturating_mul(1 << (3 * i as u32)); // 1x, 8x, 64x, 512x
-        ref_config.max_steps = budget.min(config.max_steps);
-        let mut store = GlobalStore::new();
-        for (id, v) in initial.iter() {
-            store.create(id, v).expect("fresh store");
-        }
-        let attempt = run_workload(programs, store, ref_config, schedule)
-            .map_err(|e| OracleViolation::ReferenceFailed(e.to_string()))?;
-        if attempt.completed {
-            reference = Some(attempt);
-            break;
-        }
-    }
-    let Some(reference) = reference else {
-        return Err(OracleViolation::ReferenceFailed(format!(
-            "all {} reference schedules hit the step limit",
-            attempts.len()
-        )));
-    };
-    for (entity, value) in reference.snapshot.iter() {
-        let parallel = outcome.snapshot.get(entity).ok_or(OracleViolation::SnapshotMismatch {
-            entity,
-            parallel: i64::MIN,
-            reference: value.raw(),
-        })?;
-        if parallel != value {
-            return Err(OracleViolation::SnapshotMismatch {
-                entity,
-                parallel: parallel.raw(),
-                reference: value.raw(),
-            });
-        }
-    }
-
-    Ok(OracleReport { txns: committed, accesses: outcome.accesses.len(), conflict_edges })
+    check_server_history(programs, initial, config, &outcome.accesses, &outcome.snapshot)
 }
 
-/// Differential check for a **server-side** history: the concatenated
-/// grant-stamped accesses and final snapshot a long-lived
-/// [`pr_par::Session`] (driven over the wire by `pr-server`) produced
-/// across all its batches. `programs[i]` must be the program admitted as
-/// global `TxnId(i + 1)` — the load driver regenerates them
-/// deterministically from per-client seeds rather than shipping them
-/// back over the network.
+/// Differential check for a grant-stamped history and the final snapshot
+/// it left: the concatenated accesses a long-lived [`pr_par::Session`]
+/// (driven over the wire by `pr-server`) produced across all its
+/// batches, or one [`ParOutcome`]'s (through [`check_outcome`]).
+/// `programs[i]` must be the program admitted as global `TxnId(i + 1)` —
+/// the load driver regenerates them deterministically from per-client
+/// seeds rather than shipping them back over the network.
 ///
-/// Compared with [`check_outcome`], the reference here is a plain serial
-/// execution in identity order ([`run_serial`]) instead of the
-/// deterministic concurrent engine: at server scale (tens of thousands
-/// of transactions) the concurrent reference's deadlock thrashing is
-/// infeasible, and for the driver's delta-additive workloads *every*
-/// serializable execution — including the identity serial order —
-/// produces the same final state, so the cheap reference is just as
-/// discriminating. Accounting checks are skipped (the engine-internal
-/// ledgers are already reconciled per batch inside the server).
+/// The history must be conflict-serializable, and the snapshot must equal
+/// a plain serial execution's in identity order ([`run_serial`]). For
+/// delta-additive workloads *every* serializable execution — the
+/// identity serial order included — produces the same final state, so
+/// this reference is exact, and its cost is one pass over the programs
+/// however contended the checked run was. Accounting checks are not made
+/// here: [`check_outcome`] makes them per run, and the server reconciles
+/// each batch's engine ledgers itself.
 pub fn check_server_history(
     programs: &[TransactionProgram],
     initial: &GlobalStore,
@@ -850,6 +792,43 @@ mod tests {
             check_server_history(&programs, &initial, &config, &rogue, &snapshot),
             Err(OracleViolation::Accounting(_))
         ));
+    }
+
+    /// `check_outcome` on a real threaded run: accepted as it is, rejected
+    /// with a tampered snapshot value, and rejected when one more program
+    /// was admitted than ever committed.
+    #[test]
+    fn check_outcome_rejects_a_tampered_snapshot_and_a_missing_commit() {
+        use crate::runner::store_with;
+        use pr_par::run_parallel;
+
+        let gen = GeneratorConfig { num_entities: 8, ..GeneratorConfig::default() };
+        let mut programs = ProgramGenerator::new(gen, 11).generate_workload(8);
+        let config = ParConfig::with_threads(2);
+        let mut outcome = run_parallel(&programs, store_with(8, 100), &config).expect("run");
+        let initial = store_with(8, 100);
+        let report = check_outcome(&programs, &initial, &config.system, &outcome).unwrap();
+        assert_eq!(report.txns, 8);
+
+        let clean = outcome.snapshot.clone();
+        outcome.snapshot = pr_storage::Snapshot::from_pairs(clean.iter().map(|(id, v)| {
+            if id == EntityId::new(3) {
+                (id, pr_model::Value::new(v.raw() + 1))
+            } else {
+                (id, v)
+            }
+        }));
+        assert!(matches!(
+            check_outcome(&programs, &initial, &config.system, &outcome),
+            Err(OracleViolation::SnapshotMismatch { entity, .. }) if entity == EntityId::new(3)
+        ));
+
+        outcome.snapshot = clean;
+        programs.push(programs[0].clone());
+        assert_eq!(
+            check_outcome(&programs, &initial, &config.system, &outcome),
+            Err(OracleViolation::MissingCommits { expected: 9, committed: 8 })
+        );
     }
 
     #[test]

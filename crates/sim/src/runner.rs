@@ -162,7 +162,8 @@ pub fn store_with(n: u32, init: i64) -> GlobalStore {
 mod tests {
     use super::*;
     use crate::generator::{GeneratorConfig, ProgramGenerator};
-    use pr_core::{StrategyKind, VictimPolicyKind};
+    use pr_core::{GrantPolicy, StrategyKind, VictimPolicyKind};
+    use proptest::prelude::*;
 
     #[test]
     fn random_scheduler_is_deterministic_per_seed() {
@@ -225,5 +226,73 @@ mod tests {
         let config = SystemConfig::default();
         let snap = run_serial(&programs, &[0, 1, 2], store_with(32, 10), config).unwrap();
         assert!(is_serializable(&programs, &store_with(32, 10), config, &snap).unwrap());
+    }
+
+    /// The premise of the oracle's serial reference
+    /// (`crate::oracle::check_outcome`), on soak-grid workloads: every
+    /// deterministic concurrent run that completes — under round-robin or
+    /// a seeded random schedule, every strategy, both grant policies, Zipf
+    /// 0 / 0.8 / 1.2, padding 2 / 500 — ends on the snapshot of the serial
+    /// run in index order. A run that hits its step budget (barging's
+    /// thrash) shows nothing and is skipped, but every (strategy, policy)
+    /// pair must complete some runs, so the check is not vacuous. That
+    /// count spans every case, so the cases are drawn from proptest
+    /// strategies here rather than inside `proptest!`.
+    #[test]
+    fn completing_concurrent_runs_end_on_the_serial_snapshot() {
+        const POLICIES: [GrantPolicy; 2] = [GrantPolicy::Barging, GrantPolicy::FairQueue];
+        const CELLS: [(u16, usize); 6] =
+            [(0, 2), (80, 2), (120, 2), (0, 500), (80, 500), (120, 500)];
+        let shape = (any::<u64>(), 8usize..=16, 8u32..=12, any::<u64>());
+        let mut rng = TestRng::for_test("completing_concurrent_runs_end_on_the_serial_snapshot");
+        let mut completed = [[0usize; POLICIES.len()]; StrategyKind::ALL.len()];
+        // Each case takes one (zipf, pad) cell in turn, so every cell runs
+        // twice.
+        for case in 0..2 * CELLS.len() {
+            let (seed, txns, entities, schedule_seed) = shape.sample(&mut rng);
+            let (skew_centi, pad_between) = CELLS[case % CELLS.len()];
+            let gen = GeneratorConfig {
+                num_entities: entities,
+                skew_centi,
+                pad_between,
+                ..GeneratorConfig::default()
+            };
+            let programs = ProgramGenerator::new(gen, seed).generate_workload(txns);
+            let order: Vec<usize> = (0..txns).collect();
+            let serial =
+                run_serial(&programs, &order, store_with(entities, 100), SystemConfig::default())
+                    .expect("a lone transaction runs");
+            let total_ops: u64 = programs.iter().map(|p| p.ops().len() as u64).sum();
+            for (s, &strategy) in StrategyKind::ALL.iter().enumerate() {
+                for (p, &grant_policy) in POLICIES.iter().enumerate() {
+                    let mut config = SystemConfig::new(strategy, VictimPolicyKind::PartialOrder);
+                    config.grant_policy = grant_policy;
+                    config.max_steps = (total_ops * 100).max(200_000);
+                    for schedule in
+                        [SchedulerKind::RoundRobin, SchedulerKind::Random { seed: schedule_seed }]
+                    {
+                        let run =
+                            run_workload(&programs, store_with(entities, 100), config, schedule)
+                                .expect("engine error");
+                        if run.completed {
+                            assert_eq!(
+                                run.snapshot, serial,
+                                "case {case} (seed {seed}, {txns} txns over {entities}, zipf \
+                                 {skew_centi}, pad {pad_between}): {strategy:?} / \
+                                 {grant_policy:?} / {schedule:?}"
+                            );
+                            completed[s][p] += 1;
+                        }
+                    }
+                }
+            }
+        }
+        eprintln!("completed runs per strategy, [barging, fair-queue]: {completed:?}");
+        for (s, row) in completed.iter().enumerate() {
+            for (p, &n) in row.iter().enumerate() {
+                let (strategy, policy) = (StrategyKind::ALL[s], POLICIES[p]);
+                assert!(n > 0, "no {strategy:?} / {policy:?} run completed");
+            }
+        }
     }
 }

@@ -23,12 +23,32 @@ fn check(file: &str, fresh: &str, regenerate: &str) {
     );
 }
 
+const EXPERIMENTS: &str = "cargo run --release -p pr-sim --bin experiments -- --csv results";
+
 #[test]
 fn figure_tables_match_results() {
-    const EXPERIMENTS: &str = "cargo run --release -p pr-sim --bin experiments -- --csv results";
     check("f1-figure1.csv", &experiments::f1_table().0.to_csv(), EXPERIMENTS);
     check("f2-figure2.csv", &experiments::f2_table().to_csv(), EXPERIMENTS);
     check("f5-figure5.csv", &experiments::f5_table().to_csv(), EXPERIMENTS);
+}
+
+/// The quantitative sweep tables: with the figure tables, every file
+/// `experiments --csv` writes.
+#[test]
+fn sweep_tables_match_results() {
+    let tables = [
+        ("q1-lost-progress.csv", experiments::q1_table as fn() -> _),
+        ("q2-tradeoff.csv", experiments::q2_table),
+        ("q3-cutset.csv", experiments::q3_table),
+        ("q4-clustering.csv", experiments::q4_table),
+        ("q5-concurrency.csv", experiments::q5_table),
+        ("e1-copy-budget.csv", experiments::e1_table),
+        ("q6-policies.csv", experiments::q6_table),
+        ("r1-restructure.csv", experiments::r1_table),
+    ];
+    for (file, table) in tables {
+        check(file, &table().to_csv(), EXPERIMENTS);
+    }
 }
 
 /// The T4 table `explore --quick --table` prints: every two-transaction
